@@ -11,8 +11,9 @@ from .estimation import (Estimate, McPlan, OracleBudget, PoissonEnumeration,
 from .functionals import (ChaosVector, CountPolynomial, Exponential,
                           Functional, KernelEstimate, LinearCombo, Opaque,
                           chaos_by_enumeration, chaos_of_exponential,
-                          difference, difference_counts, iterated_difference,
-                          iterated_difference_counts, t_coefficient_mc)
+                          difference, difference_counts, difference_rows,
+                          iterated_difference, iterated_difference_counts,
+                          t_coefficient_mc)
 from .malliavin import (ChaosField, FunctionalField, chaos_field_from_vector,
                         difference_field, malliavin_chaos, ou_chaos,
                         ou_generator_counts, ou_generator_pathwise,
@@ -41,7 +42,8 @@ __all__ = [
     "UnsupportedArityError", "Verdict", "WiState", "chaos_by_enumeration",
     "chaos_field_from_vector", "chaos_finite_sum", "chaos_of_exponential",
     "chaos_reconstruct", "chaos_reconstruct_counts", "compare", "contraction",
-    "difference", "difference_counts", "difference_field", "factorial_apply",
+    "difference", "difference_counts", "difference_field", "difference_rows",
+    "factorial_apply",
     "factorial_counts", "factorial_tensor_power", "inner_product", "integrate",
     "iterated_difference", "iterated_difference_counts", "malliavin_chaos",
     "mc_estimate", "mc_expectation", "norm", "oracle_expectation", "ou_chaos",

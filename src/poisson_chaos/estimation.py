@@ -208,7 +208,7 @@ class PoissonEnumeration:
         self.counts = _count_vectors(space.size, budget.max_total)
         probs = np.ones(len(self.counts))
         for j in range(space.size):
-            cdf = _poisson_cdf(float(space.weights[j]))
+            cdf = _poisson_cdf(float(space.weights[j])).cdf
             pmf = np.diff(cdf, prepend=0.0)
             if len(pmf) < budget.max_total + 1:
                 pmf = np.concatenate([pmf, np.zeros(budget.max_total + 1 - len(pmf))])

@@ -375,10 +375,23 @@ def difference(F: Functional, atom_index: int, pattern: PointPattern) -> float:
     return F.evaluate(plus) - F.evaluate(pattern)
 
 
-def difference_counts(F: Functional, atom_index: int, counts: np.ndarray) -> np.ndarray:
+def difference_counts(F: Functional, atom_index: int, counts: np.ndarray,
+                      base: np.ndarray | None = None) -> np.ndarray:
+    """Rowwise one-point difference; ``base`` is ``F(counts)`` if known."""
     shift = np.zeros(counts.shape[1], dtype=np.int64)
     shift[atom_index] = 1
-    return F.evaluate_counts(counts + shift) - F.evaluate_counts(counts)
+    plus = F.evaluate_counts(counts + shift)
+    if base is None:
+        base = F.evaluate_counts(counts)
+    return plus - base
+
+
+def difference_rows(F: Functional, counts: np.ndarray) -> np.ndarray:
+    """One-point differences at every atom: column x is
+    ``difference_counts(F, x, counts)``, with F(counts) evaluated once."""
+    base = F.evaluate_counts(counts)
+    return np.stack([difference_counts(F, x, counts, base)
+                     for x in range(counts.shape[1])], axis=1)
 
 
 def iterated_difference(F: Functional, atom_indices: Sequence[int],

@@ -5,6 +5,14 @@ CDF lookups driven by the counter-based streams in :mod:`.rng`, so every
 draw is reproducible and batches of replicates vectorize: the functions
 ending in ``_counts`` operate on whole ``(replicates, atoms)`` count
 matrices and are exactly the per-pattern operations applied rowwise.
+
+Poisson inversion uses an indexed search (the guide table of Chen and
+Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+section III.2.4): the unit interval is cut into ``CDF_BINS`` equal bins,
+and a bin that holds no CDF value maps every uniform in it to the same
+count, read from the table in one lookup.  Only uniforms falling in a
+bin that holds a CDF value go to a binary search, so the counts are
+exactly those of a binary search over the whole CDF.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +30,8 @@ from .rng import RngStream, stream_uniforms
 from .space import Kernel, MeasureSpace
 
 FACTORIAL_ARITY_CAP = 4
+# bins of the Poisson inversion table; a power of two keeps u * CDF_BINS exact
+CDF_BINS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,23 +100,46 @@ class PointPattern:
 # inverse-CDF tables
 
 
+class PoissonTable(NamedTuple):
+    """CDF of a Poisson law with its bin lookup table.
+
+    ``bins[i]`` is the count of every uniform in ``[i/B, (i+1)/B)`` when
+    no CDF value falls in ``(i/B, (i+1)/B]``, and -1 otherwise; the last
+    entry (``u = 1``) is always -1.
+    """
+
+    cdf: np.ndarray
+    bins: np.ndarray
+
+
 @lru_cache(maxsize=512)
-def _poisson_cdf(mean: float) -> np.ndarray:
-    """CDF values of a Poisson law, extended until the tail is below 1e-18."""
+def _poisson_cdf(mean: float) -> PoissonTable:
+    """CDF values of a Poisson law, extended until the tail is below 1e-18,
+    with the bin table used by :func:`_invert_cdf`."""
     if mean < 0:
         raise ContractViolationError("Poisson mean must be >= 0")
     if mean == 0.0:
-        return np.array([1.0])
-    pmf = [math.exp(-mean)]
-    k = 0
-    while k < mean + 1 or pmf[-1] > 1e-18:
-        k += 1
-        pmf.append(pmf[-1] * mean / k)
-        if k > 10_000:
-            break
-    cdf = np.cumsum(pmf)
-    cdf[-1] = max(cdf[-1], 1.0)
-    return cdf
+        cdf = np.array([1.0])
+    else:
+        p0 = math.exp(-mean)
+        if p0 == 0.0:
+            raise ContractViolationError(
+                f"Poisson mean {mean!r} underflows exp(-mean); use a smaller weight")
+        pmf = [p0]
+        k = 0
+        while k < mean + 1 or pmf[-1] > 1e-18:
+            k += 1
+            pmf.append(pmf[-1] * mean / k)
+            if k > 10_000:
+                break
+        cdf = np.cumsum(pmf)
+        cdf[-1] = max(cdf[-1], 1.0)
+    edges = np.searchsorted(cdf, np.arange(CDF_BINS + 1) / CDF_BINS, side="right")
+    bins = np.append(np.where(edges[:-1] == edges[1:], edges[:-1], -1), -1).astype(np.int16)
+    # cached and shared by every caller and thread
+    cdf.setflags(write=False)
+    bins.setflags(write=False)
+    return PoissonTable(cdf, bins)
 
 
 @lru_cache(maxsize=512)
@@ -119,9 +153,23 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
     return rows
 
 
-def _invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest k with cdf[k] > u, vectorized over u."""
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+def _invert_cdf(table: PoissonTable, u: np.ndarray) -> np.ndarray:
+    """Smallest k with cdf[k] > u, vectorized over u in [0, 1].
+
+    Indexed search after Chen and Asau (1974), equal to
+    ``np.searchsorted(cdf, u, side="right")`` element for element.  With
+    ``B = CDF_BINS`` a power of two, ``u * B`` and the bin edges ``i / B``
+    are exact, so ``i = floor(u * B)`` is the bin with
+    ``i/B <= u < (i+1)/B``.  If no CDF value lies in ``(i/B, (i+1)/B]``,
+    every u in the bin has the same number of CDF values at or below it,
+    the stored ``bins[i]``.  Uniforms in the other bins (at most one bin
+    per CDF value, so a small share) fall back to the binary search.
+    """
+    k = table.bins[(u * CDF_BINS).astype(np.intp)].astype(np.int64)
+    split = np.flatnonzero(k < 0)
+    if split.size:
+        k[split] = np.searchsorted(table.cdf, u[split], side="right")
+    return k
 
 
 # ---------------------------------------------------------------------------

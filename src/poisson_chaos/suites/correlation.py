@@ -7,22 +7,21 @@ import numpy as np
 
 from ..estimation import PoissonEnumeration, mc_estimate
 from ..functionals import (CountPolynomial, Exponential, Functional, Opaque,
-                           difference_counts)
+                           difference_rows)
 from ..patterns import sample_poisson_counts, thin_counts
 from ..space import Kernel
 from ..wiener_ito import patterns_up_to
 from .base import Case, CasePayload, SuiteContext
-from .common import (covariance_conditional_rhs, covariance_semigroup_rhs,
-                     mc_covariance)
+from .common import (POLY4, covariance_conditional_rhs,
+                     covariance_semigroup_rhs, mc_covariance)
 
-_POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
 T_NODES = 16
 INNER = 16
 OUTER_CAP = 100_000
 
 
 def _oracle_covariance(ctx: SuiteContext, space, F, G) -> float:
-    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4, tol=1e-8))
+    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
     mean_f = enum.expectation_of(F)
     mean_g = enum.expectation_of(G)
     return enum.expectation_of_values(
@@ -125,10 +124,11 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
 
 def _difference_energy(ctx: SuiteContext, space, F) -> float:
     """Enumerated integral of the squared one-point difference."""
-    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4, tol=1e-8))
+    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
     rows = np.zeros(len(enum.counts))
+    diffs = difference_rows(F, enum.counts)
     for x in range(space.size):
-        rows += space.weights[x] * difference_counts(F, x, enum.counts) ** 2
+        rows += space.weights[x] * diffs[:, x] ** 2
     return enum.expectation_of_values(rows)
 
 
@@ -159,7 +159,7 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
 
     def run_equality(space=s1):
         F = CountPolynomial.total_count(space)
-        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4, tol=1e-8))
+        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
         mean = enum.expectation_of(F)
         var = enum.expectation_of_values((F.evaluate_counts(enum.counts) - mean) ** 2)
         return CasePayload(lhs=var, rhs=_difference_energy(ctx, space, F),
@@ -202,8 +202,9 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
         second = enum.expectation_of(F * F)
         mean = enum.expectation_of(F)
         rows = np.zeros(len(enum.counts))
+        diffs = difference_rows(F, enum.counts)
         for x in range(space.size):
-            rows += space.weights[x] * difference_counts(F, x, enum.counts) ** 2
+            rows += space.weights[x] * diffs[:, x] ** 2
         energy = enum.expectation_of_values(rows)
         return CasePayload(lhs=second, rhs=mean**2 + energy,
                            tolerance=1e-6, one_sided=True)
@@ -252,9 +253,9 @@ def _monotone_battery(space, boundary: int) -> list[tuple[str, Functional]]:
 def check_monotone(space, F: Functional, boundary: int, max_total: int = 5) -> bool:
     """Exhaustive one-point-increment check of the monotonicity hypothesis."""
     for pattern in patterns_up_to(space, max_total):
-        counts = pattern.counts[None, :]
+        diffs = difference_rows(F, pattern.counts[None, :])[0]
         for x in range(space.size):
-            d = float(difference_counts(F, x, counts)[0])
+            d = float(diffs[x])
             if x < boundary and d < -1e-12:
                 return False
             if x >= boundary and d > 1e-12:

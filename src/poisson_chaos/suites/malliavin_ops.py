@@ -9,7 +9,7 @@ import numpy as np
 from ..estimation import PoissonEnumeration, mc_expectation
 from ..functionals import (ChaosVector, CountPolynomial, Opaque,
                            chaos_by_enumeration, chaos_of_exponential,
-                           difference, difference_counts)
+                           difference, difference_rows)
 from ..malliavin import (ChaosField, FunctionalField, chaos_field_from_vector,
                          difference_field, malliavin_chaos, ou_chaos,
                          ou_generator_counts, ou_generator_pathwise,
@@ -19,8 +19,7 @@ from ..space import Kernel, symmetrize
 from ..wiener_ito import (WiState, chaos_reconstruct, chaos_reconstruct_counts,
                           patterns_up_to)
 from .base import Case, CasePayload, SuiteContext
-
-_POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
+from .common import POLY4
 
 
 def _seeded_chaos_vector(space, order: int, seed: int) -> ChaosVector:
@@ -91,7 +90,7 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
     def run_poly(space=space):
         F = (CountPolynomial.atom_count(space, 0) * CountPolynomial.atom_count(space, 1)
              + CountPolynomial.total_count(space) * 0.5)
-        cv = chaos_by_enumeration(F, 2, ctx.budget(space, growth=_POLY4, tol=1e-8))
+        cv = chaos_by_enumeration(F, 2, ctx.budget(space, growth=POLY4, tol=1e-8))
         worst = 0.0
         for pattern in patterns_up_to(space, 5):
             state = WiState(pattern)
@@ -144,12 +143,12 @@ def build_duality(ctx: SuiteContext) -> list[Case]:
                 case_id = f"pairing_{space_name}_{f_name}_{h_name}"
 
                 def run(space=space, F=F, H=H):
-                    budget = ctx.budget(space, growth=_POLY4, tol=1e-8)
+                    budget = ctx.budget(space, growth=POLY4, tol=1e-8)
                     enum = PoissonEnumeration.get(space, budget)
                     lhs_rows = np.zeros(len(enum.counts))
+                    diffs = difference_rows(F, enum.counts)
                     for x in range(space.size):
-                        lhs_rows += (space.weights[x]
-                                     * difference_counts(F, x, enum.counts)
+                        lhs_rows += (space.weights[x] * diffs[:, x]
                                      * H.functional_at(x).evaluate_counts(enum.counts))
                     lhs = enum.expectation_of_values(lhs_rows)
                     rhs_rows = (F.evaluate_counts(enum.counts)
@@ -169,7 +168,7 @@ def build_skorohod_isometry(ctx: SuiteContext) -> list[Case]:
             case_id = f"second_moment_{space_name}_{h_name}"
 
             def run(space=space, H=H):
-                budget = ctx.budget(space, growth=_POLY4, tol=1e-8)
+                budget = ctx.budget(space, growth=POLY4, tol=1e-8)
                 enum = PoissonEnumeration.get(space, budget)
                 counts = enum.counts
                 lhs = enum.expectation_of_values(skorohod_counts(H, counts) ** 2)
@@ -274,7 +273,7 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
         def run_ms(space=s1, f=small[0][1]):
             cv = chaos_of_exponential(f, 4)
             target = ou_chaos(cv)
-            enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4,
+            enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4,
                                                             tol=1e-8))
             path = ou_generator_counts(f, enum.counts)
             chaos = chaos_reconstruct_counts(space, target, enum.counts)

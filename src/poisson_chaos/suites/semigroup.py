@@ -18,9 +18,9 @@ from ..malliavin import (ou_inverse_chaos, ou_inverse_quadrature,
 from ..patterns import PointPattern
 from ..wiener_ito import WiState, chaos_reconstruct, patterns_up_to
 from .base import Case, CasePayload, SuiteContext
+from .common import POLY4
 
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-_POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
 
 
 def build_mehler(ctx: SuiteContext) -> list[Case]:
@@ -96,7 +96,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
     def run_mean_comm(space=s2):
         F = (CountPolynomial.atom_count(space, 0) * CountPolynomial.atom_count(space, 1)
              + CountPolynomial.total_count(space))
-        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4, tol=1e-8))
+        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
         worst = 0.0
         for s in (0.25, 0.5, 0.75):
             Ps = semigroup_closed_form(F, s)
@@ -121,7 +121,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
             case_id = f"mean_preservation_{space_name}_{f_name}"
 
             def run_mean(space=space, F=F):
-                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4,
+                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4,
                                                                 tol=1e-8))
                 worst = 0.0
                 mean = enum.expectation_of(F)
@@ -135,7 +135,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
             case_id = f"contractivity_{space_name}_{f_name}"
 
             def run_contract(space=space, F=F):
-                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=_POLY4,
+                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4,
                                                                 tol=1e-8))
                 second = enum.expectation_of(F * F)
                 worst = -math.inf

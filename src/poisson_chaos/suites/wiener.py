@@ -15,8 +15,7 @@ from ..wiener_ito import (WiState, chaos_finite_sum, chaos_reconstruct_counts,
                           patterns_up_to, product_formula_rhs, wiener_ito,
                           wiener_ito_counts)
 from .base import Case, CasePayload, SuiteContext
-
-_POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731  growth envelope for I_m I_n
+from .common import POLY4
 
 
 def _seeded_kernel(space, arity: int, seed: int, symmetric: bool = False) -> Kernel:
@@ -38,7 +37,7 @@ def build_wi_isometry(ctx: SuiteContext) -> list[Case]:
                 h = _seeded_kernel(space, n, 200 + 5 * m + n)
                 prod = Opaque(space, counts_fn=lambda c: (
                     wiener_ito_counts(space, g, c) * wiener_ito_counts(space, h, c)))
-                budget = ctx.budget(space, growth=_POLY4, tol=1e-8)
+                budget = ctx.budget(space, growth=POLY4, tol=1e-8)
                 lhs = PoissonEnumeration.get(space, budget).expectation_of(prod)
                 rhs = (math.factorial(m) * inner_product(space, symmetrize(g), symmetrize(h))
                        if m == n else 0.0)

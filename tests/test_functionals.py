@@ -13,6 +13,7 @@ from poisson_chaos.functionals import (ChaosVector, CountPolynomial,
                                        Exponential, LinearCombo, Opaque,
                                        chaos_by_enumeration,
                                        chaos_of_exponential, difference,
+                                       difference_counts, difference_rows,
                                        falling_factorial_coeffs,
                                        iterated_difference,
                                        poisson_raw_moment, t_coefficient_mc)
@@ -256,3 +257,35 @@ class TestFunctionalAlgebra:
         got = f.evaluate_counts(counts)
         want = [1.0 + 0.0, math.exp(-(2 * 0.3 + 0.7)) + 6.0]
         assert np.allclose(got, want)
+
+
+class TestDifferenceRows:
+    """Columns of ``difference_rows`` are ``difference_counts``, bit for bit."""
+
+    SPACES = {"S1": [1.0], "S2": [0.5, 1.0], "S3": [0.3, 0.3, 0.4]}
+
+    @staticmethod
+    def _functionals(space):
+        rng = np.random.default_rng(space.size)
+        d = space.size
+        e1 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
+        e2 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
+        n = CountPolynomial.total_count(space)
+        return [
+            e1,
+            LinearCombo(space, [(0.5, e1), (-1.5, e2)]),
+            n * n + CountPolynomial.atom_count(space, d - 1) * 0.25,
+            Opaque(space, counts_fn=lambda c: np.minimum(c.sum(axis=1), 2.0)),
+            Opaque(space, fn=lambda p: math.sqrt(1.0 + p.total)),
+        ]
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_columns_equal_difference_counts(self, name):
+        space = MeasureSpace([f"x{j}" for j in range(len(self.SPACES[name]))],
+                             self.SPACES[name])
+        counts = np.random.default_rng(7).integers(0, 6, size=(200, space.size))
+        for F in self._functionals(space):
+            rows = difference_rows(F, counts)
+            assert rows.shape == counts.shape
+            for x in range(space.size):
+                assert np.array_equal(rows[:, x], difference_counts(F, x, counts))

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.patterns import (PointPattern, factorial_apply,
+from poisson_chaos.patterns import (CDF_BINS, PointPattern, _invert_cdf,
+                                    _poisson_cdf, factorial_apply,
                                     factorial_counts, factorial_tensor_power,
                                     sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts)
-from poisson_chaos.rng import RngStream
+from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
 
 
@@ -69,6 +70,40 @@ class TestPoissonSampling:
         cov = float(np.mean(a * b))
         se = float(np.std(a * b, ddof=1) / math.sqrt(len(counts)))
         assert abs(cov) <= 4 * se
+
+
+class TestPoissonInversion:
+    """The bin table must reproduce a binary search over the CDF exactly."""
+
+    @staticmethod
+    def _probes(cdf: np.ndarray) -> np.ndarray:
+        edges = np.arange(CDF_BINS + 1) / CDF_BINS
+        steps = cdf[cdf < 1.0]
+        points = np.concatenate([edges, steps])
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+            stream_uniforms(11, np.arange(25_000, dtype=np.uint64), 4).ravel(),
+        ])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("mean", [0.0, 0.05, 0.3, 1.0, 4.0, 7.0, 50.0, 400.0])
+    def test_matches_binary_search(self, mean):
+        table = _poisson_cdf(mean)
+        u = self._probes(table.cdf)
+        assert u.size > 100_000
+        want = np.searchsorted(table.cdf, u, side="right")
+        got = _invert_cdf(table, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_large_weight_rejected(self):
+        # exp(-800) underflows to zero, which made every draw the same count
+        space = MeasureSpace(["a"], [800.0])
+        with pytest.raises(ContractViolationError):
+            sample_poisson(space, RngStream(3, 0))
+        with pytest.raises(ContractViolationError):
+            sample_poisson_counts(space, 3, np.arange(10, dtype=np.uint64))
 
 
 class TestThinning:
