@@ -568,19 +568,96 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     Level n entry at an atom tuple is the enumerated expectation of the
     order-n difference of F there, divided by n factorial.  Exact (up to
     the enumeration tail) for any functional the budget covers.
+
+    Every shifted row ``c + s`` of an order-n difference is itself a
+    count vector of total at most ``max_total + n``, so F is evaluated
+    only twice: once on the enumeration (which also gives level 0) and
+    once on the shell of count vectors with totals ``max_total + 1``
+    to ``max_total + order``.  Each term of the signed subset sum is
+    then a gather through the per-atom successor maps of
+    :func:`~.estimation.successor_maps`, accumulated with the subsets,
+    order and signs of :func:`iterated_difference_counts`, so each
+    coefficient equals the one computed from it bit for bit, provided a
+    row's value does not depend on which multi-row matrix holds it.  A
+    one-row matrix takes another floating-point route, so a one-row
+    enumeration, or a shell larger than the enumeration state cap, goes
+    through :func:`iterated_difference_counts` per atom tuple instead.
     """
-    from .estimation import PoissonEnumeration
+    from .estimation import (ENUMERATION_STATE_CAP, PoissonEnumeration, lattice_shell,
+                             shell_size, successor_maps)
 
     if order > CHAOS_ORDER_CAP:
         raise UnsupportedArityError(f"chaos order capped at {CHAOS_ORDER_CAP}")
     space = F.space
-    enum = PoissonEnumeration.get(space, budget)
-    coeffs: list = [float(enum.expectation_of(F))]
     d = space.size
+    cap = budget.max_total
+    enum = PoissonEnumeration.get(space, budget)
+    base = F.evaluate_counts(enum.counts)
+    coeffs: list = [float(enum.expectation_of_values(base))]
+    if order == 0:
+        return ChaosVector(space, coeffs)
+    if len(enum.counts) < 2 or shell_size(d, cap, order) > ENUMERATION_STATE_CAP:
+        for n in range(1, order + 1):
+            vals = np.zeros((d,) * n)
+            for tup in itertools.product(range(d), repeat=n):
+                diff = iterated_difference_counts(F, tup, enum.counts)
+                vals[tup] = enum.expectation_of_values(diff) / math.factorial(n)
+            coeffs.append(Kernel(space, vals))
+        return ChaosVector(space, coeffs)
+    shell = lattice_shell(d, cap, order)
+    if len(shell) == 1:
+        # keep the single shell row in a multi-row batch
+        shell_values = F.evaluate_counts(np.repeat(shell, 2, axis=0))[:1]
+    else:
+        shell_values = F.evaluate_counts(shell)
+    values = np.concatenate([base, shell_values])
+    del base, shell_values
+    succ = successor_maps(enum.counts, shell, cap, order)
+    del shell
     for n in range(1, order + 1):
-        vals = np.zeros((d,) * n)
-        for tup in itertools.product(range(d), repeat=n):
-            diff = iterated_difference_counts(F, tup, enum.counts)
-            vals[tup] = enum.expectation_of_values(diff) / math.factorial(n)
-        coeffs.append(Kernel(space, vals))
+        coeffs.append(Kernel(space, _enumerated_differences(enum, values, succ, n)))
     return ChaosVector(space, coeffs)
+
+
+def _enumerated_differences(enum, values: np.ndarray, succ: np.ndarray,
+                            n: int) -> np.ndarray:
+    """Level-n kernel of :func:`chaos_by_enumeration` from lattice values.
+
+    The subsets of each atom tuple come in ``itertools.product((0, 1),
+    repeat=n)`` order, each added to or subtracted from a zeroed row
+    vector as in :func:`iterated_difference_counts` (``out -= v`` is
+    ``out += -1.0 * v`` bit for bit).
+    """
+    n_rows = len(enum.counts)
+    kernel = np.zeros((succ.shape[0],) * n)
+    subtract = [(n - bin(i).count("1")) % 2 == 1 for i in range(2**n)]
+    out = np.empty(n_rows)
+    term = np.empty(n_rows)
+    for tup, subsets in _tuple_subsets(succ, n_rows, n, (), [None]):
+        out.fill(0.0)
+        for rows, minus in zip(subsets, subtract):
+            v = values[:n_rows] if rows is None else np.take(values, rows, out=term,
+                                                             mode="clip")
+            (np.subtract if minus else np.add)(out, v, out=out)
+        kernel[tup] = enum.expectation_of_values(out) / math.factorial(n)
+    return kernel
+
+
+def _tuple_subsets(succ: np.ndarray, n_rows: int, n: int, prefix: tuple[int, ...],
+                   subsets: list):
+    """Every atom tuple of length n extending ``prefix``, in product order,
+    with the row positions of ``c + shift`` for each subset of the tuple.
+
+    ``subsets`` holds them for the subsets of ``prefix``, ``None`` standing
+    for the unshifted rows.  Tuples are walked depth first, so the
+    positions for a prefix are gathered once and shared by every tuple
+    that extends it.
+    """
+    if len(prefix) == n:
+        yield prefix, subsets
+        return
+    for x, step in enumerate(succ):
+        extended = []
+        for rows in subsets:
+            extended += [rows, step[:n_rows] if rows is None else step.take(rows)]
+        yield from _tuple_subsets(succ, n_rows, n, prefix + (x,), extended)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -122,7 +123,8 @@ def _poisson_cdf(mean: float) -> PoissonTable:
         cdf = np.array([1.0])
     else:
         p0 = math.exp(-mean)
-        if p0 == 0.0:
+        if p0 < sys.float_info.min:
+            # a subnormal exp(-mean) carries too few bits to build the law from
             raise ContractViolationError(
                 f"Poisson mean {mean!r} underflows exp(-mean); use a smaller weight")
         pmf = [p0]
@@ -148,8 +150,10 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
     rows = np.ones((n_max + 1, n_max + 2))
     for n in range(n_max + 1):
         pmf = np.array([math.comb(n, k) * s**k * (1.0 - s) ** (n - k)
-                        for k in range(n + 1)])
-        rows[n, : n + 1] = np.minimum(np.cumsum(pmf), 1.0)
+                        for k in range(n)])
+        # entry n stays exactly 1: a rounded sum below 1 would let a
+        # uniform just below 1 keep n + 1 of n points
+        rows[n, :n] = np.minimum(np.cumsum(pmf), 1.0)
     return rows
 
 

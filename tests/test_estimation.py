@@ -61,6 +61,20 @@ class TestOracle:
         with pytest.raises(BudgetError):
             OracleBudget.for_space(wide, 1e-10, max_states=10)
 
+    def test_budget_error_on_large_mass(self):
+        # mass 200 overflowed mass**cutoff with an OverflowError; mass 800
+        # underflowed exp(-mass) and certified a cutoff of 1
+        for weights in ([100.0, 100.0], [100.0] * 8):
+            space = MeasureSpace([f"x{i}" for i in range(len(weights))], weights)
+            with pytest.raises(BudgetError):
+                OracleBudget.for_space(space, 1e-10, max_states=10**15)
+
+    def test_masses_below_the_overflow_keep_their_cutoff(self):
+        # at tol 1e-10 the tail arithmetic overflows from a mass of about 90.7
+        for weight, cutoff in ((25.0, 101), (45.0, 157)):
+            space = MeasureSpace(["a", "b"], [weight, weight])
+            assert OracleBudget.for_space(space, 1e-10, max_states=10**15).max_total == cutoff
+
     def test_poisson_tail_matches_direct_sum(self):
         mass, cutoff = 1.5, 7
         pmf = math.exp(-mass)

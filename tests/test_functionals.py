@@ -6,19 +6,25 @@ import math
 import numpy as np
 import pytest
 
+from poisson_chaos import estimation
+from poisson_chaos.config import load_config
 from poisson_chaos.errors import (ContractViolationError, EvaluationError,
                                   UnsupportedArityError)
-from poisson_chaos.estimation import McPlan, OracleBudget
-from poisson_chaos.functionals import (ChaosVector, CountPolynomial,
-                                       Exponential, LinearCombo, Opaque,
+from poisson_chaos.estimation import (McPlan, OracleBudget, PoissonEnumeration,
+                                      lattice_shell, shell_size, successor_maps)
+from poisson_chaos.functionals import (CHAOS_ORDER_CAP, ChaosVector,
+                                       CountPolynomial, Exponential,
+                                       LinearCombo, Opaque,
                                        chaos_by_enumeration,
                                        chaos_of_exponential, difference,
                                        difference_counts, difference_rows,
                                        falling_factorial_coeffs,
                                        iterated_difference,
+                                       iterated_difference_counts,
                                        poisson_raw_moment, t_coefficient_mc)
 from poisson_chaos.patterns import PointPattern
 from poisson_chaos.space import Kernel, MeasureSpace
+from poisson_chaos.suites.common import POLY4
 
 LN2 = math.log(2.0)
 
@@ -289,3 +295,100 @@ class TestDifferenceRows:
             assert rows.shape == counts.shape
             for x in range(space.size):
                 assert np.array_equal(rows[:, x], difference_counts(F, x, counts))
+
+
+class TestChaosLattice:
+    """``chaos_by_enumeration`` reads shifted rows through successor maps;
+    every coefficient must equal the per-tuple subset sums of
+    ``iterated_difference_counts`` bit for bit."""
+
+    @staticmethod
+    def _per_tuple(F, order, budget):
+        enum = PoissonEnumeration.get(F.space, budget)
+        d = F.space.size
+        levels = [float(enum.expectation_of(F))]
+        for n in range(1, order + 1):
+            vals = np.zeros((d,) * n)
+            for tup in itertools.product(range(d), repeat=n):
+                diff = iterated_difference_counts(F, tup, enum.counts)
+                vals[tup] = enum.expectation_of_values(diff) / math.factorial(n)
+            levels.append(vals)
+        return levels
+
+    def _assert_identical(self, F, order, budget):
+        got = chaos_by_enumeration(F, order, budget)
+        want = self._per_tuple(F, order, budget)
+        assert got.order == order
+        assert got.coefficients[0] == want[0]
+        for n in range(1, order + 1):
+            assert np.array_equal(got.coefficients[n].values, want[n]), f"level {n}"
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_packaged_spaces(self, name):
+        config = load_config()
+        space = config.spaces[name]
+        functionals = [F for F in config.functionals.values() if F.space.same_as(space)]
+        n = CountPolynomial.total_count(space)
+        functionals += [n * n, n * 0.5 + CountPolynomial.atom_count(space, 0)
+                        * CountPolynomial.atom_count(space, space.size - 1)]
+        budgets = [OracleBudget.for_space(space, 1e-10),
+                   OracleBudget.for_space(space, 1e-8, growth=POLY4)]
+        for F in functionals:
+            for budget in budgets:
+                for order in range(CHAOS_ORDER_CAP + 1):
+                    self._assert_identical(F, order, budget)
+
+    def test_dense_space_order3(self):
+        # four atoms of total mass 16: a 249,900-state enumeration and a
+        # 66,351-row shell
+        space = MeasureSpace(["a", "b", "c", "d"], [2.5, 3.5, 4.0, 6.0])
+        budget = OracleBudget.for_space(space, 1e-10)
+        assert len(PoissonEnumeration.get(space, budget).counts) == 249_900
+        self._assert_identical(Exponential(space, [0.12, 0.3, 0.21, 0.07]), 3, budget)
+
+    def test_opaque_functionals(self, s2):
+        s3 = MeasureSpace(["a", "b", "c"], [0.3, 0.3, 0.4])
+        w = np.array([0.4, -0.7, 1.1])
+        smooth = Opaque(s3, counts_fn=lambda c: np.cos(c @ w) * np.sqrt(1.0 + c[:, 0]))
+        self._assert_identical(smooth, 3, OracleBudget.for_space(s3, 1e-10))
+        per_pattern = Opaque(s2, fn=lambda p: math.log1p(p.total) + p.counts[0] ** 2)
+        self._assert_identical(per_pattern, 2, OracleBudget.for_space(s2, 1e-10))
+
+    def test_wide_space_at_cap_two(self):
+        # a mixed-radix key of the lattice would need (2 + 2 + 1)**30 > 2**63
+        assert (2 + 2 + 1) ** 30 > np.iinfo(np.int64).max
+        d = 30
+        space = MeasureSpace([f"x{j}" for j in range(d)], np.full(d, 0.05))
+        v = np.linspace(0.05, 0.6, d)
+        self._assert_identical(Exponential(space, v), 2, OracleBudget(2, 1.0))
+
+    def test_per_tuple_route_when_lattice_does_not_apply(self, s2, monkeypatch):
+        F = Exponential(s2, [0.3, 0.7])
+        # a one-row enumeration
+        self._assert_identical(F, 2, OracleBudget(0, 1.0))
+        # a shell over the state cap
+        monkeypatch.setattr(estimation, "ENUMERATION_STATE_CAP", 10)
+        self._assert_identical(F, 3, OracleBudget.for_space(s2, 1e-10))
+
+    @pytest.mark.parametrize("d,cap,order,block", [
+        (1, 5, 1, 1 << 16), (1, 3, 4, 2), (2, 6, 3, 5), (3, 0, 2, 1 << 16),
+        (3, 9, 4, 7), (4, 47, 3, 1 << 16), (30, 2, 2, 1000)])
+    def test_successor_maps_match_row_arithmetic(self, d, cap, order, block, monkeypatch):
+        monkeypatch.setattr(estimation, "_RANK_BLOCK", block)
+        counts = estimation._count_vectors(d, cap)
+        shell = lattice_shell(d, cap, order)
+        stacked = np.vstack([counts, shell])
+        # every count vector of total at most cap + order, each once
+        assert len(shell) == shell_size(d, cap, order)
+        assert len(stacked) == math.comb(cap + order + d, d)
+        assert len(np.unique(stacked, axis=0)) == len(stacked)
+        assert np.all(np.diff(shell.sum(axis=1)) >= 0)
+        assert shell.sum(axis=1).min() == cap + 1
+        succ = successor_maps(counts, shell, cap, order)
+        below_top = np.flatnonzero(stacked.sum(axis=1) < cap + order)
+        assert succ.shape == (d, len(below_top))
+        assert np.array_equal(below_top, np.arange(len(below_top)))
+        for x in range(d):
+            want = stacked[below_top].copy()
+            want[:, x] += 1
+            assert np.array_equal(stacked[succ[x]], want)

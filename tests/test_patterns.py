@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.patterns import (CDF_BINS, PointPattern, _invert_cdf,
+from poisson_chaos.patterns import (CDF_BINS, PointPattern,
+                                    _binomial_cdf_rows, _invert_cdf,
                                     _poisson_cdf, factorial_apply,
                                     factorial_counts, factorial_tensor_power,
                                     sample_poisson, sample_poisson_counts,
-                                    superpose, thin, thin_counts)
+                                    superpose, thin, thin_counts,
+                                    thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
 
@@ -105,6 +107,25 @@ class TestPoissonInversion:
         with pytest.raises(ContractViolationError):
             sample_poisson_counts(space, 3, np.arange(10, dtype=np.uint64))
 
+    @pytest.mark.parametrize("mean", [720.0, 740.0])
+    def test_subnormal_start_rejected(self, mean):
+        # exp(-mean) is subnormal here: mean 740 used to build a law of mean 741.9
+        with pytest.raises(ContractViolationError):
+            _poisson_cdf(mean)
+        with pytest.raises(ContractViolationError):
+            sample_poisson(MeasureSpace(["a"], [mean]), RngStream(3, 0))
+
+    def test_largest_normal_start_still_built(self):
+        table = _poisson_cdf(700.0)
+        pmf = [math.exp(-700.0)]
+        while len(pmf) <= 701 or pmf[-1] > 1e-18:
+            pmf.append(pmf[-1] * 700.0 / len(pmf))
+        want = np.cumsum(pmf)
+        want[-1] = max(want[-1], 1.0)
+        assert np.array_equal(table.cdf, want)
+        law_mean = float(np.dot(np.arange(len(want)), np.diff(want, prepend=0.0)))
+        assert law_mean == pytest.approx(700.0, rel=1e-9)
+
 
 class TestThinning:
     def test_keep_all_and_drop_all(self, s2):
@@ -124,6 +145,19 @@ class TestThinning:
         mean = kept.mean(axis=0)
         se = kept.std(axis=0, ddof=1) / math.sqrt(len(kept))
         assert np.all(np.abs(mean - [1.0, 0.5]) <= 4 * se)
+
+    def test_top_uniform_keeps_at_most_every_point(self):
+        # the rounded CDF at k = n used to fall below 1, so a uniform just
+        # below 1 kept n + 1 of n points
+        top = np.nextafter(1.0, 0.0)
+        assert thin_counts_with_uniforms(np.array([[3]]), 0.3,
+                                         np.array([[top]])).tolist() == [[3]]
+        counts = np.arange(41)[:, None]
+        for s in np.linspace(0.0, 1.0, 131):
+            rows = _binomial_cdf_rows(40, float(s))
+            assert np.all(rows[counts[:, 0], counts[:, 0]] == 1.0)
+            kept = thin_counts_with_uniforms(counts, float(s), np.full(counts.shape, top))
+            assert np.all(kept <= counts)
 
     def test_retention_out_of_range(self, s2):
         with pytest.raises(ContractViolationError):
