@@ -2,12 +2,13 @@
 
 ``oracle_expectation`` enumerates the truncated Poisson law exactly and
 carries a certified tail bound; ``mc_expectation`` averages seeded
-replicates and reports a standard error.  Every verification suite
-funnels its verdicts through :func:`compare`.
+replicates and reports a standard error.  The suite runner judges every
+case with :func:`compare`: two-sided against the policy threshold,
+two-sided against a fixed tolerance, or one-sided for inequalities.
 
-Determinism contract: replicate i draws from stream ``base + i`` and
-partial results are combined in fixed batch order, so estimates are
-bit-identical across runs and across worker counts.
+Determinism contract: replicate i draws from stream ``base + i``, and
+:func:`mc_batches`, the one replicate loop, returns the batches in fixed
+order, so estimates are bit-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetError, ContractViolationError, EvaluationError
-from .patterns import _poisson_cdf, sample_poisson_counts
+from .patterns import _count_vectors, _poisson_cdf, sample_poisson_counts
 from .space import MeasureSpace
 
 BATCH_SIZE = 1 << 15
@@ -77,13 +78,15 @@ def _batch_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BATCH_SIZE, n)) for lo in range(0, n, BATCH_SIZE)]
 
 
-def mc_estimate(plan: McPlan,
-                batch_values: Callable[[np.ndarray, int], np.ndarray]) -> Estimate:
-    """Average ``batch_values(streams, start)`` over all replicates.
+def mc_batches(plan: McPlan, batch_values: Callable[[np.ndarray, int], np.ndarray],
+               shape: tuple[int, ...] = ()) -> list[np.ndarray]:
+    """Values of ``batch_values(streams, start)`` for every replicate batch.
 
     The callable receives the stream indices of one replicate batch and
-    must return one value per stream; it is called with fixed batch
-    boundaries regardless of the worker count.
+    must return an array of ``shape + (len(streams),)``: the replicate
+    axis comes last.  Batch boundaries are fixed and the batches are
+    returned in order, whatever the worker count; a non-finite value
+    raises :class:`EvaluationError` naming the first such replicate.
     """
     ranges = _batch_ranges(plan.replicates)
 
@@ -92,7 +95,7 @@ def mc_estimate(plan: McPlan,
         streams = np.arange(plan.stream_base + lo, plan.stream_base + hi,
                             dtype=np.uint64)
         vals = np.asarray(batch_values(streams, lo), dtype=np.float64)
-        if vals.shape != (hi - lo,):
+        if vals.shape != shape + (hi - lo,):
             raise RuntimeError("batch evaluator returned a wrong shape")
         return vals
 
@@ -103,11 +106,21 @@ def mc_estimate(plan: McPlan,
     else:
         batches = [run(r) for r in ranges]
 
-    for (lo, _), vals in zip(ranges, batches):
-        bad = np.flatnonzero(~np.isfinite(vals))
+    for (lo, hi), vals in zip(ranges, batches):
+        bad = np.flatnonzero(~np.isfinite(vals).reshape(-1, hi - lo).all(axis=0))
         if bad.size:
             raise EvaluationError(f"non-finite value at replicate {lo + int(bad[0])}")
+    return batches
 
+
+def mc_estimate(plan: McPlan,
+                batch_values: Callable[[np.ndarray, int], np.ndarray]) -> Estimate:
+    """Average ``batch_values(streams, start)`` over all replicates.
+
+    The callable returns one value per stream of its batch; see
+    :func:`mc_batches`.
+    """
+    batches = mc_batches(plan, batch_values)
     n = plan.replicates
     total = 0.0
     lowest, highest = math.inf, -math.inf
@@ -194,18 +207,6 @@ class OracleBudget:
 
 # rows per block when ranking lattice rows; bounds the temporaries
 _RANK_BLOCK = 1 << 16
-
-
-def _count_vectors(d: int, cap: int) -> np.ndarray:
-    if d == 1:
-        return np.arange(cap + 1, dtype=np.int64)[:, None]
-    sub = _count_vectors(d - 1, cap)
-    sums = sub.sum(axis=1)
-    rows = []
-    for first in range(cap + 1):
-        tail = sub[sums <= cap - first]
-        rows.append(np.column_stack([np.full(len(tail), first, dtype=np.int64), tail]))
-    return np.vstack(rows)
 
 
 def _level_vectors(d: int, total: int) -> np.ndarray:
@@ -343,11 +344,15 @@ class TolerancePolicy:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of :func:`compare`, with the two means it compared."""
+
     passed: bool
     diff: float
     tolerance: float
     se_combined: float
     margin: float
+    lhs: float
+    rhs: float
 
 
 def _mean_se(x) -> tuple[float, float]:
@@ -356,17 +361,24 @@ def _mean_se(x) -> tuple[float, float]:
     return float(x), 0.0
 
 
-def compare(lhs, rhs, policy: TolerancePolicy = TolerancePolicy()) -> Verdict:
-    """PASS iff the two values agree within the policy's threshold.
+def compare(lhs, rhs, policy: TolerancePolicy = TolerancePolicy(),
+            tolerance: float | None = None, one_sided: bool = False) -> Verdict:
+    """PASS iff the two values agree within the threshold.
 
-    Each side is either exact or an :class:`Estimate`; with two exact
-    sides the threshold collapses to the exact tolerance.
+    Each side is either exact or an :class:`Estimate`.  The threshold is
+    ``tolerance`` when given, and otherwise the policy's: z combined
+    standard errors plus the absolute floor, which collapses to the
+    exact tolerance when both sides are exact and the comparison is
+    two-sided.  A two-sided comparison bounds ``|lhs - rhs|``; a
+    one-sided one bounds the signed excess ``lhs - rhs``, so any lhs
+    below rhs passes.
     """
     lm, ls = _mean_se(lhs)
     rm, rs = _mean_se(rhs)
     se = math.hypot(ls, rs)
-    floor = policy.abs_tol if (ls or rs) else policy.exact_tol
-    tolerance = policy.z * se + floor
-    diff = abs(lm - rm)
+    if tolerance is None:
+        floor = policy.abs_tol if (ls or rs or one_sided) else policy.exact_tol
+        tolerance = policy.z * se + floor
+    diff = lm - rm if one_sided else abs(lm - rm)
     return Verdict(passed=diff <= tolerance, diff=diff, tolerance=tolerance,
-                   se_combined=se, margin=tolerance - diff)
+                   se_combined=se, margin=tolerance - diff, lhs=lm, rhs=rm)

@@ -97,6 +97,22 @@ class PointPattern:
         return f"PointPattern({self.counts.tolist()})"
 
 
+def _count_vectors(d: int, cap: int) -> np.ndarray:
+    """All count vectors in d atoms with total at most ``cap``, one per row,
+    in lexicographic order."""
+    if cap < 0:
+        return np.empty((0, d), dtype=np.int64)
+    if d == 1:
+        return np.arange(cap + 1, dtype=np.int64)[:, None]
+    sub = _count_vectors(d - 1, cap)
+    sums = sub.sum(axis=1)
+    rows = []
+    for first in range(cap + 1):
+        tail = sub[sums <= cap - first]
+        rows.append(np.column_stack([np.full(len(tail), first, dtype=np.int64), tail]))
+    return np.vstack(rows)
+
+
 # ---------------------------------------------------------------------------
 # inverse-CDF tables
 
@@ -194,9 +210,12 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
 
 
 def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
-    """Binomial(count, s) survivors per atom from given uniforms."""
+    """Binomial(count, s) survivors per atom from given uniforms in [0, 1)."""
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("retention probability must lie in [0, 1]")
+    # a uniform of 1 or more would keep points that do not exist
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ContractViolationError("thinning uniforms must lie in [0, 1)")
     n_max = int(counts.max(initial=0))
     rows = _binomial_cdf_rows(n_max, float(s))
     kept = np.empty_like(counts)

@@ -35,10 +35,8 @@ def derive_case_seed(run_seed: int, suite: str, case_id: str) -> int:
 class CasePayload:
     """What a case computed: two comparands plus how to judge them.
 
-    ``one_sided`` cases pass when lhs does not exceed rhs by more than
-    the threshold; two-sided cases bound the absolute difference.  With
-    ``tolerance`` unset the policy threshold (z standard errors plus
-    the floor) applies.
+    ``tolerance`` and ``one_sided`` select the mode of
+    :func:`~poisson_chaos.estimation.compare` that judges the case.
     """
 
     lhs: float | Estimate
@@ -155,46 +153,20 @@ def run_cases(suite: SuiteSpec, config: RunConfig) -> list[CaseResult]:
         start = time.perf_counter()
         payload = case.run()
         elapsed_ms = int((time.perf_counter() - start) * 1000)
-        results.append(_judge(suite.name, case, payload, config, elapsed_ms))
+        verdict = compare(payload.lhs, payload.rhs, config.policy,
+                          tolerance=payload.tolerance, one_sided=payload.one_sided)
+        results.append(CaseResult(
+            suite=suite.name,
+            case_id=case.case_id,
+            identity=case.identity,
+            lhs=verdict.lhs,
+            rhs=verdict.rhs,
+            se_combined=verdict.se_combined,
+            abs_diff=verdict.diff,
+            tolerance=verdict.tolerance,
+            verdict="PASS" if verdict.passed else "FAIL",
+            replicates=payload.replicates,
+            seed=derive_case_seed(config.seed, suite.name, case.case_id),
+            wall_time_ms=elapsed_ms,
+        ))
     return results
-
-
-def _mean_se(x) -> tuple[float, float]:
-    if isinstance(x, Estimate):
-        return x.mean, x.se
-    return float(x), 0.0
-
-
-def _judge(suite: str, case: Case, payload: CasePayload, config: RunConfig,
-           elapsed_ms: int) -> CaseResult:
-    lhs, se_l = _mean_se(payload.lhs)
-    rhs, se_r = _mean_se(payload.rhs)
-    if payload.one_sided:
-        se = (se_l**2 + se_r**2) ** 0.5
-        tolerance = (payload.tolerance if payload.tolerance is not None
-                     else config.policy.z * se + config.policy.abs_tol)
-        diff = lhs - rhs
-        passed = diff <= tolerance
-    elif payload.tolerance is not None:
-        se = (se_l**2 + se_r**2) ** 0.5
-        tolerance = payload.tolerance
-        diff = abs(lhs - rhs)
-        passed = diff <= tolerance
-    else:
-        verdict = compare(payload.lhs, payload.rhs, config.policy)
-        se, tolerance, diff, passed = (verdict.se_combined, verdict.tolerance,
-                                       verdict.diff, verdict.passed)
-    return CaseResult(
-        suite=suite,
-        case_id=case.case_id,
-        identity=case.identity,
-        lhs=lhs,
-        rhs=rhs,
-        se_combined=se,
-        abs_diff=diff,
-        tolerance=tolerance,
-        verdict="PASS" if passed else "FAIL",
-        replicates=payload.replicates,
-        seed=derive_case_seed(config.seed, suite, case.case_id),
-        wall_time_ms=elapsed_ms,
-    )

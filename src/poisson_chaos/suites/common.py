@@ -4,54 +4,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import Estimate, McPlan, mc_estimate
-from ..functionals import Functional, difference_rows
+from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
+from ..functionals import ChaosVector, Functional, difference_rows
 from ..malliavin import gauss_legendre_unit
 from ..patterns import (poisson_counts_with_uniforms, sample_poisson_counts,
                         thin_counts_with_uniforms)
 from ..rng import stream_uniforms
-from ..space import MeasureSpace
+from ..space import Kernel, MeasureSpace, symmetrize
 
 # polynomial growth envelope for the oracle budgets of count functionals
 POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
 
 
-def mc_moments(space: MeasureSpace, F: Functional, G: Functional,
-               plan: McPlan) -> tuple[Estimate, Estimate, Estimate]:
-    """Joint means of F, G and the centered cross moment, shared samples.
-
-    The covariance estimate's standard error comes from the replicate
-    spread of the centered products (the means' own uncertainty enters
-    at second order and is covered by the policy floor).
-    """
-    ranges = [(lo, min(lo + (1 << 15), plan.replicates))
-              for lo in range(0, plan.replicates, 1 << 15)]
-    f_batches, g_batches = [], []
-    for lo, hi in ranges:
-        streams = np.arange(plan.stream_base + lo, plan.stream_base + hi, dtype=np.uint64)
-        counts = sample_poisson_counts(space, plan.seed, streams)
-        f_batches.append(F.evaluate_counts(counts))
-        g_batches.append(G.evaluate_counts(counts))
-    n = plan.replicates
-    mean_f = sum(float(np.sum(b)) for b in f_batches) / n
-    mean_g = sum(float(np.sum(b)) for b in g_batches) / n
-    prods = [(bf - mean_f) * (bg - mean_g) for bf, bg in zip(f_batches, g_batches)]
-    cov = sum(float(np.sum(p)) for p in prods) / n
-    spread = sum(float(np.sum((p - cov) ** 2)) for p in prods) / n
-    se_cov = (spread / n) ** 0.5
-    se_f = (sum(float(np.sum((b - mean_f) ** 2)) for b in f_batches) / (n - 1) / n) ** 0.5
-    se_g = (sum(float(np.sum((b - mean_g) ** 2)) for b in g_batches) / (n - 1) / n) ** 0.5
-    return (Estimate(mean_f, se_f, n), Estimate(mean_g, se_g, n),
-            Estimate(cov, se_cov, n))
-
-
 def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
                   plan: McPlan) -> Estimate:
-    return mc_moments(space, F, G, plan)[2]
+    """Covariance of F and G from shared samples.
+
+    The standard error comes from the replicate spread of the centered
+    products (the means' own uncertainty enters at second order and is
+    covered by the policy floor).  It needs the means first, so the
+    batches are reduced in three passes rather than by ``mc_estimate``.
+    """
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        # C order keeps each function's values one contiguous row
+        return np.stack([F.evaluate_counts(counts), G.evaluate_counts(counts)])
+
+    batches = mc_batches(plan, batch, shape=(2,))
+    n = plan.replicates
+    mean_f = sum(float(np.sum(b[0])) for b in batches) / n
+    mean_g = sum(float(np.sum(b[1])) for b in batches) / n
+    prods = [(b[0] - mean_f) * (b[1] - mean_g) for b in batches]
+    cov = sum(float(np.sum(p)) for p in prods) / n
+    spread = sum(float(np.sum((p - cov) ** 2)) for p in prods) / n
+    return Estimate(cov, (spread / n) ** 0.5, n)
 
 
-def mc_variance(space: MeasureSpace, F: Functional, plan: McPlan) -> Estimate:
-    return mc_moments(space, F, F, plan)[2]
+def seeded_chaos_vector(space: MeasureSpace, order: int, seed: int) -> ChaosVector:
+    """Chaos vector with standard normal coefficients, symmetrized kernels."""
+    rng = np.random.default_rng(seed)
+    coeffs: list = [float(rng.normal())]
+    for n in range(1, order + 1):
+        coeffs.append(symmetrize(Kernel(space, rng.normal(size=(space.size,) * n))))
+    return ChaosVector(space, coeffs)
 
 
 def _inner_uniform_pool(seed: int, streams: np.ndarray, d: int, inner: int,

@@ -20,8 +20,13 @@ INNER = 16
 OUTER_CAP = 100_000
 
 
+def _enumeration(ctx: SuiteContext, space) -> PoissonEnumeration:
+    """The enumeration certified for functionals of polynomial growth."""
+    return PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+
+
 def _oracle_covariance(ctx: SuiteContext, space, F, G) -> float:
-    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+    enum = _enumeration(ctx, space)
     mean_f = enum.expectation_of(F)
     mean_g = enum.expectation_of(G)
     return enum.expectation_of_values(
@@ -122,9 +127,9 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
     return cases
 
 
-def _difference_energy(ctx: SuiteContext, space, F) -> float:
+def _difference_energy(enum: PoissonEnumeration, F) -> float:
     """Enumerated integral of the squared one-point difference."""
-    enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+    space = enum.space
     rows = np.zeros(len(enum.counts))
     diffs = difference_rows(F, enum.counts)
     for x in range(space.size):
@@ -159,10 +164,10 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
 
     def run_equality(space=s1):
         F = CountPolynomial.total_count(space)
-        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+        enum = _enumeration(ctx, space)
         mean = enum.expectation_of(F)
         var = enum.expectation_of_values((F.evaluate_counts(enum.counts) - mean) ** 2)
-        return CasePayload(lhs=var, rhs=_difference_energy(ctx, space, F),
+        return CasePayload(lhs=var, rhs=_difference_energy(enum, F),
                            tolerance=1e-9)
 
     cases.append(Case(case_id, "poincare-inequality", run_equality))
@@ -172,7 +177,7 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
 
         def run_bound(space=space, F=F):
             var = _oracle_covariance(ctx, space, F, F)
-            return CasePayload(lhs=var, rhs=_difference_energy(ctx, space, F),
+            return CasePayload(lhs=var, rhs=_difference_energy(_enumeration(ctx, space), F),
                                tolerance=1e-9, one_sided=True)
 
         cases.append(Case(case_id, "poincare-inequality", run_bound))
@@ -185,7 +190,7 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
         F = exps[0][1] if exps else CountPolynomial.total_count(space)
         plan = ctx.plan(case_id)
         var = mc_covariance(space, F, F, plan)
-        energy = _difference_energy(ctx, space, F)
+        energy = _difference_energy(_enumeration(ctx, space), F)
         return CasePayload(lhs=var, rhs=energy, replicates=plan.replicates,
                            one_sided=True)
 
@@ -201,12 +206,7 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
         F = Opaque(space, counts_fn=lambda c: 2.0 ** c.sum(axis=1).astype(np.float64))
         second = enum.expectation_of(F * F)
         mean = enum.expectation_of(F)
-        rows = np.zeros(len(enum.counts))
-        diffs = difference_rows(F, enum.counts)
-        for x in range(space.size):
-            rows += space.weights[x] * diffs[:, x] ** 2
-        energy = enum.expectation_of_values(rows)
-        return CasePayload(lhs=second, rhs=mean**2 + energy,
+        return CasePayload(lhs=second, rhs=mean**2 + _difference_energy(enum, F),
                            tolerance=1e-6, one_sided=True)
 
     cases.append(Case(case_id, "poincare-l1-extension", run_l1))

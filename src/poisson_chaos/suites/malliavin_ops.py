@@ -15,19 +15,11 @@ from ..malliavin import (ChaosField, FunctionalField, chaos_field_from_vector,
                          ou_generator_counts, ou_generator_pathwise,
                          ou_inverse_chaos, skorohod_chaos, skorohod_counts,
                          skorohod_pathwise)
-from ..space import Kernel, symmetrize
+from ..space import Kernel
 from ..wiener_ito import (WiState, chaos_reconstruct, chaos_reconstruct_counts,
                           patterns_up_to)
 from .base import Case, CasePayload, SuiteContext
-from .common import POLY4
-
-
-def _seeded_chaos_vector(space, order: int, seed: int) -> ChaosVector:
-    rng = np.random.default_rng(seed)
-    coeffs: list = [float(rng.normal())]
-    for n in range(1, order + 1):
-        coeffs.append(symmetrize(Kernel(space, rng.normal(size=(space.size,) * n))))
-    return ChaosVector(space, coeffs)
+from .common import POLY4, seeded_chaos_vector
 
 
 def _reconstruction(space, cv: ChaosVector):
@@ -69,7 +61,7 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
         case_id = f"chaos_vs_pathwise_{space_name}_random"
 
         def run(space=space, order=order):
-            cv = _seeded_chaos_vector(space, order, 1000 + order)
+            cv = seeded_chaos_vector(space, order, 1000 + order)
             recon = _reconstruction(space, cv)
             worst = 0.0
             for pattern in patterns_up_to(space, 5):
@@ -218,7 +210,7 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
         case_id = f"integral_of_derivative_{space_name}"
 
         def run_chaos(space=space, order=order):
-            cv = _seeded_chaos_vector(space, order, 2000 + order)
+            cv = seeded_chaos_vector(space, order, 2000 + order)
             lhs_cv = skorohod_chaos(chaos_field_from_vector(cv))
             residual = lhs_cv + ou_chaos(cv)
             zero = ChaosVector(space, [0.0])
@@ -253,7 +245,7 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
     case_id = "pathwise_vs_chaos_S2_random"
 
     def run_match(space=space):
-        cv = _seeded_chaos_vector(space, 3, 2103)
+        cv = seeded_chaos_vector(space, 3, 2103)
         recon = _reconstruction(space, cv)
         target = ou_chaos(cv)
         worst = 0.0
@@ -314,7 +306,7 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
     case_id = "inverse_roundtrip_S2"
 
     def run_inverse(space=space):
-        cv = _seeded_chaos_vector(space, 3, 2205)
+        cv = seeded_chaos_vector(space, 3, 2205)
         centered = ChaosVector(space, [0.0, *cv.coefficients[1:]])
         back = ou_chaos(ou_inverse_chaos(centered))
         return CasePayload(lhs=back.max_abs_difference(centered), rhs=0.0,

@@ -15,7 +15,7 @@ from ..wiener_ito import (WiState, chaos_finite_sum, chaos_reconstruct_counts,
                           patterns_up_to, product_formula_rhs, wiener_ito,
                           wiener_ito_counts)
 from .base import Case, CasePayload, SuiteContext
-from .common import POLY4
+from .common import POLY4, seeded_chaos_vector
 
 
 def _seeded_kernel(space, arity: int, seed: int, symmetric: bool = False) -> Kernel:
@@ -230,11 +230,7 @@ def build_chaos_reconstruction(ctx: SuiteContext) -> list[Case]:
         targets: list[tuple[str, ChaosVector]] = []
         if exps:
             targets.append((f"exp_{exps[0][0]}", chaos_of_exponential(exps[0][1], order)))
-        rng = np.random.default_rng(900 + order)
-        coeffs: list = [float(rng.normal())]
-        for n in range(1, order + 1):
-            coeffs.append(symmetrize(Kernel(space, rng.normal(size=(space.size,) * n))))
-        targets.append(("random", ChaosVector(space, coeffs)))
+        targets.append(("random", seeded_chaos_vector(space, order, 900 + order)))
         for target_name, cv in targets:
             case_id = f"uniqueness_{space_name}_{target_name}"
 

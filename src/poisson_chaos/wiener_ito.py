@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ContractViolationError, UnsupportedArityError
 from .functionals import ChaosVector
-from .patterns import (PointPattern, factorial_counts, factorial_tensor_power,
-                       distinct_tuples)
+from .patterns import (PointPattern, _count_vectors, distinct_tuples,
+                       factorial_counts, factorial_tensor_power)
 from .space import Kernel, MeasureSpace, contraction
 
 WIENER_ITO_ARITY_CAP = 4
@@ -55,50 +55,53 @@ def _integrate_axes(space: MeasureSpace, values: np.ndarray, axes: tuple[int, ..
     return values
 
 
+def _subset_terms(space: MeasureSpace, g: Kernel):
+    """(sign, reduced kernel values) over the subsets J of g's argument slots.
+
+    The reduced values integrate g against the measure in the slots
+    outside J; their factorial-measure integral, times the sign
+    ``(-1) ** (n - |J|)``, is the term of subset J.  The empty subset
+    leaves a scalar, its own integral.
+    """
+    n = g.arity
+    if n > WIENER_ITO_ARITY_CAP:
+        raise UnsupportedArityError(f"stochastic integral arity capped at {WIENER_ITO_ARITY_CAP}")
+    for size in range(n + 1):
+        sign = (-1.0) ** (n - size)
+        for J in itertools.combinations(range(n), size):
+            comp = tuple(ax for ax in range(n) if ax not in J)
+            yield sign, _integrate_axes(space, g.values, comp)
+
+
 def wiener_ito(state: WiState, g: Kernel) -> float:
     """Pathwise order-n stochastic integral of g at the state's pattern.
 
     Order zero returns the scalar itself; the kernel need not be
     symmetric (the value only depends on its symmetrization).
     """
-    n = g.arity
-    if n == 0:
+    if g.arity == 0:
         return float(g.values)
-    if n > WIENER_ITO_ARITY_CAP:
-        raise UnsupportedArityError(f"stochastic integral arity capped at {WIENER_ITO_ARITY_CAP}")
     if not g.space.same_as(state.space):
         raise ContractViolationError("kernel defined on a different space")
-    space = state.space
     total = 0.0
-    for size in range(n + 1):
-        sign = (-1.0) ** (n - size)
-        for J in itertools.combinations(range(n), size):
-            comp = tuple(ax for ax in range(n) if ax not in J)
-            reduced = _integrate_axes(space, g.values, comp)
-            if size == 0:
-                total += sign * float(reduced)
-            else:
-                total += sign * state.factorial(Kernel(space, reduced))
+    for sign, reduced in _subset_terms(state.space, g):
+        if reduced.ndim == 0:
+            total += sign * float(reduced)
+        else:
+            total += sign * state.factorial(Kernel(state.space, reduced))
     return total
 
 
 def wiener_ito_counts(space: MeasureSpace, g: Kernel, counts: np.ndarray) -> np.ndarray:
     """Rowwise pathwise integral over a count matrix (vectorized)."""
-    n = g.arity
-    if n == 0:
+    if g.arity == 0:
         return np.full(counts.shape[0], float(g.values))
-    if n > WIENER_ITO_ARITY_CAP:
-        raise UnsupportedArityError(f"stochastic integral arity capped at {WIENER_ITO_ARITY_CAP}")
     out = np.zeros(counts.shape[0])
-    for size in range(n + 1):
-        sign = (-1.0) ** (n - size)
-        for J in itertools.combinations(range(n), size):
-            comp = tuple(ax for ax in range(n) if ax not in J)
-            reduced = _integrate_axes(space, g.values, comp)
-            if size == 0:
-                out += sign * float(reduced)
-            else:
-                out += sign * factorial_counts(counts, Kernel(space, reduced))
+    for sign, reduced in _subset_terms(space, g):
+        if reduced.ndim == 0:
+            out += sign * float(reduced)
+        else:
+            out += sign * factorial_counts(counts, Kernel(space, reduced))
     return out
 
 
@@ -159,7 +162,7 @@ def product_formula_rhs(f: Kernel, g: Kernel, state: WiState) -> float:
 
 
 def patterns_up_to(space: MeasureSpace, max_total: int):
-    """All patterns on the space with at most the given total count."""
-    for counts in itertools.product(range(max_total + 1), repeat=space.size):
-        if sum(counts) <= max_total:
-            yield PointPattern(space, np.array(counts, dtype=np.int64))
+    """All patterns on the space with at most the given total count, in
+    lexicographic order of their counts."""
+    for counts in _count_vectors(space.size, max_total):
+        yield PointPattern(space, counts)

@@ -169,6 +169,31 @@ class TestComparePolicy:
         assert v.se_combined == pytest.approx(0.005)
         assert v.tolerance == pytest.approx(4 * 0.005 + 1e-6)
 
+    @pytest.mark.parametrize("lhs,rhs,kwargs,diff,tolerance,se", [
+        # policy threshold, two-sided: z standard errors plus the floor
+        (Estimate(1.0, 0.003, 10), Estimate(1.01, 0.004, 10), {},
+         0.01, 4 * 0.005 + 1e-6, 0.005),
+        # two exact sides: the exact tolerance
+        (1.0, 1.5, {}, 0.5, 1e-9, 0.0),
+        # fixed tolerance, two-sided, whatever the standard error
+        (2.0, 2.5, {"tolerance": 0.1}, 0.5, 0.1, 0.0),
+        (Estimate(2.5, 0.2, 10), 2.0, {"tolerance": 0.1}, 0.5, 0.1, 0.2),
+        # one-sided: the signed excess, with the absolute floor even when exact
+        (1.0, 1.5, {"one_sided": True}, -0.5, 1e-6, 0.0),
+        (0.0, Estimate(-0.25, 0.01, 10), {"one_sided": True},
+         0.25, 4 * 0.01 + 1e-6, 0.01),
+        (3.0, 2.0, {"one_sided": True, "tolerance": 2.0}, 1.0, 2.0, 0.0),
+        (3.0, 2.0, {"one_sided": True, "tolerance": 0.5}, 1.0, 0.5, 0.0),
+    ])
+    def test_modes(self, lhs, rhs, kwargs, diff, tolerance, se):
+        v = compare(lhs, rhs, TolerancePolicy(), **kwargs)
+        assert v.diff == pytest.approx(diff, abs=1e-15)
+        assert v.tolerance == pytest.approx(tolerance, abs=1e-15)
+        assert v.se_combined == pytest.approx(se, abs=1e-15)
+        assert v.passed == (v.diff <= v.tolerance)
+        assert v.margin == v.tolerance - v.diff
+        assert (v.lhs, v.rhs) == (getattr(lhs, "mean", lhs), getattr(rhs, "mean", rhs))
+
     def test_policy_overrides(self):
         policy = TolerancePolicy(z=2.0, abs_tol=0.0, exact_tol=1e-12)
         assert not compare(1.0, 1.0 + 1e-11, policy).passed

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from poisson_chaos import estimation
+from poisson_chaos import estimation, patterns
 from poisson_chaos.config import load_config
 from poisson_chaos.errors import (ContractViolationError, EvaluationError,
                                   UnsupportedArityError)
@@ -375,7 +375,7 @@ class TestChaosLattice:
         (3, 9, 4, 7), (4, 47, 3, 1 << 16), (30, 2, 2, 1000)])
     def test_successor_maps_match_row_arithmetic(self, d, cap, order, block, monkeypatch):
         monkeypatch.setattr(estimation, "_RANK_BLOCK", block)
-        counts = estimation._count_vectors(d, cap)
+        counts = patterns._count_vectors(d, cap)
         shell = lattice_shell(d, cap, order)
         stacked = np.vstack([counts, shell])
         # every count vector of total at most cap + order, each once

@@ -159,6 +159,15 @@ class TestThinning:
             kept = thin_counts_with_uniforms(counts, float(s), np.full(counts.shape, top))
             assert np.all(kept <= counts)
 
+    @pytest.mark.parametrize("u", [1.0, 1.5, -0.5, np.nan, np.inf, -1e-300])
+    def test_uniforms_outside_unit_interval_rejected(self, u):
+        # unchecked, u = 1 would keep 5 of 3 points and a negative or NaN u none
+        with pytest.raises(ContractViolationError):
+            thin_counts_with_uniforms(np.array([[3]]), 0.3, np.array([[u]]))
+        with pytest.raises(ContractViolationError):
+            thin_counts_with_uniforms(np.array([[3, 1], [2, 0]]), 0.3,
+                                      np.array([[0.5, 0.5], [0.5, u]]))
+
     def test_retention_out_of_range(self, s2):
         with pytest.raises(ContractViolationError):
             thin(PointPattern(s2, [1, 0]), 1.5, RngStream(0))

@@ -1,13 +1,19 @@
 """Suite registry and runner: coverage, determinism, row consistency."""
 
+import numpy as np
 import pytest
 
 from poisson_chaos.config import load_config, parse_config
-from poisson_chaos.errors import ConfigError
-from poisson_chaos.functionals import CountPolynomial, Opaque
+from poisson_chaos.errors import ConfigError, EvaluationError
+from poisson_chaos.estimation import Estimate, McPlan
+from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
+from poisson_chaos.patterns import sample_poisson_counts
 from poisson_chaos.space import MeasureSpace
-from poisson_chaos.suites import (SUITES, covered_identities, derive_case_seed,
+from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
+                                  covered_identities, derive_case_seed,
                                   run_suite, suite_names)
+from poisson_chaos.suites.base import run_cases
+from poisson_chaos.suites.common import mc_covariance
 from poisson_chaos.suites.correlation import check_monotone
 
 # every identity the runner is expected to exercise somewhere
@@ -101,6 +107,91 @@ class TestQuickSuitePasses:
         config = dataclasses.replace(quick_config, replicates=5_000)
         rows = run_suite("covariance", config)
         assert all(r.verdict == "PASS" for r in rows)
+
+
+def run_payloads(config, payloads):
+    """Judge ready-made payloads through the suite runner."""
+    def build(ctx):
+        return [Case(name, "power", lambda p=p: p) for name, p in payloads]
+
+    return run_cases(SuiteSpec("power", ("power",), build), config)
+
+
+# each mode of the verdict, as a payload shifted in its failing direction
+POWER_MODES = {
+    "policy_estimate": lambda bias: CasePayload(lhs=Estimate(1.0, 0.01, 1000),
+                                                rhs=1.0 + bias),
+    "policy_exact": lambda bias: CasePayload(lhs=2.0, rhs=2.0 - bias),
+    "fixed_tolerance": lambda bias: CasePayload(lhs=0.5 + bias, rhs=0.5,
+                                                tolerance=1e-6),
+    "one_sided_fixed": lambda bias: CasePayload(lhs=1.0 + bias, rhs=1.0,
+                                                tolerance=1e-9, one_sided=True),
+    "one_sided_policy": lambda bias: CasePayload(lhs=0.0, rhs=Estimate(-bias, 0.01, 1000),
+                                                 one_sided=True),
+}
+
+
+class TestPower:
+    """The runner fails a case whose identity is off by far more than its
+    tolerance, in every mode of the verdict."""
+
+    @pytest.mark.parametrize("mode", sorted(POWER_MODES))
+    def test_bias_of_ten_tolerances_fails(self, mode, quick_config):
+        make = POWER_MODES[mode]
+        (fair,) = run_payloads(quick_config, [(mode, make(0.0))])
+        assert fair.verdict == "PASS"
+        (biased,) = run_payloads(quick_config, [(mode, make(10 * fair.tolerance))])
+        assert biased.tolerance == fair.tolerance
+        assert biased.verdict == "FAIL"
+
+
+def moments_reference(space, F, G, plan):
+    """The single-threaded covariance loop that ``mc_covariance`` replaced."""
+    ranges = [(lo, min(lo + (1 << 15), plan.replicates))
+              for lo in range(0, plan.replicates, 1 << 15)]
+    f_batches, g_batches = [], []
+    for lo, hi in ranges:
+        streams = np.arange(plan.stream_base + lo, plan.stream_base + hi, dtype=np.uint64)
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        f_batches.append(F.evaluate_counts(counts))
+        g_batches.append(G.evaluate_counts(counts))
+    n = plan.replicates
+    mean_f = sum(float(np.sum(b)) for b in f_batches) / n
+    mean_g = sum(float(np.sum(b)) for b in g_batches) / n
+    prods = [(bf - mean_f) * (bg - mean_g) for bf, bg in zip(f_batches, g_batches)]
+    cov = sum(float(np.sum(p)) for p in prods) / n
+    spread = sum(float(np.sum((p - cov) ** 2)) for p in prods) / n
+    return Estimate(cov, (spread / n) ** 0.5, n)
+
+
+class TestCovarianceEstimator:
+    # three full batches and a partial one
+    REPLICATES = 3 * (1 << 15) + 17
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_equals_reference_loop(self, workers, monkeypatch):
+        monkeypatch.setenv("POISSON_CHAOS_THREADS", workers)
+        space = MeasureSpace(["a", "b"], [0.5, 1.0])
+        F = Exponential(space, [0.3, 0.7])
+        G = CountPolynomial(space, [(1.0, (1, 1)), (-0.5, (0, 2))])
+        for i, (f, g) in enumerate(((F, G), (F, F), (G, G))):
+            plan = McPlan(self.REPLICATES, 21 + i, stream_base=1000 * i)
+            got = mc_covariance(space, f, g, plan)
+            want = moments_reference(space, f, g, plan)
+            assert (got.mean, got.se, got.replicates) == (want.mean, want.se,
+                                                          want.replicates)
+
+    def test_non_finite_replicate_is_named(self):
+        space = MeasureSpace(["a", "b"], [0.5, 1.0])
+        plan = McPlan(self.REPLICATES, 7)
+        counts = sample_poisson_counts(space, plan.seed,
+                                       np.arange(plan.replicates, dtype=np.uint64))
+        first = int(np.flatnonzero(counts[:, 1] >= 7)[0])
+        assert first >= 1 << 15  # past the first batch
+        F = CountPolynomial.total_count(space)
+        G = Opaque(space, counts_fn=lambda c: np.where(c[:, 1] >= 7, np.nan, 1.0))
+        with pytest.raises(EvaluationError, match=f"replicate {first}$"):
+            mc_covariance(space, F, G, plan)
 
 
 class TestMonotoneChecker:

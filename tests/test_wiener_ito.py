@@ -1,5 +1,7 @@
 """Stochastic integrals: pathwise values, isometry, products, chaos sums."""
 
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,8 @@ class TestPathwiseValues:
         state = WiState(PointPattern(s2, [1, 1]))
         with pytest.raises(UnsupportedArityError):
             wiener_ito(state, Kernel.constant(s2, 5))
+        with pytest.raises(UnsupportedArityError):
+            wiener_ito_counts(s2, Kernel.constant(s2, 5), np.ones((3, 2), dtype=np.int64))
 
     def test_binomial_form_for_tensor_powers(self, s2):
         # signed binomial expansion over factorial measures of the slices
@@ -81,6 +85,20 @@ class TestPathwiseValues:
             vec = wiener_ito_counts(s2, g, counts)
             ref = [wiener_ito(WiState(PointPattern(s2, c)), g) for c in counts]
             assert np.allclose(vec, ref, atol=1e-10)
+
+
+class TestPatternScan:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", range(-1, 7))
+    def test_lexicographic_order(self, d, cap):
+        space = MeasureSpace([f"x{i}" for i in range(d)], [1.0] * d)
+        # oracle: the product filter over all (cap + 1) ** d tuples
+        want = [c for c in itertools.product(range(cap + 1), repeat=d) if sum(c) <= cap]
+        scan = patterns_up_to(space, cap)
+        # traced item by item, so it stays a generator
+        assert inspect.isgenerator(scan)
+        assert [tuple(p.counts.tolist()) for p in scan] == want
+        assert len(want) == math.comb(cap + d, d)
 
 
 class TestIsometry:
