@@ -21,13 +21,12 @@ from .malliavin import (ChaosField, FunctionalField, chaos_field_from_vector,
                         ou_semigroup_mc, semigroup_chaos,
                         semigroup_closed_form, skorohod_chaos,
                         skorohod_counts, skorohod_pathwise)
-from .patterns import (PointPattern, factorial_apply, factorial_counts,
-                       factorial_tensor_power, sample_poisson,
+from .patterns import (PointPattern, factorial_counts, sample_poisson,
                        sample_poisson_counts, superpose, thin, thin_counts)
 from .rng import RngStream, stream_uniforms
 from .space import (Kernel, MeasureSpace, contraction, inner_product,
                     integrate, norm, symmetrize, tensor, tensor_power)
-from .wiener_ito import (WiState, chaos_finite_sum, chaos_reconstruct,
+from .wiener_ito import (chaos_finite_sum, chaos_reconstruct,
                          chaos_reconstruct_counts, patterns_up_to,
                          product_formula_rhs, wiener_ito, wiener_ito_counts)
 
@@ -39,12 +38,11 @@ __all__ = [
     "Exponential", "Functional", "FunctionalField", "Kernel", "KernelEstimate",
     "LinearCombo", "McPlan", "MeasureSpace", "Opaque", "OracleBudget",
     "PointPattern", "PoissonEnumeration", "RngStream", "TolerancePolicy",
-    "UnsupportedArityError", "Verdict", "WiState", "chaos_by_enumeration",
+    "UnsupportedArityError", "Verdict", "chaos_by_enumeration",
     "chaos_field_from_vector", "chaos_finite_sum", "chaos_of_exponential",
     "chaos_reconstruct", "chaos_reconstruct_counts", "compare", "contraction",
     "difference", "difference_counts", "difference_field", "difference_rows",
-    "factorial_apply",
-    "factorial_counts", "factorial_tensor_power", "inner_product", "integrate",
+    "factorial_counts", "inner_product", "integrate",
     "iterated_difference", "iterated_difference_counts", "malliavin_chaos",
     "mc_estimate", "mc_expectation", "norm", "oracle_expectation", "ou_chaos",
     "ou_generator_counts", "ou_generator_pathwise", "ou_inverse_chaos",

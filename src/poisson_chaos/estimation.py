@@ -61,9 +61,6 @@ class McPlan:
         if self.replicates < 1:
             raise ContractViolationError("replicates must be >= 1")
 
-    def with_replicates(self, n: int) -> "McPlan":
-        return McPlan(n, self.seed, self.stream_base)
-
 
 @dataclass(frozen=True)
 class Estimate:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, UnsupportedArityError
 from .patterns import PointPattern
-from .space import Kernel, MeasureSpace, integrate, symmetrize, tensor_power
+from .space import Kernel, MeasureSpace, symmetrize, tensor_power
 
 ITERATED_DIFFERENCE_CAP = 6
 CHAOS_ORDER_CAP = 4
@@ -458,14 +458,6 @@ class ChaosVector:
         if n <= self.order:
             return self.coefficients[n]
         return Kernel.constant(self.space, n, 0.0)
-
-    def weighted_norm_squared(self) -> float:
-        """Second moment of the represented functional: sum of n! |f_n|^2."""
-        total = self.coefficients[0] ** 2
-        for n in range(1, self.order + 1):
-            k = self.coefficients[n]
-            total += math.factorial(n) * integrate(self.space, k.pointwise(k))
-        return float(total)
 
     def map_levels(self, factor: Callable[[int], float]) -> "ChaosVector":
         out = [self.coefficients[0] * factor(0)]

@@ -60,9 +60,6 @@ class PointPattern:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def count_of(self, atom: str) -> int:
-        return int(self.counts[self.space.index(atom)])
-
     def add_point(self, atom_index: int) -> "PointPattern":
         c = self.counts.copy()
         c[atom_index] += 1
@@ -203,6 +200,9 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
     Inversion is monotone in each uniform, which is what couples draws
     across nearby intensities when uniforms are reused.
     """
+    # one pass each; NaN fails both comparisons
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ContractViolationError("Poisson uniforms must lie in [0, 1)")
     counts = np.empty(u.shape, dtype=np.int64)
     for j in range(space.size):
         counts[:, j] = _invert_cdf(_poisson_cdf(float(space.weights[j] * scale)), u[:, j])
@@ -267,39 +267,6 @@ def superpose(p: PointPattern, q: PointPattern) -> PointPattern:
 # factorial measures
 
 
-def distinct_tuples(pattern: PointPattern, m: int) -> np.ndarray:
-    """Atom labels of all ordered m-tuples of pairwise distinct points.
-
-    Distinctness is at the level of point instances, so an atom with
-    multiplicity c contributes up to c entries to a tuple.
-    """
-    pts = pattern.point_atoms()
-    if m > pts.size:
-        return np.empty((0, m), dtype=np.int64)
-    tuples = np.array(list(itertools.permutations(range(pts.size), m)), dtype=np.int64)
-    return pts[tuples]
-
-
-def factorial_apply(pattern: PointPattern, f: Kernel) -> float:
-    """Sum of f over ordered tuples of pairwise distinct points.
-
-    For the constant kernel this is the falling factorial of the total
-    point count; the empty tuple convention makes arity 0 return the
-    kernel's scalar unchanged.
-    """
-    m = f.arity
-    if m == 0:
-        return float(f.values)
-    if m > FACTORIAL_ARITY_CAP:
-        raise UnsupportedArityError(f"factorial measure arity capped at {FACTORIAL_ARITY_CAP}")
-    if not f.space.same_as(pattern.space):
-        raise ContractViolationError("kernel defined on a different space")
-    labels = distinct_tuples(pattern, m)
-    if labels.shape[0] == 0:
-        return 0.0
-    return float(f.values[tuple(labels[:, i] for i in range(m))].sum())
-
-
 def _falling_factorial_table(counts: np.ndarray, m: int) -> np.ndarray:
     """table[..., j] = counts * (counts-1) * ... * (counts-j+1), j = 0..m."""
     table = np.ones(counts.shape + (m + 1,))
@@ -312,9 +279,12 @@ def _falling_factorial_table(counts: np.ndarray, m: int) -> np.ndarray:
 def factorial_counts(counts: np.ndarray, f: Kernel) -> np.ndarray:
     """Rowwise factorial-measure integral over a count matrix.
 
-    Equivalent to ``factorial_apply`` applied to each row: a tuple of
-    atoms visiting atom a with multiplicity m_a carries the falling
-    factorial (c_a)(c_a - 1)...(c_a - m_a + 1) many instance tuples.
+    Each row's value is the sum of f over the ordered tuples of pairwise
+    distinct points of that pattern: a tuple of atoms visiting atom a
+    with multiplicity m_a carries the falling factorial
+    (c_a)(c_a - 1)...(c_a - m_a + 1) many instance tuples.  For the
+    constant kernel this is the falling factorial of the total point
+    count; arity 0 returns the kernel's scalar on every row.
     """
     m = f.arity
     if m == 0:
@@ -334,24 +304,3 @@ def factorial_counts(counts: np.ndarray, f: Kernel) -> np.ndarray:
             term = term * table[:, a, mult[a]]
         out += term
     return out
-
-
-def factorial_tensor_power(pattern: PointPattern, values: np.ndarray, k: int) -> float:
-    """Factorial-measure integral of a k-fold tensor power of an arity-1 table.
-
-    Ordered distinct tuples of a product kernel reduce to k! times the
-    k-th elementary symmetric polynomial of the per-point values, which
-    the standard one-row recurrence builds without any arity cap.
-    """
-    if k == 0:
-        return 1.0
-    pts = pattern.point_atoms()
-    if k > pts.size:
-        return 0.0
-    x = np.asarray(values, dtype=np.float64)[pts]
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for i, xi in enumerate(x):
-        for j in range(min(k, i + 1), 0, -1):
-            e[j] += xi * e[j - 1]
-    return float(e[k] * math.factorial(k))

@@ -133,10 +133,6 @@ class SuiteContext:
             out.append((name, f))
         return out
 
-    def functionals_of(self, space: MeasureSpace) -> list[tuple[str, Functional]]:
-        return [(name, f) for name, f in sorted(self.config.functionals.items())
-                if f.space.same_as(space)]
-
 
 @dataclass
 class SuiteSpec:

@@ -41,6 +41,15 @@ def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
     return Estimate(cov, (spread / n) ** 0.5, n)
 
 
+def worst_residual(residuals) -> float:
+    """Largest absolute entry over residual arrays.
+
+    A NaN anywhere is the result, so a broken row FAILs its case
+    instead of vanishing inside Python's ``max``.
+    """
+    return float(np.max([np.max(np.abs(r)) for r in residuals], initial=0.0))
+
+
 def seeded_chaos_vector(space: MeasureSpace, order: int, seed: int) -> ChaosVector:
     """Chaos vector with standard normal coefficients, symmetrized kernels."""
     rng = np.random.default_rng(seed)

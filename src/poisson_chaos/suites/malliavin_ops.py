@@ -9,17 +9,16 @@ import numpy as np
 from ..estimation import PoissonEnumeration, mc_expectation
 from ..functionals import (ChaosVector, CountPolynomial, Opaque,
                            chaos_by_enumeration, chaos_of_exponential,
-                           difference, difference_rows)
+                           difference_rows)
 from ..malliavin import (ChaosField, FunctionalField, chaos_field_from_vector,
                          difference_field, malliavin_chaos, ou_chaos,
-                         ou_generator_counts, ou_generator_pathwise,
-                         ou_inverse_chaos, skorohod_chaos, skorohod_counts,
-                         skorohod_pathwise)
+                         ou_generator_counts, ou_inverse_chaos, skorohod_chaos,
+                         skorohod_counts)
+from ..patterns import _count_vectors
 from ..space import Kernel
-from ..wiener_ito import (WiState, chaos_reconstruct, chaos_reconstruct_counts,
-                          patterns_up_to)
+from ..wiener_ito import chaos_reconstruct_counts
 from .base import Case, CasePayload, SuiteContext
-from .common import POLY4, seeded_chaos_vector
+from .common import POLY4, seeded_chaos_vector, worst_residual
 
 
 def _reconstruction(space, cv: ChaosVector):
@@ -52,6 +51,16 @@ def _sym_trailing(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values + np.swapaxes(values, 1, 2))
 
 
+def _derivative_residual(space, cv: ChaosVector, pathwise) -> float:
+    """Chaos-level difference of cv against ``pathwise(counts)[:, x]``
+    on every pattern up to five points."""
+    counts = _count_vectors(space.size, 5)
+    diffs = pathwise(counts)
+    return worst_residual(
+        chaos_reconstruct_counts(space, malliavin_chaos(cv, x), counts) - diffs[:, x]
+        for x in range(space.size))
+
+
 def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
     cases = []
     # the chaos-level difference of a finite chaos sum matches the
@@ -63,13 +72,7 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
         def run(space=space, order=order):
             cv = seeded_chaos_vector(space, order, 1000 + order)
             recon = _reconstruction(space, cv)
-            worst = 0.0
-            for pattern in patterns_up_to(space, 5):
-                state = WiState(pattern)
-                for x in range(space.size):
-                    lhs = chaos_reconstruct(state, malliavin_chaos(cv, x))
-                    rhs = difference(recon, x, pattern)
-                    worst = max(worst, abs(lhs - rhs))
+            worst = _derivative_residual(space, cv, lambda c: difference_rows(recon, c))
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
         cases.append(Case(case_id, "malliavin-derivative", run))
@@ -83,13 +86,7 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
         F = (CountPolynomial.atom_count(space, 0) * CountPolynomial.atom_count(space, 1)
              + CountPolynomial.total_count(space) * 0.5)
         cv = chaos_by_enumeration(F, 2, ctx.budget(space, growth=POLY4, tol=1e-8))
-        worst = 0.0
-        for pattern in patterns_up_to(space, 5):
-            state = WiState(pattern)
-            for x in range(space.size):
-                lhs = chaos_reconstruct(state, malliavin_chaos(cv, x))
-                rhs = difference(F, x, pattern)
-                worst = max(worst, abs(lhs - rhs))
+        worst = _derivative_residual(space, cv, lambda c: difference_rows(F, c))
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
     cases.append(Case(case_id, "malliavin-derivative", run_poly))
@@ -103,13 +100,8 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
         f = _tiny_exponential(space)
         cv = chaos_of_exponential(f, 4)
         factor = np.exp(-f.v.values) - 1.0
-        worst = 0.0
-        for pattern in patterns_up_to(space, 5):
-            state = WiState(pattern)
-            for x in range(space.size):
-                lhs = chaos_reconstruct(state, malliavin_chaos(cv, x))
-                rhs = factor[x] * f.evaluate(pattern)
-                worst = max(worst, abs(lhs - rhs))
+        worst = _derivative_residual(
+            space, cv, lambda c: f.evaluate_counts(c)[:, None] * factor)
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
     cases.append(Case(case_id, "malliavin-derivative", run_tiny))
@@ -189,11 +181,9 @@ def build_skorohod_isometry(ctx: SuiteContext) -> list[Case]:
         def run_cross(space=space):
             _, field = _field_battery(ctx, space)[-1]
             cv = skorohod_chaos(field)
-            worst = 0.0
-            for pattern in patterns_up_to(space, 5):
-                lhs = skorohod_pathwise(field, pattern)
-                rhs = chaos_reconstruct(WiState(pattern), cv)
-                worst = max(worst, abs(lhs - rhs))
+            counts = _count_vectors(space.size, 5)
+            worst = worst_residual([skorohod_counts(field, counts)
+                                    - chaos_reconstruct_counts(space, cv, counts)])
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
         cases.append(Case(case_id, "skorohod-pathwise", run_cross))
@@ -229,12 +219,9 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
             case_id = f"pathwise_cancellation_{space_name}_{f_name}"
 
             def run_path(space=space, F=F):
-                field = difference_field(F)
-                worst = 0.0
-                for pattern in patterns_up_to(space, 5):
-                    lhs = skorohod_pathwise(field, pattern)
-                    rhs = -ou_generator_pathwise(F, pattern)
-                    worst = max(worst, abs(lhs - rhs))
+                counts = _count_vectors(space.size, 5)
+                worst = worst_residual([skorohod_counts(difference_field(F), counts)
+                                        + ou_generator_counts(F, counts)])
                 return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
             cases.append(Case(case_id, "ou-generator", run_path))
@@ -246,13 +233,9 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
 
     def run_match(space=space):
         cv = seeded_chaos_vector(space, 3, 2103)
-        recon = _reconstruction(space, cv)
-        target = ou_chaos(cv)
-        worst = 0.0
-        for pattern in patterns_up_to(space, 5):
-            lhs = ou_generator_pathwise(recon, pattern)
-            rhs = chaos_reconstruct(WiState(pattern), target)
-            worst = max(worst, abs(lhs - rhs))
+        counts = _count_vectors(space.size, 5)
+        worst = worst_residual([ou_generator_counts(_reconstruction(space, cv), counts)
+                                - chaos_reconstruct_counts(space, ou_chaos(cv), counts)])
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
     cases.append(Case(case_id, "ou-generator", run_match))
@@ -279,10 +262,9 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
 
     def run_linear(space=s1):
         F = CountPolynomial.total_count(space)
-        worst = 0.0
-        for k in range(5):
-            pattern = next(p for p in patterns_up_to(space, k) if p.total == k)
-            worst = max(worst, abs(ou_generator_pathwise(F, pattern) - (1.0 - k)))
+        counts = _count_vectors(space.size, 4)
+        worst = worst_residual([ou_generator_counts(F, counts)
+                                - (space.total_mass - counts.sum(axis=1))])
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-12)
 
     cases.append(Case(case_id, "ou-generator", run_linear))

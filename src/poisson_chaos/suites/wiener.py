@@ -10,12 +10,12 @@ import numpy as np
 
 from ..estimation import PoissonEnumeration, mc_expectation
 from ..functionals import ChaosVector, Opaque, chaos_of_exponential
+from ..patterns import _count_vectors
 from ..space import Kernel, inner_product, symmetrize
-from ..wiener_ito import (WiState, chaos_finite_sum, chaos_reconstruct_counts,
-                          patterns_up_to, product_formula_rhs, wiener_ito,
-                          wiener_ito_counts)
+from ..wiener_ito import (chaos_finite_sum, chaos_reconstruct_counts,
+                          product_formula_rhs, wiener_ito_counts)
 from .base import Case, CasePayload, SuiteContext
-from .common import POLY4, seeded_chaos_vector
+from .common import POLY4, seeded_chaos_vector, worst_residual
 
 
 def _seeded_kernel(space, arity: int, seed: int, symmetric: bool = False) -> Kernel:
@@ -83,13 +83,11 @@ def build_wi_isometry(ctx: SuiteContext) -> list[Case]:
         case_id = f"symmetrization_{space_name}"
 
         def run(space=space_s):
-            worst = 0.0
-            for n in (2, 3):
-                g = _seeded_kernel(space, n, 600 + n)
-                gs = symmetrize(g)
-                for pattern in patterns_up_to(space, 6):
-                    state = WiState(pattern)
-                    worst = max(worst, abs(wiener_ito(state, g) - wiener_ito(state, gs)))
+            counts = _count_vectors(space.size, 6)
+            kernels = [_seeded_kernel(space, n, 600 + n) for n in (2, 3)]
+            worst = worst_residual(wiener_ito_counts(space, g, counts)
+                                   - wiener_ito_counts(space, symmetrize(g), counts)
+                                   for g in kernels)
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-10)
 
         cases.append(Case(case_id, "wiener-ito-isometry", run))
@@ -107,12 +105,9 @@ def build_product_formula(ctx: SuiteContext) -> list[Case]:
             def run(space=space, p=p, q=q):
                 f = _seeded_kernel(space, p, 700 + 3 * p + q, symmetric=True)
                 g = _seeded_kernel(space, q, 800 + p + 3 * q, symmetric=True)
-                worst = 0.0
-                for pattern in patterns_up_to(space, 6):
-                    state = WiState(pattern)
-                    lhs = wiener_ito(state, f) * wiener_ito(state, g)
-                    rhs = product_formula_rhs(f, g, state)
-                    worst = max(worst, abs(lhs - rhs))
+                counts = _count_vectors(space.size, 6)
+                lhs = wiener_ito_counts(space, f, counts) * wiener_ito_counts(space, g, counts)
+                worst = worst_residual([lhs - product_formula_rhs(f, g, counts)])
                 return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
             cases.append(Case(case_id, identity, run))
@@ -142,21 +137,18 @@ def basis_kernel(space, level: int, multiset: tuple[int, ...]) -> Kernel:
 def recover_chaos_vector(space, target_fn, order: int, max_total: int) -> ChaosVector:
     """Least-squares chaos coefficients from pattern evaluations.
 
+    ``target_fn`` maps a count matrix to one value per row.
     Reconstruction is linear in the coefficients, so evaluating the
     basis integrals on every pattern up to the count cutoff yields a
     full-rank system whose solution is the coefficient vector.
     """
     basis = symmetric_basis(space, order)
-    patterns = list(patterns_up_to(space, max_total))
-    design = np.zeros((len(patterns), len(basis)))
-    targets = np.zeros(len(patterns))
-    for i, pattern in enumerate(patterns):
-        state = WiState(pattern)
-        targets[i] = target_fn(pattern)
-        for j, (level, multiset) in enumerate(basis):
-            design[i, j] = 1.0 if level == 0 else wiener_ito(
-                state, basis_kernel(space, level, multiset))
-    theta, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    counts = _count_vectors(space.size, max_total)
+    design = np.column_stack([
+        np.ones(len(counts)) if level == 0
+        else wiener_ito_counts(space, basis_kernel(space, level, multiset), counts)
+        for level, multiset in basis])
+    theta, *_ = np.linalg.lstsq(design, target_fn(counts), rcond=None)
     coeffs: list = [theta[0]]
     for n in range(1, order + 1):
         vals = np.zeros((space.size,) * n)
@@ -190,11 +182,9 @@ def build_chaos_reconstruction(ctx: SuiteContext) -> list[Case]:
         case_id = f"finite_sum_{space_name}"
 
         def run(space=space, exps=exps):
-            worst = 0.0
-            for _, f in exps:
-                for pattern in patterns_up_to(space, 8):
-                    got = chaos_finite_sum(WiState(pattern), f.v)
-                    worst = max(worst, abs(got - f.evaluate(pattern)))
+            counts = _count_vectors(space.size, 8)
+            worst = worst_residual(chaos_finite_sum(space, f.v, counts)
+                                   - f.evaluate_counts(counts) for _, f in exps)
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-10)
 
         cases.append(Case(case_id, "pathwise-chaos-sum", run))
@@ -235,11 +225,9 @@ def build_chaos_reconstruction(ctx: SuiteContext) -> list[Case]:
             case_id = f"uniqueness_{space_name}_{target_name}"
 
             def run(space=space, cv=cv, order=order):
-                def target(pattern):
-                    return float(chaos_reconstruct_counts(
-                        space, cv, pattern.counts[None, :])[0])
-
-                recovered = recover_chaos_vector(space, target, order, order + 2)
+                recovered = recover_chaos_vector(
+                    space, lambda c: chaos_reconstruct_counts(space, cv, c),
+                    order, order + 2)
                 return CasePayload(lhs=recovered.max_abs_difference(cv), rhs=0.0,
                                    tolerance=1e-8)
 

@@ -16,37 +16,10 @@ import numpy as np
 
 from .errors import ContractViolationError, UnsupportedArityError
 from .functionals import ChaosVector
-from .patterns import (PointPattern, _count_vectors, distinct_tuples,
-                       factorial_counts, factorial_tensor_power)
+from .patterns import PointPattern, _count_vectors, factorial_counts
 from .space import Kernel, MeasureSpace, contraction
 
 WIENER_ITO_ARITY_CAP = 4
-
-
-class WiState:
-    """Evaluation context for one pattern: caches distinct-tuple tables."""
-
-    def __init__(self, pattern: PointPattern):
-        self.pattern = pattern
-        self.space = pattern.space
-        self._tuples: dict[int, tuple] = {}
-
-    def tuple_index(self, k: int) -> tuple:
-        """Index arrays into a rank-k kernel, one row per distinct tuple."""
-        if k not in self._tuples:
-            labels = distinct_tuples(self.pattern, k)
-            self._tuples[k] = tuple(labels[:, i] for i in range(k))
-        return self._tuples[k]
-
-    def factorial(self, f: Kernel) -> float:
-        """Factorial-measure integral using the cached tuple table."""
-        k = f.arity
-        if k == 0:
-            return float(f.values)
-        if self.pattern.total < k:
-            return 0.0
-        idx = self.tuple_index(k)
-        return float(f.values[idx].sum())
 
 
 def _integrate_axes(space: MeasureSpace, values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -73,23 +46,15 @@ def _subset_terms(space: MeasureSpace, g: Kernel):
             yield sign, _integrate_axes(space, g.values, comp)
 
 
-def wiener_ito(state: WiState, g: Kernel) -> float:
-    """Pathwise order-n stochastic integral of g at the state's pattern.
+def wiener_ito(pattern: PointPattern, g: Kernel) -> float:
+    """Pathwise order-n stochastic integral of g at one pattern.
 
     Order zero returns the scalar itself; the kernel need not be
     symmetric (the value only depends on its symmetrization).
     """
-    if g.arity == 0:
-        return float(g.values)
-    if not g.space.same_as(state.space):
+    if not g.space.same_as(pattern.space):
         raise ContractViolationError("kernel defined on a different space")
-    total = 0.0
-    for sign, reduced in _subset_terms(state.space, g):
-        if reduced.ndim == 0:
-            total += sign * float(reduced)
-        else:
-            total += sign * state.factorial(Kernel(state.space, reduced))
-    return total
+    return float(wiener_ito_counts(pattern.space, g, pattern.counts[None, :])[0])
 
 
 def wiener_ito_counts(space: MeasureSpace, g: Kernel, counts: np.ndarray) -> np.ndarray:
@@ -105,14 +70,11 @@ def wiener_ito_counts(space: MeasureSpace, g: Kernel, counts: np.ndarray) -> np.
     return out
 
 
-def chaos_reconstruct(state: WiState, cv: ChaosVector) -> float:
-    """Truncated chaos sum: expectation plus the stored integrals."""
-    if not cv.space.same_as(state.space):
+def chaos_reconstruct(pattern: PointPattern, cv: ChaosVector) -> float:
+    """Truncated chaos sum at one pattern: expectation plus the stored integrals."""
+    if not cv.space.same_as(pattern.space):
         raise ContractViolationError("chaos vector on a different space")
-    total = cv.coefficients[0]
-    for n in range(1, cv.order + 1):
-        total += wiener_ito(state, cv.coefficients[n])
-    return float(total)
+    return float(chaos_reconstruct_counts(cv.space, cv, pattern.counts[None, :])[0])
 
 
 def chaos_reconstruct_counts(space: MeasureSpace, cv: ChaosVector,
@@ -123,42 +85,56 @@ def chaos_reconstruct_counts(space: MeasureSpace, cv: ChaosVector,
     return out
 
 
-def chaos_finite_sum(state: WiState, v: Kernel) -> float:
-    """Finite rearrangement of the exponential's chaos series.
+def chaos_finite_sum(space: MeasureSpace, v: Kernel, counts: np.ndarray) -> np.ndarray:
+    """Finite rearrangement of the exponential's chaos series, rowwise.
 
     Sums 1/k! times the factorial-measure integral of the k-fold tensor
-    power of exp(-v) - 1 for k up to the pattern's point count; equal,
-    pattern by pattern, to exp of minus the counting integral of v.
+    power of b = exp(-v) - 1 for k up to each row's point count.  That
+    term is the k-th elementary symmetric polynomial of the per-point
+    values of b, the coefficient of t^k in the product over atoms of
+    (1 + b_a t)^(c_a), built by one binomial convolution per atom with
+    no arity cap.  The sum equals, row by row, exp of minus the
+    counting integral of v.
     """
     if v.arity != 1:
         raise ContractViolationError("exponent kernel must have arity 1")
     if np.any(v.values < 0):
         raise ContractViolationError("exponent kernel must be nonnegative")
     base = np.exp(-v.values) - 1.0
-    total = 0.0
-    for k in range(state.pattern.total + 1):
-        total += factorial_tensor_power(state.pattern, base, k) / math.factorial(k)
-    return total
+    top = int(counts.sum(axis=1).max(initial=0))
+    terms = np.zeros((counts.shape[0], top + 1))
+    terms[:, 0] = 1.0
+    for a in range(space.size):
+        c = counts[:, a].astype(np.float64)
+        # binomial(c, j) * b_a ** j, which vanishes for every j above c
+        coeff = np.ones(counts.shape[0])
+        product = terms.copy()
+        for j in range(1, int(counts[:, a].max(initial=0)) + 1):
+            coeff = coeff * (c - (j - 1)) / j * base[a]
+            product[:, j:] += terms[:, :top + 1 - j] * coeff[:, None]
+        terms = product
+    return terms.sum(axis=1)
 
 
-def product_formula_rhs(f: Kernel, g: Kernel, state: WiState) -> float:
+def product_formula_rhs(f: Kernel, g: Kernel, counts: np.ndarray) -> np.ndarray:
     """Right-hand side of the product identity for two stochastic integrals.
 
-    Assembles the double sum of contraction integrals whose value must
-    match the plain product of the two integrals pathwise.
+    Assembles, for every row of the count matrix, the double sum of
+    contraction integrals whose value must match the plain product of
+    the two integrals pathwise.
     """
     p, q = f.arity, g.arity
     if p + q > WIENER_ITO_ARITY_CAP:
         raise UnsupportedArityError("leading product term exceeds the arity cap")
     if not f.is_symmetric() or not g.is_symmetric():
         raise ContractViolationError("product formula requires symmetric kernels")
-    total = 0.0
+    out = np.zeros(counts.shape[0])
     for r in range(min(p, q) + 1):
         outer = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
         for l in range(r + 1):
             term = contraction(f, g, r, l)
-            total += outer * math.comb(r, l) * wiener_ito(state, term)
-    return total
+            out += outer * math.comb(r, l) * wiener_ito_counts(f.space, term, counts)
+    return out
 
 
 def patterns_up_to(space: MeasureSpace, max_total: int):

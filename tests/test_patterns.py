@@ -9,13 +9,15 @@ import pytest
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
 from poisson_chaos.patterns import (CDF_BINS, PointPattern,
                                     _binomial_cdf_rows, _invert_cdf,
-                                    _poisson_cdf, factorial_apply,
-                                    factorial_counts, factorial_tensor_power,
+                                    _poisson_cdf, factorial_counts,
+                                    poisson_counts_with_uniforms,
                                     sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts,
                                     thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
+
+from oracle import factorial_apply, factorial_tensor_power
 
 
 @pytest.fixture
@@ -98,6 +100,17 @@ class TestPoissonInversion:
         got = _invert_cdf(table, u)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("u", [-0.5, -0.001, 1.0, 1.5, np.nan])
+    def test_uniforms_outside_unit_interval_rejected(self, u):
+        # unchecked, mean 2 gave 2 for u = -0.5, 8 for -0.001 and 26 for 1.0,
+        # and a bare IndexError for 1.5 or NaN
+        space = MeasureSpace(["a"], [2.0])
+        with pytest.raises(ContractViolationError):
+            poisson_counts_with_uniforms(space, 1.0, np.array([[u]]))
+        with pytest.raises(ContractViolationError):
+            poisson_counts_with_uniforms(MeasureSpace(["a", "b"], [2.0, 0.5]), 1.0,
+                                         np.array([[0.5, 0.5], [u, 0.5]]))
 
     def test_large_weight_rejected(self):
         # exp(-800) underflows to zero, which made every draw the same count

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from poisson_chaos.config import load_config, parse_config
-from poisson_chaos.errors import ConfigError, EvaluationError
+from poisson_chaos.errors import (ConfigError, ContractViolationError,
+                                  EvaluationError)
 from poisson_chaos.estimation import Estimate, McPlan
 from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
 from poisson_chaos.patterns import sample_poisson_counts
@@ -12,6 +13,9 @@ from poisson_chaos.space import MeasureSpace
 from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
                                   covered_identities, derive_case_seed,
                                   run_suite, suite_names)
+from poisson_chaos.suites import malliavin_ops as malliavin_suite
+from poisson_chaos.suites import semigroup as semigroup_suite
+from poisson_chaos.suites import wiener as wiener_suite
 from poisson_chaos.suites.base import run_cases
 from poisson_chaos.suites.common import mc_covariance
 from poisson_chaos.suites.correlation import check_monotone
@@ -143,6 +147,77 @@ class TestPower:
         (biased,) = run_payloads(quick_config, [(mode, make(10 * fair.tolerance))])
         assert biased.tolerance == fair.tolerance
         assert biased.verdict == "FAIL"
+
+
+# (suite, case-id prefix, suite module, name of one side's function there)
+PATHWISE_SIDES = [
+    ("wi_isometry", "symmetrization_", wiener_suite, "wiener_ito_counts"),
+    ("product_formula", "pathwise_", wiener_suite, "product_formula_rhs"),
+    ("chaos_reconstruction", "finite_sum_", wiener_suite, "chaos_finite_sum"),
+    ("chaos_reconstruction", "uniqueness_", wiener_suite, "chaos_reconstruct_counts"),
+    ("malliavin_derivative", "chaos_vs_", malliavin_suite, "chaos_reconstruct_counts"),
+    ("skorohod_isometry", "pathwise_vs_chaos_", malliavin_suite,
+     "chaos_reconstruct_counts"),
+    ("ou_operators", "pathwise_cancellation_", malliavin_suite, "ou_generator_counts"),
+    ("ou_operators", "pathwise_vs_chaos_", malliavin_suite, "ou_generator_counts"),
+    ("ou_operators", "linear_example_", malliavin_suite, "ou_generator_counts"),
+    ("mehler", "commutation_S", semigroup_suite, "iterated_difference_counts"),
+]
+
+
+def run_matching(config, suite, prefix):
+    spec = SUITES[suite]
+    build = lambda ctx: [c for c in spec.build(ctx) if c.case_id.startswith(prefix)]
+    return run_cases(SuiteSpec(spec.name, spec.identities, build), config)
+
+
+def perturb_first_row(monkeypatch, module, name, change, every_row=False):
+    """Apply ``change`` to the middle row (or to every row) of the first
+    array the named function returns, so one side of the scan is off."""
+    original = getattr(module, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if not calls:
+            out = out.copy()
+            rows = slice(None) if every_row else len(out) // 2
+            out[rows] = change(out[rows])
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+class TestPathwisePower:
+    """Each pathwise scan FAILs when one row of one side is off by ten
+    tolerances, or is NaN."""
+
+    @pytest.mark.parametrize("suite,prefix,module,name", PATHWISE_SIDES,
+                             ids=[f"{s}-{p}" for s, p, _, _ in PATHWISE_SIDES])
+    def test_one_bad_row_fails(self, suite, prefix, module, name, quick_config,
+                               monkeypatch):
+        fair = run_matching(quick_config, suite, prefix)
+        assert fair and all(r.verdict == "PASS" for r in fair)
+        for row in fair:
+            case = row.case_id
+            with monkeypatch.context() as m:
+                # least squares spreads a one-row error over all coefficients
+                # (10 tolerances in the middle uniqueness target move them by
+                # less than one tolerance), so those cases shift every target
+                perturb_first_row(m, module, name, lambda v: v + 10 * row.tolerance,
+                                  every_row=prefix == "uniqueness_")
+                (biased,) = run_matching(quick_config, suite, case)
+            assert biased.verdict == "FAIL", (case, biased.lhs, biased.tolerance)
+            with monkeypatch.context() as m:
+                perturb_first_row(m, module, name, lambda v: np.nan)
+                if prefix == "uniqueness_":
+                    # the recovered kernels refuse a non-finite entry
+                    with pytest.raises(ContractViolationError):
+                        run_matching(quick_config, suite, case)
+                    continue
+                (broken,) = run_matching(quick_config, suite, case)
+            assert broken.verdict == "FAIL", (case, broken.lhs)
 
 
 def moments_reference(space, F, G, plan):
