@@ -1,8 +1,8 @@
 """Command line entry point.
 
 Usage: ``verify <suite|all> [options]``.  Exit status 0 when every
-executed case passes, 1 when any fails, 2 on usage or configuration
-errors.  Reports are written without wall-clock times by default so
+executed case passes, 1 when any fails or raises (an ``ERROR`` row),
+2 on usage or configuration errors.  Reports are written without wall-clock times by default so
 repeated runs produce byte-identical files; pass ``--timing`` to record
 measured times instead.
 """

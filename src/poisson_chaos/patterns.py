@@ -13,6 +13,13 @@ and a bin that holds no CDF value maps every uniform in it to the same
 count, read from the table in one lookup.  Only uniforms falling in a
 bin that holds a CDF value go to a binary search, so the counts are
 exactly those of a binary search over the whole CDF.
+
+Binomial thinning uses the same bins, one row per point count n: entry
+``[n, i]`` is the number of survivors of every uniform in bin i of the
+Binomial(n, s) CDF row, or -1 where a CDF value falls in the bin.  The
+table is cached per retention probability and power-of-two size class
+of the largest count; uniforms in split bins, and counts above the int8
+range of the table, go to the compare-and-sum over the CDF rows.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ from .space import Kernel, MeasureSpace
 FACTORIAL_ARITY_CAP = 4
 # bins of the Poisson inversion table; a power of two keeps u * CDF_BINS exact
 CDF_BINS = 4096
+# thinning bin tables hold at least this many rows, and at most int8's range
+THIN_TABLE_MIN_ROWS = 16
+THIN_TABLE_MAX_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +180,26 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
     return rows
 
 
+# up to 512 KB a table; a verify run uses about two dozen
+@lru_cache(maxsize=64)
+def _binomial_bins(rows: int, s: float) -> np.ndarray:
+    """Bin table of the Binomial(n, s) CDF rows for n < ``rows``.
+
+    ``bins[n, i]`` is the survivor count of every uniform in
+    ``[i/B, (i+1)/B)`` when no CDF value of row n falls in
+    ``(i/B, (i+1)/B]``, and -1 otherwise, as in :class:`PoissonTable`.
+    """
+    cdf = _binomial_cdf_rows(rows - 1, s)
+    grid = np.arange(CDF_BINS + 1) / CDF_BINS
+    bins = np.empty((rows, CDF_BINS + 1), dtype=np.int8)
+    for n in range(rows):
+        edges = np.searchsorted(cdf[n], grid, side="right")
+        bins[n, :-1] = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    bins[:, -1] = -1
+    bins.setflags(write=False)
+    return bins
+
+
 def _invert_cdf(table: PoissonTable, u: np.ndarray) -> np.ndarray:
     """Smallest k with cdf[k] > u, vectorized over u in [0, 1].
 
@@ -213,15 +243,28 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
     """Binomial(count, s) survivors per atom from given uniforms in [0, 1)."""
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("retention probability must lie in [0, 1]")
-    # a uniform of 1 or more would keep points that do not exist
-    if not np.all((u >= 0.0) & (u < 1.0)):
+    # a uniform of 1 or more would keep points that do not exist; one pass
+    # each, and NaN fails both comparisons
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ContractViolationError("thinning uniforms must lie in [0, 1)")
     n_max = int(counts.max(initial=0))
-    rows = _binomial_cdf_rows(n_max, float(s))
-    kept = np.empty_like(counts)
-    for j in range(counts.shape[1]):
-        kept[:, j] = np.sum(rows[counts[:, j], :] <= u[:, j, None], axis=1)
-    return kept
+    if n_max >= THIN_TABLE_MAX_ROWS:
+        rows = _binomial_cdf_rows(n_max, float(s))
+        kept = np.empty_like(counts)
+        for j in range(counts.shape[1]):
+            kept[:, j] = np.sum(rows[counts[:, j], :] <= u[:, j, None], axis=1)
+        return kept
+    # one table per size class, so a new largest count rarely builds one
+    size = max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length())
+    bins = _binomial_bins(size, float(s))
+    cell = np.multiply(counts, CDF_BINS + 1, dtype=np.intp)
+    cell += (u * CDF_BINS).astype(np.intp)
+    kept = bins.ravel().take(cell)
+    split = np.nonzero(kept < 0)
+    if split[0].size:
+        rows = _binomial_cdf_rows(size - 1, float(s))
+        kept[split] = np.sum(rows[counts[split], :] <= u[split][:, None], axis=1)
+    return kept.astype(counts.dtype)
 
 
 def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,

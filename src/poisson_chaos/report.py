@@ -4,7 +4,9 @@ Rows serialize to CSV or JSON-lines with a fixed column order; floats
 carry 17 significant digits so files round-trip exactly.  A row passes
 precisely when its recorded difference does not exceed its recorded
 tolerance (for one-sided cases the difference field holds the signed
-excess of the left side over the right, so the same rule applies).
+excess of the left side over the right, so the same rule applies).  A
+case that raised is an ``ERROR`` row whose five float fields are empty
+(``null`` in JSON lines) and parse back as ``None``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ def _row_values(row: CaseResult, include_timing: bool) -> list[str]:
         raw = getattr(row, col)
         if col == "wall_time_ms" and not include_timing:
             raw = 0
-        values.append(fmt_float(raw) if col in _FLOAT_COLUMNS else str(raw))
+        if col in _FLOAT_COLUMNS:
+            values.append("" if raw is None else fmt_float(raw))
+        else:
+            values.append(str(raw))
     return values
 
 
@@ -53,7 +58,7 @@ def render_jsonl(rows: Sequence[CaseResult], include_timing: bool = False) -> st
         record = {}
         for col, value in zip(COLUMNS, _row_values(row, include_timing)):
             if col in _FLOAT_COLUMNS:
-                record[col] = float(value)
+                record[col] = float(value) if value else None
             elif col in _INT_COLUMNS:
                 record[col] = int(value)
             else:
@@ -86,7 +91,8 @@ def parse_report(text: str, fmt: str = "csv") -> list[dict]:
     for raw in rows:
         record = dict(raw)
         for col in _FLOAT_COLUMNS:
-            record[col] = float(record[col])
+            value = record[col]
+            record[col] = None if value in ("", None) else float(value)
         for col in _INT_COLUMNS:
             record[col] = int(record[col])
         records.append(record)
@@ -96,6 +102,9 @@ def parse_report(text: str, fmt: str = "csv") -> list[dict]:
 def summary_lines(rows: Sequence[CaseResult]) -> list[str]:
     lines = []
     for row in rows:
+        if row.verdict == "ERROR":
+            lines.append(f"[ERROR] {row.suite}/{row.case_id}: {row.error}")
+            continue
         lines.append(
             f"[{row.verdict}] {row.suite}/{row.case_id}: "
             f"lhs={row.lhs:.6g} rhs={row.rhs:.6g} diff={row.abs_diff:.3g} "

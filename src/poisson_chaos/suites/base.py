@@ -55,18 +55,23 @@ class Case:
 
 @dataclass
 class CaseResult:
+    """One report row.  A case that raised has verdict ``ERROR``, no
+    comparands (``None`` in the float fields) and the exception in
+    ``error``, which stays out of the report columns."""
+
     suite: str
     case_id: str
     identity: str
-    lhs: float
-    rhs: float
-    se_combined: float
-    abs_diff: float
-    tolerance: float
+    lhs: float | None
+    rhs: float | None
+    se_combined: float | None
+    abs_diff: float | None
+    tolerance: float | None
     verdict: str
     replicates: int
     seed: int
     wall_time_ms: int
+    error: str = ""
 
 
 @dataclass
@@ -143,26 +148,37 @@ class SuiteSpec:
 
 
 def run_cases(suite: SuiteSpec, config: RunConfig) -> list[CaseResult]:
+    """Run and judge every case of the suite, one row per case.
+
+    A case that raises becomes an ``ERROR`` row and the other cases
+    still run; a configuration error ends the run.
+    """
     ctx = SuiteContext(config, suite.name)
     results = []
     for case in suite.build(ctx):
         start = time.perf_counter()
-        payload = case.run()
+        try:
+            payload = case.run()
+            verdict = compare(payload.lhs, payload.rhs, config.policy,
+                              tolerance=payload.tolerance, one_sided=payload.one_sided)
+            fields = dict(lhs=verdict.lhs, rhs=verdict.rhs,
+                          se_combined=verdict.se_combined, abs_diff=verdict.diff,
+                          tolerance=verdict.tolerance,
+                          verdict="PASS" if verdict.passed else "FAIL",
+                          replicates=payload.replicates)
+        except ConfigError:
+            raise
+        except Exception as exc:  # one broken case must not abort the run
+            fields = dict(lhs=None, rhs=None, se_combined=None, abs_diff=None,
+                          tolerance=None, verdict="ERROR", replicates=0,
+                          error=f"{type(exc).__name__}: {exc}")
         elapsed_ms = int((time.perf_counter() - start) * 1000)
-        verdict = compare(payload.lhs, payload.rhs, config.policy,
-                          tolerance=payload.tolerance, one_sided=payload.one_sided)
         results.append(CaseResult(
             suite=suite.name,
             case_id=case.case_id,
             identity=case.identity,
-            lhs=verdict.lhs,
-            rhs=verdict.rhs,
-            se_combined=verdict.se_combined,
-            abs_diff=verdict.diff,
-            tolerance=verdict.tolerance,
-            verdict="PASS" if verdict.passed else "FAIL",
-            replicates=payload.replicates,
             seed=derive_case_seed(config.seed, suite.name, case.case_id),
             wall_time_ms=elapsed_ms,
+            **fields,
         ))
     return results

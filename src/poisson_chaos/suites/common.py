@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
-from ..functionals import ChaosVector, Functional, difference_rows
+from ..functionals import ChaosVector, CountTable, Functional
 from ..malliavin import gauss_legendre_unit
-from ..patterns import (poisson_counts_with_uniforms, sample_poisson_counts,
-                        thin_counts_with_uniforms)
+from ..patterns import (_poisson_cdf, poisson_counts_with_uniforms,
+                        sample_poisson_counts, thin_counts_with_uniforms)
 from ..rng import stream_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
@@ -70,6 +70,18 @@ def _inner_uniform_pool(seed: int, streams: np.ndarray, d: int, inner: int,
     return np.ascontiguousarray(u.reshape(streams.size, inner, d).transpose(1, 0, 2))
 
 
+def _difference_tables(space: MeasureSpace, *functionals: Functional) -> list[CountTable]:
+    """Count tables for the nested estimators.
+
+    A sampled count is below its inversion table's length, and a thinned
+    count plus a refresh field of smaller mean below twice that, so each
+    atom's cap leaves room for one added point with a margin of two.
+    Batches that still reach a cap are evaluated (:class:`CountTable`).
+    """
+    caps = [2 * len(_poisson_cdf(float(w)).cdf) + 2 for w in space.weights]
+    return [CountTable(F, caps) for F in functionals]
+
+
 def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
                              plan: McPlan, t_nodes: int, inner: int) -> Estimate:
     """Nested estimate of the semigroup covariance representation.
@@ -82,20 +94,21 @@ def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
+    table_f, table_g = _difference_tables(space, F, G)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         b = streams.size
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
         u_pool = _inner_uniform_pool(plan.seed, streams, d, inner, lane=2)
-        df = difference_rows(F, counts)
+        df = table_f.difference_rows(counts)
         out = np.zeros(b)
         for t, wt in zip(nodes, weights):
             kept = thin_counts_with_uniforms(counts, float(t), u_thin)
             inner_sum = np.zeros((b, d))
             for m in range(inner):
                 field = poisson_counts_with_uniforms(space, 1.0 - float(t), u_pool[m])
-                inner_sum += difference_rows(G, kept + field)
+                inner_sum += table_g.difference_rows(kept + field)
             out += wt * (df * inner_sum / inner) @ space.weights
         return out
 
@@ -112,6 +125,7 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
+    table_f, table_g = _difference_tables(space, F, G)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         b = streams.size
@@ -129,8 +143,8 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
                     space, 1.0 - float(t), pool_f[m])
                 mixed_g = kept + poisson_counts_with_uniforms(
                     space, 1.0 - float(t), pool_g[m])
-                sum_f += difference_rows(F, mixed_f)
-                sum_g += difference_rows(G, mixed_g)
+                sum_f += table_f.difference_rows(mixed_f)
+                sum_g += table_g.difference_rows(mixed_g)
             out += wt * ((sum_f / inner) * (sum_g / inner)) @ space.weights
         return out
 

@@ -1,10 +1,15 @@
-"""Per-pattern reference route for the pathwise integrals.
+"""Reference routes the library's fast paths are held against.
 
 The library evaluates factorial-measure integrals, stochastic integrals
 and chaos sums rowwise over count matrices.  This module keeps an
 independent route that lists every ordered tuple of distinct point
 instances of one pattern and sums the kernel over them, so the tests
 can hold the count-matrix route against it pattern by pattern.
+
+For the nested Monte Carlo it keeps the direct primitives that the
+lookup tables replaced: thinning by comparing each uniform with every
+entry of its count's binomial CDF row, and one-point differences by
+evaluating the functional on shifted count matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ import math
 import numpy as np
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.patterns import FACTORIAL_ARITY_CAP, PointPattern
+from poisson_chaos.functionals import difference_rows
+from poisson_chaos.patterns import FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows
 from poisson_chaos.space import Kernel, contraction
 
 ARITY_CAP = 4
@@ -161,3 +167,28 @@ def product_formula_rhs(f: Kernel, g: Kernel, state: WiState) -> float:
             term = contraction(f, g, r, l)
             total += outer * math.comb(r, l) * wiener_ito(state, term)
     return total
+
+
+def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
+    """Binomial(count, s) survivors: the number of entries of the count's
+    CDF row (padded with ones) at or below its uniform."""
+    if not 0.0 <= s <= 1.0:
+        raise ContractViolationError("retention probability must lie in [0, 1]")
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ContractViolationError("thinning uniforms must lie in [0, 1)")
+    n_max = int(counts.max(initial=0))
+    rows = _binomial_cdf_rows(n_max, float(s))
+    kept = np.empty_like(counts)
+    for j in range(counts.shape[1]):
+        kept[:, j] = np.sum(rows[counts[:, j], :] <= u[:, j, None], axis=1)
+    return kept
+
+
+class EvaluatedDifferences:
+    """Stand-in for ``CountTable`` that evaluates F on every batch."""
+
+    def __init__(self, F, caps):
+        self.F = F
+
+    def difference_rows(self, counts: np.ndarray) -> np.ndarray:
+        return difference_rows(self.F, counts)

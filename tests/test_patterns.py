@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.patterns import (CDF_BINS, PointPattern,
-                                    _binomial_cdf_rows, _invert_cdf,
+from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
+                                    _binomial_bins, _binomial_cdf_rows, _invert_cdf,
                                     _poisson_cdf, factorial_counts,
                                     poisson_counts_with_uniforms,
                                     sample_poisson, sample_poisson_counts,
@@ -17,6 +17,7 @@ from poisson_chaos.patterns import (CDF_BINS, PointPattern,
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
 
+import oracle
 from oracle import factorial_apply, factorial_tensor_power
 
 
@@ -184,6 +185,64 @@ class TestThinning:
     def test_retention_out_of_range(self, s2):
         with pytest.raises(ContractViolationError):
             thin(PointPattern(s2, [1, 0]), 1.5, RngStream(0))
+
+
+class TestThinningTable:
+    """The binomial bin table keeps exactly the survivors of the
+    compare-and-sum over the CDF rows."""
+
+    RETENTIONS = [0.0, 0.37, 0.5, 1.0]
+
+    @staticmethod
+    def probes(n: int, s: float) -> np.ndarray:
+        """Every bin edge, and each CDF value of row n with both float
+        neighbours, inside [0, 1)."""
+        cdf = _binomial_cdf_rows(n, s)[n, :n]
+        u = np.concatenate([np.arange(CDF_BINS) / CDF_BINS, cdf,
+                            np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                            [np.nextafter(1.0, 0.0)]])
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("s", RETENTIONS)
+    def test_bin_edges_and_cdf_values(self, s):
+        for n in range(41):
+            u = self.probes(n, s)
+            # the largest count is n, so every size class of the table is used
+            counts = np.column_stack([np.full(u.size, n), np.arange(u.size) % (n + 1)])
+            uu = np.column_stack([u, u[::-1]])
+            got = thin_counts_with_uniforms(counts, s, uu)
+            assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, uu)), n
+
+    @pytest.mark.parametrize("s", RETENTIONS)
+    def test_random_batches(self, s):
+        rng = np.random.default_rng(int(s * 100))
+        counts = rng.integers(0, 41, size=(20_000, 2))
+        u = rng.random(size=counts.shape)
+        got = thin_counts_with_uniforms(counts, s, u)
+        assert got.dtype == counts.dtype
+        assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u))
+
+    def test_counts_above_the_table(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 3 * THIN_TABLE_MAX_ROWS, size=(5_000, 2))
+        counts[0, 0] = THIN_TABLE_MAX_ROWS
+        u = rng.random(size=counts.shape)
+        for s in self.RETENTIONS:
+            assert np.array_equal(thin_counts_with_uniforms(counts, s, u),
+                                  oracle.thin_counts_with_uniforms(counts, s, u))
+
+    def test_one_table_per_size_class(self):
+        _binomial_bins.cache_clear()
+        counts = np.array([[17, 3], [2, 0]])
+        u = np.full(counts.shape, 0.5)
+        for top in (17, 20, 31):
+            counts[0, 0] = top
+            thin_counts_with_uniforms(counts, 0.41, u)
+        info = _binomial_bins.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        table = _binomial_bins(32, 0.41)
+        assert table.shape == (32, CDF_BINS + 1) and table.dtype == np.int8
+        assert np.all(table[:, -1] == -1)
 
 
 class TestSuperpose:

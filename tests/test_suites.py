@@ -9,6 +9,7 @@ from poisson_chaos.errors import (ConfigError, ContractViolationError,
 from poisson_chaos.estimation import Estimate, McPlan
 from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
 from poisson_chaos.patterns import sample_poisson_counts
+from poisson_chaos.report import parse_report, render_csv, render_jsonl
 from poisson_chaos.space import MeasureSpace
 from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
                                   covered_identities, derive_case_seed,
@@ -16,9 +17,13 @@ from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
 from poisson_chaos.suites import malliavin_ops as malliavin_suite
 from poisson_chaos.suites import semigroup as semigroup_suite
 from poisson_chaos.suites import wiener as wiener_suite
+from poisson_chaos.suites import common
 from poisson_chaos.suites.base import run_cases
-from poisson_chaos.suites.common import mc_covariance
+from poisson_chaos.suites.common import (covariance_conditional_rhs,
+                                         covariance_semigroup_rhs, mc_covariance)
 from poisson_chaos.suites.correlation import check_monotone
+
+import oracle
 
 # every identity the runner is expected to exercise somewhere
 REQUIRED_IDENTITIES = {
@@ -211,13 +216,102 @@ class TestPathwisePower:
             assert biased.verdict == "FAIL", (case, biased.lhs, biased.tolerance)
             with monkeypatch.context() as m:
                 perturb_first_row(m, module, name, lambda v: np.nan)
-                if prefix == "uniqueness_":
-                    # the recovered kernels refuse a non-finite entry
-                    with pytest.raises(ContractViolationError):
-                        run_matching(quick_config, suite, case)
-                    continue
                 (broken,) = run_matching(quick_config, suite, case)
+            if prefix == "uniqueness_":
+                # the recovered kernels refuse a non-finite entry
+                assert broken.verdict == "ERROR", (case, broken.lhs)
+                assert broken.error.startswith(ContractViolationError.__name__)
+                continue
             assert broken.verdict == "FAIL", (case, broken.lhs)
+
+
+class TestErrorRows:
+    """A case that raises becomes an ERROR row; the other rows do not move."""
+
+    @staticmethod
+    def with_raising_case(spec):
+        def build(ctx):
+            cases = spec.build(ctx)
+
+            def boom():
+                raise ZeroDivisionError("broken case")
+
+            return cases[:1] + [Case("broken", spec.identities[0], boom)] + cases[1:]
+
+        return SuiteSpec(spec.name, spec.identities, build)
+
+    def test_runner_emits_error_row(self, quick_config):
+        spec = SUITES["laplace"]
+        clean = run_cases(spec, quick_config)
+        rows = run_cases(self.with_raising_case(spec), quick_config)
+        (error,) = [r for r in rows if r.verdict == "ERROR"]
+        assert error.case_id == "broken" and rows[1] is error
+        assert (error.lhs, error.rhs, error.se_combined, error.abs_diff,
+                error.tolerance, error.replicates) == (None,) * 5 + (0,)
+        assert error.error == "ZeroDivisionError: broken case"
+        assert error.seed == derive_case_seed(quick_config.seed, "laplace", "broken")
+        others = [r for r in rows if r is not error]
+        strip = lambda r: {**r.__dict__, "wall_time_ms": 0}  # noqa: E731
+        assert [strip(r) for r in others] == [strip(r) for r in clean]
+        for fmt, render in (("csv", render_csv), ("jsonl", render_jsonl)):
+            text = render(rows)
+            assert text.replace(render([error]).splitlines()[-1] + "\n", "", 1) \
+                == render(clean)
+            parsed = parse_report(text, fmt)
+            assert [p["verdict"] for p in parsed] == [r.verdict for r in rows]
+            assert all(parsed[1][col] is None for col in
+                       ("lhs", "rhs", "se_combined", "abs_diff", "tolerance"))
+            assert parsed[0]["lhs"] == rows[0].lhs
+        assert ",broken,,,,,,ERROR,0," in render_csv(rows)
+
+    def test_cli_exits_one_and_reports_the_rest(self, tmp_path, monkeypatch, capsys):
+        from poisson_chaos.cli import main
+
+        argv = ["laplace", "--replicates", "5000", "--seed", "3"]
+        assert main(argv + ["--report", str(tmp_path / "clean.csv")]) == 0
+        monkeypatch.setitem(SUITES, "laplace", self.with_raising_case(SUITES["laplace"]))
+        assert main(argv + ["--report", str(tmp_path / "error.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "[ERROR] laplace/broken: ZeroDivisionError: broken case" in out
+        clean = (tmp_path / "clean.csv").read_text().splitlines()
+        error = (tmp_path / "error.csv").read_text().splitlines()
+        assert error[:2] + error[3:] == clean
+        assert error[2].startswith("laplace,broken,,,,,,ERROR,0,")
+
+    def test_config_errors_still_end_the_run(self, quick_config):
+        def build(ctx):
+            return [Case("needs_s9", "power", lambda: ctx.space("S9"))]
+
+        with pytest.raises(ConfigError):
+            run_cases(SuiteSpec("power", ("power",), build), quick_config)
+
+
+class TestNestedEstimators:
+    """The count tables and the binomial bin table give the nested
+    covariance estimators the same bits as the direct primitives."""
+
+    # two batches, the second partial
+    REPLICATES = (1 << 15) + 17
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("estimator", [covariance_semigroup_rhs,
+                                           covariance_conditional_rhs],
+                             ids=["semigroup", "conditional"])
+    @pytest.mark.parametrize("space_name", ["S1", "S2"])
+    def test_equal_to_direct_primitives(self, space_name, estimator, workers,
+                                        quick_config, monkeypatch):
+        monkeypatch.setenv("POISSON_CHAOS_THREADS", workers)
+        space = quick_config.spaces[space_name]
+        pool = [f for f in quick_config.functionals.values() if f.space is space]
+        F, G = pool[0], pool[-1]
+        plan = McPlan(self.REPLICATES, 5 + len(pool))
+        got = estimator(space, F, G, plan, 8, 4)
+        monkeypatch.setattr(common, "thin_counts_with_uniforms",
+                            oracle.thin_counts_with_uniforms)
+        monkeypatch.setattr(common, "CountTable", oracle.EvaluatedDifferences)
+        want = estimator(space, F, G, plan, 8, 4)
+        assert (got.mean, got.se, got.replicates) == (want.mean, want.se,
+                                                      want.replicates)
 
 
 def moments_reference(space, F, G, plan):
