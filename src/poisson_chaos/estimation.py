@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -31,6 +33,8 @@ BATCH_SIZE = 1 << 15
 THREAD_ENV_VAR = "POISSON_CHAOS_THREADS"
 
 ENUMERATION_STATE_CAP = 2_000_000
+# enumerations kept by PoissonEnumeration.get, least recently used evicted
+ENUMERATION_CACHE_SIZE = 32
 
 
 def worker_count() -> int:
@@ -285,9 +289,14 @@ def successor_maps(counts: np.ndarray, shell: np.ndarray, cap: int,
 
 
 class PoissonEnumeration:
-    """All count vectors with total below the budget, with their probabilities."""
+    """All count vectors with total below the budget, with their probabilities.
 
-    _cache: dict = {}
+    :meth:`get` keeps the ``ENUMERATION_CACHE_SIZE`` most recently used
+    enumerations (a full ``verify`` run uses seven).
+    """
+
+    _cache: OrderedDict = OrderedDict()
+    _cache_lock = threading.Lock()
 
     def __init__(self, space: MeasureSpace, budget: OracleBudget):
         n_states = math.comb(budget.max_total + space.size, space.size)
@@ -308,10 +317,14 @@ class PoissonEnumeration:
     @classmethod
     def get(cls, space: MeasureSpace, budget: OracleBudget) -> "PoissonEnumeration":
         key = (space.cache_key(), budget.max_total)
-        found = cls._cache.get(key)
-        if found is None:
-            found = cls(space, budget)
-            cls._cache[key] = found
+        with cls._cache_lock:
+            found = cls._cache.get(key)
+            if found is None:
+                found = cls._cache[key] = cls(space, budget)
+                if len(cls._cache) > ENUMERATION_CACHE_SIZE:
+                    cls._cache.popitem(last=False)
+            else:
+                cls._cache.move_to_end(key)
         return found
 
     def expectation_of(self, G) -> float:

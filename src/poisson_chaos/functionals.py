@@ -413,6 +413,12 @@ class CountTable:
     and the box is evaluated as one multi-row matrix.  A box of fewer
     than two cells (a one-row matrix takes another floating-point route)
     or of more than ``COUNT_TABLE_CELL_CAP`` cells gets no table.
+
+    ``diffs`` is the ``(cells, atoms)`` difference table,
+    ``diffs[r, x] = values[r + radix[x]] - values[r]``, so the one-point
+    differences of a batch are one row gather at the batch's ranks.  A
+    row whose count at x is at its cap holds no difference at x and is
+    never read.
     """
 
     def __init__(self, F: Functional, caps: Sequence[int]):
@@ -427,6 +433,11 @@ class CountTable:
             self.radix = np.cumprod([1] + sizes[:-1], dtype=np.int64)
             box = (np.arange(cells, dtype=np.int64)[:, None] // self.radix) % sizes
             self.values = F.evaluate_counts(box)
+            self.diffs = np.empty((cells, len(sizes)))
+            cell = np.arange(cells, dtype=np.int64)
+            for x, step in enumerate(self.radix):
+                np.subtract(np.take(self.values, cell + step, mode="clip"), self.values,
+                            out=self.diffs[:, x])
 
     def difference_rows(self, counts: np.ndarray) -> np.ndarray:
         """:func:`difference_rows` of F, read from the table.
@@ -437,19 +448,7 @@ class CountTable:
         """
         if self.values is None or len(counts) < 2 or counts.max() >= self.cap_min:
             return difference_rows(self.F, counts)
-        rank = counts[:, 0].astype(np.int64)
-        shifted = np.empty_like(rank)
-        for j in range(1, counts.shape[1]):
-            np.multiply(counts[:, j], self.radix[j], out=shifted)
-            rank += shifted
-        base = np.take(self.values, rank)
-        plus = np.empty_like(base)
-        out = np.empty(counts.shape)
-        for x, step in enumerate(self.radix):
-            np.add(rank, step, out=shifted)
-            np.take(self.values, shifted, out=plus, mode="clip")
-            np.subtract(plus, base, out=out[:, x])
-        return out
+        return self.diffs.take(counts @ self.radix, axis=0)
 
 
 def iterated_difference(F: Functional, atom_indices: Sequence[int],

@@ -8,8 +8,10 @@ can hold the count-matrix route against it pattern by pattern.
 
 For the nested Monte Carlo it keeps the direct primitives that the
 lookup tables replaced: thinning by comparing each uniform with every
-entry of its count's binomial CDF row, and one-point differences by
-evaluating the functional on shifted count matrices.
+entry of its count's binomial CDF row, one-point differences by
+evaluating the functional on shifted count matrices, and the nested
+covariance estimators built on them, which draw every inner refresh
+field as a count matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ import math
 import numpy as np
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
+from poisson_chaos.estimation import Estimate, mc_estimate
 from poisson_chaos.functionals import difference_rows
-from poisson_chaos.patterns import FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows
+from poisson_chaos.malliavin import gauss_legendre_unit
+from poisson_chaos.patterns import (FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows,
+                                    poisson_counts_with_uniforms, sample_poisson_counts)
+from poisson_chaos.rng import stream_uniforms
 from poisson_chaos.space import Kernel, contraction
 
 ARITY_CAP = 4
@@ -169,6 +175,16 @@ def product_formula_rhs(f: Kernel, g: Kernel, state: WiState) -> float:
     return total
 
 
+def binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
+    """Row n holds the Binomial(n, s) CDF at k = 0..n, padded with ones,
+    each pmf term from ``math.comb`` directly."""
+    rows = np.ones((n_max + 1, n_max + 2))
+    for n in range(n_max + 1):
+        pmf = np.array([math.comb(n, k) * s**k * (1.0 - s) ** (n - k) for k in range(n)])
+        rows[n, :n] = np.minimum(np.cumsum(pmf), 1.0)
+    return rows
+
+
 def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
     """Binomial(count, s) survivors: the number of entries of the count's
     CDF row (padded with ones) at or below its uniform."""
@@ -184,11 +200,60 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
     return kept
 
 
-class EvaluatedDifferences:
-    """Stand-in for ``CountTable`` that evaluates F on every batch."""
+def _inner_uniform_pool(seed: int, streams: np.ndarray, d: int, inner: int,
+                        lane: int) -> np.ndarray:
+    """(inner, batch, d) uniforms: each stream's ``inner * d`` uniforms in order."""
+    u = stream_uniforms(seed, streams, d * inner, sub1=lane, sub2=0)
+    return u.reshape(streams.size, inner, d).transpose(1, 0, 2)
 
-    def __init__(self, F, caps):
-        self.F = F
 
-    def difference_rows(self, counts: np.ndarray) -> np.ndarray:
-        return difference_rows(self.F, counts)
+def covariance_semigroup_rhs(space, F, G, plan, t_nodes: int, inner: int) -> Estimate:
+    """The nested semigroup estimator on the direct primitives: every
+    refresh field drawn as counts, every difference evaluated."""
+    nodes, weights = gauss_legendre_unit(t_nodes)
+    d = space.size
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        b = streams.size
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
+        u_pool = _inner_uniform_pool(plan.seed, streams, d, inner, lane=2)
+        df = difference_rows(F, counts)
+        out = np.zeros(b)
+        for t, wt in zip(nodes, weights):
+            kept = thin_counts_with_uniforms(counts, float(t), u_thin)
+            inner_sum = np.zeros((b, d))
+            for m in range(inner):
+                field = poisson_counts_with_uniforms(space, 1.0 - float(t), u_pool[m])
+                inner_sum += difference_rows(G, kept + field)
+            out += wt * (df * inner_sum / inner) @ space.weights
+        return out
+
+    return mc_estimate(plan, batch)
+
+
+def covariance_conditional_rhs(space, F, G, plan, t_nodes: int, inner: int) -> Estimate:
+    """The nested conditional estimator on the direct primitives."""
+    nodes, weights = gauss_legendre_unit(t_nodes)
+    d = space.size
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        b = streams.size
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
+        pool_f = _inner_uniform_pool(plan.seed, streams, d, inner, lane=3)
+        pool_g = _inner_uniform_pool(plan.seed, streams, d, inner, lane=4)
+        out = np.zeros(b)
+        for t, wt in zip(nodes, weights):
+            kept = thin_counts_with_uniforms(counts, float(t), u_thin)
+            sum_f = np.zeros((b, d))
+            sum_g = np.zeros((b, d))
+            for m in range(inner):
+                sum_f += difference_rows(F, kept + poisson_counts_with_uniforms(
+                    space, 1.0 - float(t), pool_f[m]))
+                sum_g += difference_rows(G, kept + poisson_counts_with_uniforms(
+                    space, 1.0 - float(t), pool_g[m]))
+            out += wt * ((sum_f / inner) * (sum_g / inner)) @ space.weights
+        return out
+
+    return mc_estimate(plan, batch)

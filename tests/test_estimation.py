@@ -2,12 +2,16 @@
 Carlo, and the comparison policy."""
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from poisson_chaos import estimation
 from poisson_chaos.errors import BudgetError, ContractViolationError, EvaluationError
-from poisson_chaos.estimation import (Estimate, McPlan, OracleBudget,
+from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, Estimate, McPlan, OracleBudget,
                                       PoissonEnumeration, TolerancePolicy,
                                       compare, mc_estimate, mc_expectation,
                                       oracle_expectation, poisson_tail,
@@ -55,6 +59,57 @@ class TestOracle:
         plain = OracleBudget.for_space(s1, 1e-8)
         grown = OracleBudget.for_space(s1, 1e-8, growth=lambda n: 4.0**n)
         assert grown.max_total > plain.max_total
+
+    def test_enumeration_cache_evicts_least_recent(self, s1, monkeypatch):
+        monkeypatch.setattr(PoissonEnumeration, "_cache", OrderedDict())
+        monkeypatch.setattr(estimation, "ENUMERATION_CACHE_SIZE", 3)
+        budgets = [OracleBudget(k, 1.0) for k in range(1, 5)]
+        first = [PoissonEnumeration.get(s1, b) for b in budgets[:3]]
+        # a hit returns the cached object and makes it the most recent
+        assert PoissonEnumeration.get(s1, budgets[0]) is first[0]
+        PoissonEnumeration.get(s1, budgets[3])
+        assert len(PoissonEnumeration._cache) == 3
+        assert PoissonEnumeration.get(s1, budgets[0]) is first[0]
+        assert PoissonEnumeration.get(s1, budgets[2]) is first[2]
+        rebuilt = PoissonEnumeration.get(s1, budgets[1])
+        assert rebuilt is not first[1]
+        assert np.array_equal(rebuilt.probs, first[1].probs)
+
+    def test_enumeration_cache_holds_a_full_run(self, s1, monkeypatch):
+        monkeypatch.setattr(PoissonEnumeration, "_cache", OrderedDict())
+        kept = [PoissonEnumeration.get(s1, OracleBudget(k, 1.0))
+                for k in range(1, ENUMERATION_CACHE_SIZE + 1)]
+        assert all(PoissonEnumeration.get(s1, OracleBudget(k, 1.0)) is e
+                   for k, e in zip(range(1, ENUMERATION_CACHE_SIZE + 1), kept))
+
+    def test_enumeration_cache_under_threads(self, s1, monkeypatch):
+        monkeypatch.setattr(PoissonEnumeration, "_cache", OrderedDict())
+        monkeypatch.setattr(estimation, "ENUMERATION_CACHE_SIZE", 3)
+        budgets = [OracleBudget(k, 1.0) for k in range(1, 7)]
+        errors = []
+
+        def work(i):
+            try:
+                for r in range(300):
+                    budget = budgets[(i * 7 + r) % len(budgets)]
+                    if PoissonEnumeration.get(s1, budget).budget != budget:
+                        errors.append((i, r))
+            except Exception as exc:  # a lost update surfaces as KeyError
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(PoissonEnumeration._cache) == 3
 
     def test_budget_error_on_state_explosion(self):
         wide = MeasureSpace([f"x{i}" for i in range(3)], [4.0, 4.0, 4.0])

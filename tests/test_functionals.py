@@ -345,6 +345,24 @@ class TestCountTable:
                 assert calls == [len(batch)]
                 assert np.array_equal(got, difference_rows(F, batch))
 
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_difference_table_gather(self, name):
+        space, caps = self.space(name), self.CAPS[name]
+        radix = np.cumprod([1] + [c + 1 for c in caps[:-1]])
+        box = np.array([row[::-1] for row in itertools.product(
+            *(range(c + 1) for c in reversed(caps)))])
+        counts = np.random.default_rng(13).integers(0, min(caps), size=(500, space.size))
+        for F in TestDifferenceRows._functionals(space):
+            table = CountTable(F, caps)
+            assert table.diffs.shape == (len(box), space.size)
+            for x, step in enumerate(radix):
+                # every cell with room for one more point at x
+                cells = np.flatnonzero(box[:, x] < caps[x])
+                assert np.array_equal(table.diffs[cells, x],
+                                      table.values[cells + step] - table.values[cells])
+            assert np.array_equal(table.diffs.take(counts @ radix, axis=0),
+                                  difference_rows(F, counts))
+
     def test_boxes_without_a_table(self, monkeypatch):
         space = self.space("S2")
         F = Exponential(space, [0.3, 0.7])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
+from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
-                                    _binomial_bins, _binomial_cdf_rows, _invert_cdf,
-                                    _poisson_cdf, factorial_counts,
+                                    ScaledInversion, _binomial_bins, _binomial_cdf_rows,
+                                    _invert_cdf, _poisson_cdf, factorial_counts,
+                                    inversion_bins, inversion_ranks,
                                     poisson_counts_with_uniforms,
                                     sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts,
@@ -141,6 +143,51 @@ class TestPoissonInversion:
         assert law_mean == pytest.approx(700.0, rel=1e-9)
 
 
+class TestInversionRanks:
+    """Inverting straight to mixed-radix rank offsets gives
+    ``_invert_cdf(table, u) * step`` element for element."""
+
+    WEIGHTS = [0.3, 0.4, 1.0, 4.0]
+    STEPS = [1, 7, 45, 1620]
+
+    @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
+    def test_one_atom_equals_scaled_inversion(self, t):
+        zeros = np.zeros(1, dtype=np.int64)
+        for w, step in zip(self.WEIGHTS, self.STEPS):
+            table = _poisson_cdf(float(w * (1.0 - float(t))))
+            u = TestPoissonInversion._probes(table.cdf)
+            bins = inversion_bins(u)
+            assert bins.dtype == np.int16
+            assert np.array_equal(bins, (u * CDF_BINS).astype(np.intp))
+            got = inversion_ranks([ScaledInversion.of(table, step)],
+                                  np.broadcast_to(zeros, u.shape), bins[None], u[:, None])
+            assert np.array_equal(got, _invert_cdf(table, u) * step)
+
+    @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
+    def test_atoms_sum_onto_the_base_rank(self, t):
+        rng = np.random.default_rng(17)
+        u = stream_uniforms(23, np.arange(20_000, dtype=np.uint64), len(self.WEIGHTS))
+        # a share of every column sits at a CDF value, a split-bin probe
+        for j, w in enumerate(self.WEIGHTS):
+            cdf = _poisson_cdf(float(w * (1.0 - float(t)))).cdf
+            u[:500, j] = rng.choice(cdf[cdf < 1.0], size=500)
+        base = rng.integers(0, 1000, size=len(u))
+        tables = [_poisson_cdf(float(w * (1.0 - float(t)))) for w in self.WEIGHTS]
+        inversions = [ScaledInversion.of(tb, step) for tb, step in zip(tables, self.STEPS)]
+        bins = np.ascontiguousarray(inversion_bins(u).T)
+        want = base + sum(_invert_cdf(tb, u[:, j]) * step
+                          for j, (tb, step) in enumerate(zip(tables, self.STEPS)))
+        out, scratch = np.empty_like(base), np.empty_like(base)
+        assert inversion_ranks(inversions, base, bins, u, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(inversion_ranks(inversions, base, bins, u), want)
+
+    @pytest.mark.parametrize("u", [-0.5, -0.001, 1.0, 1.5, np.nan])
+    def test_uniforms_outside_unit_interval_rejected(self, u):
+        with pytest.raises(ContractViolationError):
+            inversion_bins(np.array([[0.5, 0.25], [u, 0.5]]))
+
+
 class TestThinning:
     def test_keep_all_and_drop_all(self, s2):
         p = PointPattern(s2, [2, 1])
@@ -185,6 +232,25 @@ class TestThinning:
     def test_retention_out_of_range(self, s2):
         with pytest.raises(ContractViolationError):
             thin(PointPattern(s2, [1, 0]), 1.5, RngStream(0))
+
+
+class TestThinningLargeCounts:
+    def test_count_past_the_float_range_rejected(self):
+        # math.comb(1030, 515) does not fit a float, which used to raise a
+        # bare OverflowError from the CDF rows
+        with pytest.raises(ContractViolationError, match="1030"):
+            thin_counts_with_uniforms(np.array([[1030]]), 0.5, np.array([[0.3]]))
+
+    def test_count_of_one_thousand_still_thinned(self):
+        counts = np.array([[1000, 3], [999, 1000], [0, 1000]])
+        u = np.array([[0.3, 0.7], [0.5, 0.01], [0.2, np.nextafter(1.0, 0.0)]])
+        for s in (0.0, 0.37, 0.5, 1.0):
+            got = thin_counts_with_uniforms(counts, s, u)
+            assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u))
+
+    @pytest.mark.parametrize("s", [0.0, 0.02, 0.37, 0.5, 0.98, 1.0])
+    def test_rows_equal_direct_coefficients(self, s):
+        assert np.array_equal(_binomial_cdf_rows(200, s), oracle.binomial_cdf_rows(200, s))
 
 
 class TestThinningTable:

@@ -7,8 +7,10 @@ from poisson_chaos.config import load_config, parse_config
 from poisson_chaos.errors import (ConfigError, ContractViolationError,
                                   EvaluationError)
 from poisson_chaos.estimation import Estimate, McPlan
-from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
-from poisson_chaos.patterns import sample_poisson_counts
+from poisson_chaos.functionals import (CountPolynomial, CountTable, Exponential, Opaque,
+                                       difference_rows)
+from poisson_chaos.patterns import (_poisson_cdf, poisson_counts_with_uniforms,
+                                    sample_poisson_counts)
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
 from poisson_chaos.space import MeasureSpace
 from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
@@ -287,17 +289,19 @@ class TestErrorRows:
 
 
 class TestNestedEstimators:
-    """The count tables and the binomial bin table give the nested
-    covariance estimators the same bits as the direct primitives."""
+    """The rank route, the count tables and the binomial bin table give
+    the nested covariance estimators the same bits as the reference
+    estimators on the direct primitives."""
 
     # two batches, the second partial
     REPLICATES = (1 << 15) + 17
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("estimator", [covariance_semigroup_rhs,
-                                           covariance_conditional_rhs],
-                             ids=["semigroup", "conditional"])
-    @pytest.mark.parametrize("space_name", ["S1", "S2"])
+    @pytest.mark.parametrize("estimator", [
+        (covariance_semigroup_rhs, oracle.covariance_semigroup_rhs),
+        (covariance_conditional_rhs, oracle.covariance_conditional_rhs),
+    ], ids=["semigroup", "conditional"])
+    @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
     def test_equal_to_direct_primitives(self, space_name, estimator, workers,
                                         quick_config, monkeypatch):
         monkeypatch.setenv("POISSON_CHAOS_THREADS", workers)
@@ -305,13 +309,70 @@ class TestNestedEstimators:
         pool = [f for f in quick_config.functionals.values() if f.space is space]
         F, G = pool[0], pool[-1]
         plan = McPlan(self.REPLICATES, 5 + len(pool))
-        got = estimator(space, F, G, plan, 8, 4)
-        monkeypatch.setattr(common, "thin_counts_with_uniforms",
-                            oracle.thin_counts_with_uniforms)
-        monkeypatch.setattr(common, "CountTable", oracle.EvaluatedDifferences)
-        want = estimator(space, F, G, plan, 8, 4)
+        fast, reference = estimator
+        fields = self.spy_fields(monkeypatch)
+        got = fast(space, F, G, plan, 8, 4)
+        # every node of the packaged spaces takes the rank route
+        assert fields == []
+        want = reference(space, F, G, plan, 8, 4)
         assert (got.mean, got.se, got.replicates) == (want.mean, want.se,
                                                       want.replicates)
+
+    @staticmethod
+    def spy_fields(monkeypatch) -> list:
+        """Row counts of the refresh fields the estimators draw as counts."""
+        calls = []
+        original = common.poisson_counts_with_uniforms
+
+        def recorded(space, scale, u):
+            calls.append(len(u))
+            return original(space, scale, u)
+
+        monkeypatch.setattr(common, "poisson_counts_with_uniforms", recorded)
+        return calls
+
+    @pytest.mark.parametrize("estimator", [
+        (covariance_semigroup_rhs, oracle.covariance_semigroup_rhs, 1),
+        (covariance_conditional_rhs, oracle.covariance_conditional_rhs, 2),
+    ], ids=["semigroup", "conditional"])
+    def test_small_caps_take_the_evaluated_route(self, estimator, quick_config,
+                                                 monkeypatch):
+        fast, reference, pools = estimator
+        space = quick_config.spaces["S2"]
+        pool = [f for f in quick_config.functionals.values() if f.space is space]
+        F, G = pool[0], pool[-1]
+        plan = McPlan(5_000, 9)
+        monkeypatch.setattr(common, "_difference_tables", lambda space, *functionals: [
+            CountTable(f, [6] * space.size) for f in functionals])
+        fields = self.spy_fields(monkeypatch)
+        got = fast(space, F, G, plan, 4, 3)
+        assert fields == [5_000] * (4 * 3 * pools)
+        want = reference(space, F, G, plan, 4, 3)
+        assert (got.mean, got.se) == (want.mean, want.se)
+
+    def test_guard_boundary(self, monkeypatch):
+        """A table whose smallest cap is one above the largest count that
+        the kept counts plus a field can reach takes the rank route; one
+        cap less sends every field through the count route."""
+        space = MeasureSpace(["a", "b"], [0.5, 1.0])
+        G = Exponential(space, [0.3, 0.7])
+        scale, inner = 0.6, 3
+        rng = np.random.default_rng(3)
+        kept = rng.integers(0, 4, size=(400, 2))
+        kept[0] = 3
+        pool = rng.random((inner, 400, 2))
+        # the first row's fields reach the top of their tables
+        pool[:, 0, :] = np.nextafter(1.0, 0.0)
+        bins = common._pool_bins(pool)
+        reach = [len(_poisson_cdf(float(w * scale)).cdf) for w in space.weights]
+        want = sum(difference_rows(G, kept + poisson_counts_with_uniforms(space, scale, u))
+                   for u in pool)
+        for cap, fields_drawn in ((3 + max(reach), 0), (2 + max(reach), inner)):
+            table = CountTable(G, [cap, cap])
+            fields = self.spy_fields(monkeypatch)
+            got = common._inner_difference_sum(space, table, kept, scale, pool, bins)
+            assert len(fields) == fields_drawn, cap
+            assert np.array_equal(got, want), cap
 
 
 def moments_reference(space, F, G, plan):
