@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .estimation import TolerancePolicy
+from .estimation import ENUMERATION_STATE_CAP, TolerancePolicy
 from .functionals import CountPolynomial, Exponential, Functional, LinearCombo
 from .space import Kernel, MeasureSpace
 from .suites import RunConfig, suite_names
@@ -96,6 +96,11 @@ def parse_config(document: dict) -> RunConfig:
     replicates = int(mc.get("replicates", 200_000))
     if replicates < 1:
         raise ConfigError("mc.replicates must be >= 1")
+    # the enumeration itself refuses more than ENUMERATION_STATE_CAP states
+    max_states = int(oracle.get("max_states", ENUMERATION_STATE_CAP))
+    if not 1 <= max_states <= ENUMERATION_STATE_CAP:
+        raise ConfigError(
+            f"oracle.max_states must lie in [1, {ENUMERATION_STATE_CAP}], got {max_states}")
     return RunConfig(
         spaces=spaces,
         functionals=functionals,
@@ -103,7 +108,7 @@ def parse_config(document: dict) -> RunConfig:
         replicates=replicates,
         seed=int(mc.get("seed", 20260808)),
         oracle_tol=float(oracle.get("tail_tol", 1e-10)),
-        max_states=int(oracle.get("max_states", 2_000_000)),
+        max_states=max_states,
         policy=TolerancePolicy(z=float(tol.get("z", 4.0)),
                                abs_tol=float(tol.get("abs_tol", 1e-6)),
                                exact_tol=float(tol.get("exact_tol", 1e-9))),

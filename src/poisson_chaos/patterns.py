@@ -50,6 +50,8 @@ CDF_BINS = 4096
 # thinning bin tables hold at least this many rows, and at most int8's range
 THIN_TABLE_MIN_ROWS = 16
 THIN_TABLE_MAX_ROWS = 128
+# the largest count whose binomial coefficients all fit a float
+THIN_COUNT_MAX = 1029
 # rank offset of a uniform in a split bin of a scaled inversion table
 SPLIT_OFFSET = -(1 << 48)
 
@@ -334,10 +336,17 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
         raise ContractViolationError("thinning uniforms must lie in [0, 1)")
     n_max = int(counts.max(initial=0))
     if n_max >= THIN_TABLE_MAX_ROWS:
-        rows = _binomial_cdf_rows(n_max, float(s))
+        # CDF rows per size class of THIN_TABLE_MAX_ROWS counts, so batches
+        # share them; row n does not depend on the table's size, and a count
+        # past THIN_COUNT_MAX is passed on as is to be rejected by name
+        size = n_max if n_max > THIN_COUNT_MAX else min(
+            THIN_COUNT_MAX, -(-n_max // THIN_TABLE_MAX_ROWS) * THIN_TABLE_MAX_ROWS)
+        rows = _binomial_cdf_rows(size, float(s))
         kept = np.empty_like(counts)
         for j in range(counts.shape[1]):
-            kept[:, j] = np.sum(rows[counts[:, j], :] <= u[:, j, None], axis=1)
+            # from column n_max on every row read is padding, and a padding
+            # one never counts against a uniform below 1
+            kept[:, j] = np.sum(rows[counts[:, j], :n_max] <= u[:, j, None], axis=1)
         return kept
     # one table per size class, so a new largest count rarely builds one
     size = max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length())

@@ -12,6 +12,17 @@ state.  That gives three properties the estimation engine relies on:
 The block function matches the Philox implementation shipped with NumPy
 bit for bit (see ``tests/test_rng.py``), but is evaluated with NumPy
 uint64 arithmetic over arrays of keys and counters.
+
+Its cost is memory traffic, not arithmetic: a round makes about a dozen
+uint64 temporaries per counter word, and for a whole batch of streams
+each would be larger than the L2 cache and freshly mapped by the
+allocator.  So the streams are walked in chunks of rows holding about
+``_CHUNK_WORDS`` blocks, whose temporaries stay in cache, and each chunk
+writes its doubles straight into the result.  Within a chunk the
+counters are passed at their natural shapes (the block index as one
+row, the substream words as ``(1, 1)``) and broadcast against the
+stream keys, so the first round runs on tiny arrays and only reaches
+full size where a key is mixed in.
 """
 
 from __future__ import annotations
@@ -20,8 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ContractViolationError
+
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
+_M0_LO, _M0_HI = np.uint64(0xE14C6C93), np.uint64(0xD2E7470E)
+_M1_LO, _M1_HI = np.uint64(0x95121157), np.uint64(0xCA5A8263)
 _W0 = np.uint64(0x9E3779B97F4A7C15)
 _W1 = np.uint64(0xBB67AE8584CAA73B)
 _ROUNDS = 10
@@ -29,40 +44,106 @@ _ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 # 2**-53; doubles are built from the top 53 bits of each 64-bit word.
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
+# blocks (of four words) per chunk of rows: the best of 2**13..2**16 measured
+# with two worker threads, where fewer, larger NumPy calls hold the
+# interpreter lock for less of the time (2**14 was the best single-threaded)
+_CHUNK_WORDS = 32_768
 
 
-def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128 bit product via 32-bit limbs (wrapping uint64)."""
+def _mulhilo(a: np.ndarray, m: np.uint64, m_lo: np.uint64,
+             m_hi: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * m``.
+
+    Each 32-bit partial product is formed once, and none of the sums
+    ``t = a_hi*m_lo + (a_lo*m_lo >> 32)``, ``w = (t & M32) + a_lo*m_hi``
+    and ``hi = a_hi*m_hi + (t >> 32) + (w >> 32)`` can wrap.
+    """
     lo = a * m
-    a_lo = a & _MASK32
     a_hi = a >> _SH32
-    m_lo = m & _MASK32
-    m_hi = m >> _SH32
-    carry = ((a_lo * m_lo) >> _SH32) + ((a_hi * m_lo) & _MASK32) + ((a_lo * m_hi) & _MASK32)
-    hi = a_hi * m_hi + ((a_hi * m_lo) >> _SH32) + ((a_lo * m_hi) >> _SH32) + (carry >> _SH32)
-    return hi, lo
+    a_lo = a & _MASK32
+    t = a_hi * m_lo
+    w = a_lo * m_lo
+    w >>= _SH32
+    t += w
+    np.bitwise_and(t, _MASK32, out=w)
+    a_lo *= m_hi
+    w += a_lo
+    w >>= _SH32
+    t >>= _SH32
+    a_hi *= m_hi
+    a_hi += t
+    a_hi += w
+    return a_hi, lo
 
 
-def _philox4x64(c0, c1, c2, c3, k0, k1):
-    """Ten Philox rounds over broadcastable uint64 arrays; returns 4 words."""
-    # at least 1-d so the key bumps stay on the (silent) array overflow path
-    k0 = np.atleast_1d(np.asarray(k0, dtype=np.uint64))
-    k1 = np.atleast_1d(np.asarray(k1, dtype=np.uint64))
+def _philox_into(out: np.ndarray, c0, c1, c2, c3, k0, k1) -> None:
+    """Ten Philox rounds; ``out[i, b]`` gets the four words of row i, block b.
+
+    The counters and keys are uint64 arrays, at least 1-d so that key
+    bumps wrap silently, that broadcast to ``out.shape[:2]``.
+    """
+    full = out.shape[:2]
     for r in range(_ROUNDS):
         if r:
             k0 = k0 + _W0
             k1 = k1 + _W1
-        hi0, lo0 = _mulhilo(c0, _M0)
-        hi1, lo1 = _mulhilo(c2, _M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+        hi0, lo0 = _mulhilo(c0, _M0, _M0_LO, _M0_HI)
+        hi1, lo1 = _mulhilo(c2, _M1, _M1_LO, _M1_HI)
+        # hi1 has the shape of c1 or a larger one, and k0 is (1, 1)
+        hi1 ^= c1
+        hi1 ^= k0
+        if hi0.shape == full:
+            hi0 ^= c3
+            hi0 ^= k1
+        else:
+            hi0 = hi0 ^ c3 ^ k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    out[..., 0] = c0
+    out[..., 1] = c1
+    out[..., 2] = c2
+    out[..., 3] = c3
 
 
 def _as_u64(x) -> np.uint64:
     return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _stream_keys(streams) -> np.ndarray:
+    """``streams`` as a 1-d uint64 array, rejecting anything else.
+
+    uint64 input is taken as is, with no pass over its values.
+    """
+    keys = np.asarray(streams)
+    if keys.ndim != 1:
+        raise ContractViolationError(
+            f"streams must be a 1-d array, got shape {keys.shape}")
+    if keys.size == 0 or keys.dtype == np.uint64:
+        return keys.astype(np.uint64, copy=False)
+    if keys.dtype.kind == "i":
+        if keys.min() < 0:
+            raise ContractViolationError("streams must be non-negative")
+    elif keys.dtype.kind != "u":
+        raise ContractViolationError(
+            f"streams must be integers, got dtype {keys.dtype}")
+    return keys.astype(np.uint64)
+
+
+def _chunk_rows(n_blocks: int) -> int:
+    return max(1, _CHUNK_WORDS // n_blocks)
+
+
+def _counters_and_key(seed: int, n_blocks: int, sub1: int, sub2: int):
+    """Broadcastable first, second and third/fourth counter words and seed key."""
+    # NumPy's Philox advances the counter before producing a block, so the
+    # first emitted block sits at counter word 1; match that exactly.
+    c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    c1 = np.zeros((1, 1), dtype=np.uint64)
+    c2 = np.full((1, 1), _as_u64(sub1))
+    c3 = np.full((1, 1), _as_u64(sub2))
+    k0 = np.full((1, 1), _as_u64(seed))
+    return c0, c1, c2, c3, k0
 
 
 def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
@@ -72,35 +153,46 @@ def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
     Returns a uint64 array of shape ``(len(streams), 4 * n_blocks)``; row i
     holds the words of stream ``streams[i]`` in counter order.  ``sub1`` and
     ``sub2`` select a substream by occupying the third and fourth counter
-    words (the block index occupies the first).
+    words (the block index occupies the first).  ``streams`` must be a
+    1-d array of non-negative integers and ``n_blocks`` at least 0, or
+    :class:`ContractViolationError` is raised.
     """
-    streams = np.asarray(streams, dtype=np.uint64)
-    # NumPy's Philox advances the counter before producing a block, so the
-    # first emitted block sits at counter word 1; match that exactly.
-    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(blocks, (streams.size, n_blocks))
-    zero = np.zeros((streams.size, n_blocks), dtype=np.uint64)
-    c2 = zero + _as_u64(sub1)
-    c3 = zero + _as_u64(sub2)
-    k0 = np.asarray(_as_u64(seed))
-    k1 = streams[:, None]
-    v0, v1, v2, v3 = _philox4x64(c0, zero, c2, c3, k0, k1)
-    out = np.empty((streams.size, n_blocks, 4), dtype=np.uint64)
-    out[..., 0] = v0
-    out[..., 1] = v1
-    out[..., 2] = v2
-    out[..., 3] = v3
-    return out.reshape(streams.size, 4 * n_blocks)
+    keys = _stream_keys(streams)
+    if n_blocks < 0:
+        raise ContractViolationError(f"n_blocks must be >= 0, got {n_blocks}")
+    out = np.empty((keys.size, n_blocks, 4), dtype=np.uint64)
+    if n_blocks:
+        c0, c1, c2, c3, k0 = _counters_and_key(seed, n_blocks, sub1, sub2)
+        step = _chunk_rows(n_blocks)
+        for lo in range(0, keys.size, step):
+            _philox_into(out[lo:lo + step], c0, c1, c2, c3, k0, keys[lo:lo + step, None])
+    return out.reshape(keys.size, 4 * n_blocks)
 
 
 def stream_uniforms(seed: int, streams: np.ndarray, n: int,
                     sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """Uniform [0,1) doubles, one row per stream, ``n`` per row."""
+    """Uniform [0,1) doubles, one row per stream, ``n`` per row.
+
+    Arguments are checked as in :func:`raw_blocks`.
+    """
+    keys = _stream_keys(streams)
+    if n < 0:
+        raise ContractViolationError(f"n must be >= 0, got {n}")
+    out = np.empty((keys.size, n))
     if n == 0:
-        return np.zeros((np.asarray(streams).size, 0))
+        return out
     n_blocks = -(-n // 4)
-    words = raw_blocks(seed, streams, n_blocks, sub1, sub2)
-    return (words[:, :n] >> _SH11).astype(np.float64) * _DOUBLE_SCALE
+    c0, c1, c2, c3, k0 = _counters_and_key(seed, n_blocks, sub1, sub2)
+    step = _chunk_rows(n_blocks)
+    buf = np.empty((min(step, keys.size), n_blocks, 4), dtype=np.uint64)
+    for lo in range(0, keys.size, step):
+        rows = keys[lo:lo + step]
+        words = buf[:rows.size]
+        _philox_into(words, c0, c1, c2, c3, k0, rows[:, None])
+        words >>= _SH11
+        np.multiply(words.reshape(rows.size, 4 * n_blocks)[:, :n], _DOUBLE_SCALE,
+                    out=out[lo:lo + step])
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ entry of its count's binomial CDF row, one-point differences by
 evaluating the functional on shifted count matrices, and the nested
 covariance estimators built on them, which draw every inner refresh
 field as a count matrix.
+
+For the stream generator it keeps the whole-batch Philox block
+function: every counter word a full-size array, every round over all
+streams at once, and the 128-bit products from a textbook limb sum.
 """
 
 from __future__ import annotations
@@ -257,3 +261,74 @@ def covariance_conditional_rhs(space, F, G, plan, t_nodes: int, inner: int) -> E
         return out
 
     return mc_estimate(plan, batch)
+
+
+# ---------------------------------------------------------------------------
+# Philox-4x64-10 over whole batches of streams
+
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SH32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Full 64x64 -> 128 bit product via 32-bit limbs (wrapping uint64)."""
+    lo = a * m
+    a_lo = a & _MASK32
+    a_hi = a >> _SH32
+    m_lo = m & _MASK32
+    m_hi = m >> _SH32
+    carry = ((a_lo * m_lo) >> _SH32) + ((a_hi * m_lo) & _MASK32) + ((a_lo * m_hi) & _MASK32)
+    hi = a_hi * m_hi + ((a_hi * m_lo) >> _SH32) + ((a_lo * m_hi) >> _SH32) + (carry >> _SH32)
+    return hi, lo
+
+
+def _philox4x64(c0, c1, c2, c3, k0, k1):
+    """Ten Philox rounds over broadcastable uint64 arrays; returns 4 words."""
+    # at least 1-d so the key bumps stay on the (silent) array overflow path
+    k0 = np.atleast_1d(np.asarray(k0, dtype=np.uint64))
+    k1 = np.atleast_1d(np.asarray(k1, dtype=np.uint64))
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W0
+            k1 = k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _as_u64(x) -> np.uint64:
+    return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
+
+
+def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
+               sub1: int = 0, sub2: int = 0) -> np.ndarray:
+    """``(len(streams), 4 * n_blocks)`` Philox words, all streams in one pass."""
+    streams = np.asarray(streams, dtype=np.uint64)
+    # NumPy's Philox advances the counter before producing a block, so the
+    # first emitted block sits at counter word 1
+    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(blocks, (streams.size, n_blocks))
+    zero = np.zeros((streams.size, n_blocks), dtype=np.uint64)
+    c2 = zero + _as_u64(sub1)
+    c3 = zero + _as_u64(sub2)
+    k0 = np.asarray(_as_u64(seed))
+    k1 = streams[:, None]
+    v0, v1, v2, v3 = _philox4x64(c0, zero, c2, c3, k0, k1)
+    out = np.empty((streams.size, n_blocks, 4), dtype=np.uint64)
+    out[..., 0] = v0
+    out[..., 1] = v1
+    out[..., 2] = v2
+    out[..., 3] = v3
+    return out.reshape(streams.size, 4 * n_blocks)
+
+
+def philox_uniforms(seed: int, streams: np.ndarray, n: int,
+                    sub1: int = 0, sub2: int = 0) -> np.ndarray:
+    """``stream_uniforms`` from :func:`raw_blocks`: doubles from the top 53 bits of each of the first ``n`` words."""
+    words = raw_blocks(seed, streams, -(-n // 4), sub1, sub2)
+    return (words[:, :n] >> np.uint64(11)).astype(np.float64) * 2.0**-53

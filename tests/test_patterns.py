@@ -248,6 +248,35 @@ class TestThinningLargeCounts:
             got = thin_counts_with_uniforms(counts, s, u)
             assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u))
 
+    def test_count_past_the_float_range_named_in_any_size_class(self):
+        counts = np.array([[1029, 3], [1031, 0]])
+        with pytest.raises(ContractViolationError, match="1031"):
+            thin_counts_with_uniforms(counts, 0.5, np.full(counts.shape, 0.3))
+
+    def test_batches_share_cdf_rows(self):
+        # keyed by each batch's exact largest count, 20 batches of Poisson(200)
+        # and Poisson(150) counts built 13 tables
+        rng = np.random.default_rng(3)
+        batches = [np.column_stack([rng.poisson(200, 4096), rng.poisson(150, 4096)])
+                   for _ in range(20)]
+        _binomial_cdf_rows.cache_clear()
+        for counts in batches:
+            thin_counts_with_uniforms(counts, 0.37, rng.random(counts.shape))
+        classes = {-(-int(c.max()) // THIN_TABLE_MAX_ROWS) for c in batches}
+        assert _binomial_cdf_rows.cache_info().misses == len(classes) <= 2
+
+    @pytest.mark.parametrize("top", [128, 129, 255, 256, 257, 1024, 1025, 1029])
+    def test_size_classes_keep_the_survivors(self, top):
+        rng = np.random.default_rng(top)
+        counts = rng.integers(0, top + 1, size=(300, 2))
+        counts[0, 1] = top
+        counts[1] = [top, 0]
+        u = rng.random(counts.shape)
+        u[2] = np.nextafter(1.0, 0.0)
+        for s in (0.0, 0.37, 0.5, 1.0):
+            got = thin_counts_with_uniforms(counts, s, u)
+            assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u))
+
     @pytest.mark.parametrize("s", [0.0, 0.02, 0.37, 0.5, 0.98, 1.0])
     def test_rows_equal_direct_coefficients(self, s):
         assert np.array_equal(_binomial_cdf_rows(200, s), oracle.binomial_cdf_rows(200, s))

@@ -1,9 +1,25 @@
 """Stream generator: reference agreement, independence, reproducibility."""
 
+import hashlib
+
 import numpy as np
+import pytest
 from numpy.random import Generator, Philox
 
+from poisson_chaos import rng
+from poisson_chaos.errors import ContractViolationError
 from poisson_chaos.rng import RngStream, raw_blocks, stream_uniforms
+
+import oracle
+
+TOP = 2**64 - 1
+
+
+def native_words(seed: int, stream: int, n_words: int, sub1: int = 0, sub2: int = 0):
+    """NumPy's own Philox-4x64 words for one stream and substream."""
+    bit_gen = Philox(key=np.array([seed, stream], dtype=np.uint64),
+                     counter=np.array([0, 0, sub1, sub2], dtype=np.uint64))
+    return bit_gen.random_raw(n_words).astype(np.uint64)
 
 
 class TestReferenceAgreement:
@@ -24,6 +40,93 @@ class TestReferenceAgreement:
         u = stream_uniforms(31, np.array([4], dtype=np.uint64), 19)[0]
         gen = Generator(Philox(key=[np.uint64(31), np.uint64(4)]))
         assert np.array_equal(u, gen.random(19))
+
+
+class TestChunkedBlocks:
+    """The chunked block function equals the whole-batch reference in
+    ``oracle`` and NumPy's Philox across chunk boundaries."""
+
+    def check(self, seed, streams, n, sub1=0, sub2=0, native_rows=()):
+        n_blocks = -(-n // 4)
+        words = raw_blocks(seed, streams, n_blocks, sub1, sub2)
+        assert np.array_equal(words, oracle.raw_blocks(seed, streams, n_blocks, sub1, sub2))
+        u = stream_uniforms(seed, streams, n, sub1, sub2)
+        assert u.shape == (streams.size, n)
+        assert np.array_equal(u, oracle.philox_uniforms(seed, streams, n, sub1, sub2))
+        for i in native_rows:
+            assert np.array_equal(words[i], native_words(seed, int(streams[i]), 4 * n_blocks,
+                                                         sub1, sub2))
+
+    @pytest.mark.parametrize("n", [3, 16, 49])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "two chunks + 3"])
+    def test_streams_around_a_chunk(self, n, extra):
+        step = rng._chunk_rows(-(-n // 4))
+        count = 2 * step + 3 if extra == "two chunks + 3" else step + extra
+        streams = np.arange(count, dtype=np.uint64) + np.uint64(1000)
+        edges = {0, step - 2, step - 1, step, step + 1, 2 * step, count - 1}
+        self.check(2024, streams, n, sub1=3, native_rows=sorted(i for i in edges if i < count))
+
+    def test_more_blocks_than_a_chunk(self):
+        # one row per chunk
+        n = 4 * (rng._CHUNK_WORDS + 1) - 2
+        assert rng._chunk_rows(-(-n // 4)) == 1
+        self.check(5, np.array([0, 7, TOP], dtype=np.uint64), n, sub2=9, native_rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 9, 13])
+    def test_words_not_a_multiple_of_four(self, n):
+        self.check(77, np.arange(40, dtype=np.uint64), n, native_rows=[0, 39])
+
+    def test_no_streams(self):
+        empty = np.array([], dtype=np.uint64)
+        self.check(1, empty, 8)
+        assert raw_blocks(1, np.arange(3, dtype=np.uint64), 0).shape == (3, 0)
+        assert stream_uniforms(1, np.arange(3, dtype=np.uint64), 0).shape == (3, 0)
+
+    def test_all_keys_and_counters_at_the_top(self):
+        streams = np.array([TOP, TOP - 1, 0], dtype=np.uint64)
+        self.check(TOP, streams, 11, sub1=TOP, sub2=TOP, native_rows=[0, 1, 2])
+        self.check(TOP, streams, 11, sub1=TOP - 1, sub2=TOP, native_rows=[0])
+
+    def test_golden_digest(self):
+        # integer arithmetic and an exact power-of-two scale: the same
+        # bytes on every platform
+        u = stream_uniforms(7919, np.arange(70_001, dtype=np.uint64), 49, sub1=2)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "2ab46b1d7a63ed7a3b3c9d2dd3857ff22e73ba5acfacefccdf9c84eab63b8d69")
+
+
+class TestInputContract:
+    """Bad arguments raise instead of returning a wrong shape or stream."""
+
+    @pytest.mark.parametrize("n", [-1, -3, -5])
+    def test_negative_word_count(self, n):
+        # -3 used to return shape (3, 0), -5 a bare ValueError
+        with pytest.raises(ContractViolationError):
+            stream_uniforms(1, np.arange(3, dtype=np.uint64), n)
+        with pytest.raises(ContractViolationError):
+            raw_blocks(1, np.arange(3, dtype=np.uint64), n)
+
+    @pytest.mark.parametrize("streams", [
+        np.array([3, -1]),                          # used to wrap to 2**64 - 1
+        [-1],
+        np.array([1.7]),                            # used to become stream 1
+        [0.0, 1.0],
+        np.array([True, False]),
+        np.arange(6, dtype=np.uint64).reshape(2, 3),  # a bare broadcast error
+        np.uint64(4),
+    ])
+    def test_bad_streams(self, streams):
+        with pytest.raises(ContractViolationError):
+            stream_uniforms(1, streams, 4)
+        with pytest.raises(ContractViolationError):
+            raw_blocks(1, streams, 1)
+
+    def test_integer_streams_of_any_width(self):
+        want = stream_uniforms(3, np.array([0, 5, 2**40], dtype=np.uint64), 6)
+        for streams in ([0, 5, 2**40], np.array([0, 5, 2**40], dtype=np.int64)):
+            assert np.array_equal(stream_uniforms(3, streams, 6), want)
+        small = np.array([0, 5], dtype=np.uint8)
+        assert np.array_equal(stream_uniforms(3, small, 6), want[:2])
 
 
 class TestStreamContract:

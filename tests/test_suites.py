@@ -6,7 +6,7 @@ import pytest
 from poisson_chaos.config import load_config, parse_config
 from poisson_chaos.errors import (ConfigError, ContractViolationError,
                                   EvaluationError)
-from poisson_chaos.estimation import Estimate, McPlan
+from poisson_chaos.estimation import ENUMERATION_STATE_CAP, Estimate, McPlan
 from poisson_chaos.functionals import (CountPolynomial, CountTable, Exponential, Opaque,
                                        difference_rows)
 from poisson_chaos.patterns import (_poisson_cdf, poisson_counts_with_uniforms,
@@ -465,3 +465,17 @@ class TestConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"space": {"S1": {"a": -1.0}}})
+
+    @pytest.mark.parametrize("max_states", [0, -5, ENUMERATION_STATE_CAP + 1])
+    def test_max_states_outside_the_enumeration_cap_rejected(self, max_states):
+        # above the cap the budget passed and the enumeration raised later
+        with pytest.raises(ConfigError, match="max_states"):
+            parse_config({"space": {"S1": {"a": 1.0}},
+                          "oracle": {"max_states": max_states}})
+
+    def test_max_states_at_the_bounds_accepted(self):
+        for max_states in (1, ENUMERATION_STATE_CAP):
+            config = parse_config({"space": {"S1": {"a": 1.0}},
+                                   "oracle": {"max_states": max_states}})
+            assert config.max_states == max_states
+        assert load_config().max_states == ENUMERATION_STATE_CAP
