@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from .config import load_config
+from .config import check_seed, load_config
 from .errors import ConfigError
 from .report import summary_lines, write_report
 from .suites import run_suite, suite_names, SUITES
@@ -62,12 +62,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.seed is not None:
+            config.seed = check_seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-
-    if args.seed is not None:
-        config.seed = args.seed
     if args.replicates is not None:
         if args.replicates < 1:
             print("error: --replicates must be >= 1", file=sys.stderr)

@@ -81,6 +81,13 @@ def _build_functionals(raw: dict, spaces: dict) -> dict[str, Functional]:
     return functionals
 
 
+def check_seed(seed, what: str = "mc.seed") -> int:
+    """A run seed: an integer in [0, 2**64), the streams' key range."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{what} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def parse_config(document: dict) -> RunConfig:
     spaces = _build_spaces(document.get("space", {}))
     kernels = _build_kernels(document.get("kernels", {}), spaces)
@@ -106,7 +113,7 @@ def parse_config(document: dict) -> RunConfig:
         functionals=functionals,
         kernels=kernels,
         replicates=replicates,
-        seed=int(mc.get("seed", 20260808)),
+        seed=check_seed(mc.get("seed", 20260808)),
         oracle_tol=float(oracle.get("tail_tol", 1e-10)),
         max_states=max_states,
         policy=TolerancePolicy(z=float(tol.get("z", 4.0)),

@@ -13,8 +13,8 @@ the Monte Carlo engine fast.
 
 Sampled count matrices of the nested Monte Carlo stay inside a small
 box of counts, so :class:`CountTable` evaluates F once on every cell of
-the box ``prod_j [0, cap_j]`` and reads each one-point difference as
-two lookups by mixed-radix rank instead of evaluating F on shifted
+the box ``prod_j [0, cap_j]`` and reads the one-point differences of a
+row as one gather by mixed-radix rank instead of evaluating F on shifted
 copies of the matrix.  A batch with a count at or above the smallest
 cap, or with fewer than two rows, goes through :func:`difference_rows`,
 so the lookups and the evaluations give the same bits whenever a row's
@@ -426,6 +426,7 @@ class CountTable:
         sizes = [int(c) + 1 for c in caps]
         if len(sizes) != F.space.size or min(sizes) < 1:
             raise ContractViolationError("one nonnegative cap per atom is required")
+        self.caps = np.array(sizes, dtype=np.int64) - 1
         self.cap_min = min(sizes) - 1
         self.values = None
         cells = math.prod(sizes)

@@ -14,12 +14,6 @@ count, read from the table in one lookup.  Only uniforms falling in a
 bin that holds a CDF value go to a binary search, so the counts are
 exactly those of a binary search over the whole CDF.
 
-The nested Monte Carlo reads the same bins one step further: with each
-bin's count multiplied by an atom's mixed-radix step
-(:class:`ScaledInversion`), a field of uniforms inverts straight to its
-rank in a count box (:func:`inversion_ranks`), from guide-table bins
-computed once per uniform pool (:func:`inversion_bins`).
-
 Binomial thinning uses the same bins, one row per point count n: entry
 ``[n, i]`` is the number of survivors of every uniform in bin i of the
 Binomial(n, s) CDF row, or -1 where a CDF value falls in the bin.  The
@@ -52,8 +46,6 @@ THIN_TABLE_MIN_ROWS = 16
 THIN_TABLE_MAX_ROWS = 128
 # the largest count whose binomial coefficients all fit a float
 THIN_COUNT_MAX = 1029
-# rank offset of a uniform in a split bin of a scaled inversion table
-SPLIT_OFFSET = -(1 << 48)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,67 +235,6 @@ def _invert_cdf(table: PoissonTable, u: np.ndarray) -> np.ndarray:
     if split.size:
         k[split] = np.searchsorted(table.cdf, u[split], side="right")
     return k
-
-
-def inversion_bins(u: np.ndarray) -> np.ndarray:
-    """Guide-table bin ``floor(u * CDF_BINS)`` of each uniform, as int16.
-
-    The bins of a uniform pool are shared by every inversion table it
-    is read through (:func:`inversion_ranks`); int16 keeps them at a
-    quarter of the uniforms' size.
-    """
-    # one pass each; NaN fails both comparisons
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ContractViolationError("Poisson uniforms must lie in [0, 1)")
-    return np.multiply(u, CDF_BINS, out=np.empty(u.shape, dtype=np.int16), casting="unsafe")
-
-
-class ScaledInversion(NamedTuple):
-    """One atom's Poisson inversion times its mixed-radix rank step.
-
-    ``offsets[i]`` is ``table.bins[i] * step`` for a bin whose uniforms
-    all invert to the same count, and ``SPLIT_OFFSET`` for a split bin.
-    """
-
-    table: PoissonTable
-    step: int
-    offsets: np.ndarray
-
-    @classmethod
-    def of(cls, table: PoissonTable, step: int) -> "ScaledInversion":
-        offsets = np.where(table.bins < 0, SPLIT_OFFSET,
-                           table.bins.astype(np.int64) * int(step))
-        offsets.setflags(write=False)
-        return cls(table, int(step), offsets)
-
-
-def inversion_ranks(inversions: list[ScaledInversion], base: np.ndarray,
-                    bins: np.ndarray, u: np.ndarray, out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> np.ndarray:
-    """``base + sum_j _invert_cdf(inversions[j].table, u[:, j]) * step_j``.
-
-    ``u`` is (rows, atoms) and ``bins[j]`` is ``inversion_bins(u[:, j])``.
-    A mixed-radix rank is linear in the counts, so this is the rank of
-    ``counts + field`` given ``base``, the rank of ``counts``: one table
-    lookup per atom.  A row with a uniform in a split bin sums to a
-    negative number (``base`` and the offsets stay far below
-    ``-SPLIT_OFFSET``) and is inverted again by the binary search that
-    :func:`_invert_cdf` falls back to.
-    """
-    if out is None:
-        out = base.copy()
-    else:
-        np.copyto(out, base)
-    for j, inv in enumerate(inversions):
-        # clip: the bins are valid indices, and mode="raise" would buffer
-        out += inv.offsets.take(bins[j], out=scratch, mode="clip")
-    split = np.flatnonzero(out < 0)
-    if split.size:
-        rows, fixed = u[split], base[split]
-        for j, inv in enumerate(inversions):
-            fixed += np.searchsorted(inv.table.cdf, rows[:, j], side="right") * inv.step
-        out[split] = fixed
-    return out
 
 
 # ---------------------------------------------------------------------------

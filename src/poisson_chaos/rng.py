@@ -106,8 +106,16 @@ def _philox_into(out: np.ndarray, c0, c1, c2, c3, k0, k1) -> None:
     out[..., 3] = c3
 
 
-def _as_u64(x) -> np.uint64:
-    return np.uint64(int(x) & 0xFFFFFFFFFFFFFFFF)
+def _as_u64(name: str, x) -> np.uint64:
+    """A key or counter word; not an integer in [0, 2**64) raises, never wraps."""
+    if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+            or not 0 <= int(x) < 1 << 64):
+        raise ContractViolationError(f"{name} must be an integer in [0, 2**64), got {x!r}")
+    return np.uint64(int(x))
+
+
+def _lanes(seed, sub1, sub2) -> tuple[np.uint64, np.uint64, np.uint64]:
+    return _as_u64("seed", seed), _as_u64("sub1", sub1), _as_u64("sub2", sub2)
 
 
 def _stream_keys(streams) -> np.ndarray:
@@ -134,15 +142,16 @@ def _chunk_rows(n_blocks: int) -> int:
     return max(1, _CHUNK_WORDS // n_blocks)
 
 
-def _counters_and_key(seed: int, n_blocks: int, sub1: int, sub2: int):
-    """Broadcastable first, second and third/fourth counter words and seed key."""
+def _counters_and_key(lanes: tuple[np.uint64, np.uint64, np.uint64], n_blocks: int):
+    """Broadcastable counter words and seed key from checked :func:`_lanes`."""
+    seed, sub1, sub2 = lanes
     # NumPy's Philox advances the counter before producing a block, so the
     # first emitted block sits at counter word 1; match that exactly.
     c0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
     c1 = np.zeros((1, 1), dtype=np.uint64)
-    c2 = np.full((1, 1), _as_u64(sub1))
-    c3 = np.full((1, 1), _as_u64(sub2))
-    k0 = np.full((1, 1), _as_u64(seed))
+    c2 = np.full((1, 1), sub1)
+    c3 = np.full((1, 1), sub2)
+    k0 = np.full((1, 1), seed)
     return c0, c1, c2, c3, k0
 
 
@@ -154,15 +163,17 @@ def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
     holds the words of stream ``streams[i]`` in counter order.  ``sub1`` and
     ``sub2`` select a substream by occupying the third and fourth counter
     words (the block index occupies the first).  ``streams`` must be a
-    1-d array of non-negative integers and ``n_blocks`` at least 0, or
+    1-d array of non-negative integers, ``seed``, ``sub1`` and ``sub2``
+    integers in [0, 2**64) and ``n_blocks`` at least 0, or
     :class:`ContractViolationError` is raised.
     """
+    lanes = _lanes(seed, sub1, sub2)
     keys = _stream_keys(streams)
     if n_blocks < 0:
         raise ContractViolationError(f"n_blocks must be >= 0, got {n_blocks}")
     out = np.empty((keys.size, n_blocks, 4), dtype=np.uint64)
     if n_blocks:
-        c0, c1, c2, c3, k0 = _counters_and_key(seed, n_blocks, sub1, sub2)
+        c0, c1, c2, c3, k0 = _counters_and_key(lanes, n_blocks)
         step = _chunk_rows(n_blocks)
         for lo in range(0, keys.size, step):
             _philox_into(out[lo:lo + step], c0, c1, c2, c3, k0, keys[lo:lo + step, None])
@@ -175,6 +186,7 @@ def stream_uniforms(seed: int, streams: np.ndarray, n: int,
 
     Arguments are checked as in :func:`raw_blocks`.
     """
+    lanes = _lanes(seed, sub1, sub2)
     keys = _stream_keys(streams)
     if n < 0:
         raise ContractViolationError(f"n must be >= 0, got {n}")
@@ -182,7 +194,7 @@ def stream_uniforms(seed: int, streams: np.ndarray, n: int,
     if n == 0:
         return out
     n_blocks = -(-n // 4)
-    c0, c1, c2, c3, k0 = _counters_and_key(seed, n_blocks, sub1, sub2)
+    c0, c1, c2, c3, k0 = _counters_and_key(lanes, n_blocks)
     step = _chunk_rows(n_blocks)
     buf = np.empty((min(step, keys.size), n_blocks, 4), dtype=np.uint64)
     for lo in range(0, keys.size, step):
@@ -209,6 +221,10 @@ class RngStream:
     stream: int = 0
     sub1: int = 0
     sub2: int = 0
+
+    def __post_init__(self):
+        _lanes(self.seed, self.sub1, self.sub2)
+        _as_u64("stream", self.stream)
 
     def substream(self, a: int, b: int = 0) -> "RngStream":
         # +1 keeps every substream distinct from the root lane (0, 0).

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from ..errors import BudgetError
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
-from ..functionals import ChaosVector, CountTable, Functional
+from ..functionals import (COUNT_TABLE_CELL_CAP, ChaosVector, CountTable, Functional,
+                           difference_rows)
 from ..malliavin import gauss_legendre_unit
-from ..patterns import (ScaledInversion, _poisson_cdf, inversion_bins, inversion_ranks,
-                        poisson_counts_with_uniforms, sample_poisson_counts,
-                        thin_counts_with_uniforms)
+from ..patterns import _poisson_cdf, sample_poisson_counts, thin_counts_with_uniforms
 from ..rng import stream_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
@@ -60,135 +62,177 @@ def seeded_chaos_vector(space: MeasureSpace, order: int, seed: int) -> ChaosVect
     return ChaosVector(space, coeffs)
 
 
-def _inner_uniform_pool(seed: int, streams: np.ndarray, d: int, inner: int,
-                        lane: int) -> np.ndarray:
-    """(inner, batch, d) uniforms shared across quadrature nodes.
-
-    A view of each stream's ``inner * d`` uniforms in order, with no
-    contiguous copy: the rank route reads their bins (:func:`_pool_bins`)
-    and touches the uniforms only where a bin is split.
-    """
-    u = stream_uniforms(seed, streams, d * inner, sub1=lane, sub2=0)
-    return u.reshape(streams.size, inner, d).transpose(1, 0, 2)
-
-
-def _pool_bins(pool: np.ndarray) -> np.ndarray:
-    """(inner, d, batch) int16 guide-table bins of a pool: one contiguous
-    row per atom and inner sample, shared by every quadrature node."""
-    return inversion_bins(pool.transpose(0, 2, 1))
-
-
 def _difference_tables(space: MeasureSpace, *functionals: Functional) -> list[CountTable]:
     """Count tables for the nested estimators.
 
-    A sampled count is below its inversion table's length, and a thinned
-    count plus a refresh field of smaller mean below twice that, so each
-    atom's cap leaves room for one added point with a margin of two.
-    Batches that still reach a cap are evaluated (:class:`CountTable`).
+    A sampled count is below its inversion table's length, and so is a
+    point of a refresh field of smaller mean, so each atom's cap leaves
+    room for one added point with a margin of two.  Rows that still
+    reach a cap are evaluated (:class:`MehlerNode`).
     """
     caps = [2 * len(_poisson_cdf(float(w)).cdf) + 2 for w in space.weights]
     return [CountTable(F, caps) for F in functionals]
 
 
-def _inner_difference_sum(space: MeasureSpace, table: CountTable, kept: np.ndarray,
-                          scale: float, pool: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Sum over the pool's Poisson(weight * scale) refresh fields of the
-    one-point differences of the table's functional at ``kept + field``.
+def refresh_pmfs(space: MeasureSpace, scale: float) -> list[np.ndarray]:
+    """Per-atom pmf of the Poisson(weight * scale) counts that inversion
+    of :func:`_poisson_cdf` draws.
 
-    Rank route: a mixed-radix rank is linear in the counts, so the rank
-    of ``kept + field`` is ``kept @ radix`` plus one scaled inversion per
-    atom (:func:`inversion_ranks`), and the differences are one row
-    gather from the difference table.  It needs every row to stay below
-    the smallest cap, which is checked a priori from the largest count
-    each inversion table can return; otherwise (and for one-row batches
-    or a table without a box) each field is drawn as counts and its
-    differences taken from them.  The per-field sums run in the same
-    order on both routes, so they give the same bits.
+    A uniform below 1 treats every CDF value at or above 1 as 1, so the
+    support ends at the first of them, and the running sums of the pmf
+    are the clamped CDF values, ending at exactly 1.
     """
-    total = np.zeros(kept.shape)
-    tables = [_poisson_cdf(float(w * scale)) for w in space.weights]
-    reach = [len(tb.cdf) for tb in tables]
-    if (table.values is None or len(kept) < 2
-            or np.any(kept.max(axis=0) + reach > table.cap_min)):
-        for m in range(len(pool)):
-            field = poisson_counts_with_uniforms(space, scale, pool[m])
-            total += table.difference_rows(kept + field)
-        return total
-    inversions = [ScaledInversion.of(tb, step) for tb, step in zip(tables, table.radix)]
-    base = kept @ table.radix
-    rank = np.empty_like(base)
-    scratch = np.empty_like(base)
-    gathered = np.empty(kept.shape)
-    for m in range(len(pool)):
-        inversion_ranks(inversions, base, bins[m], pool[m], out=rank, scratch=scratch)
-        # every rank is inside the box; mode="raise" would buffer out
-        total += table.diffs.take(rank, axis=0, out=gathered, mode="clip")
-    return total
+    pmfs = []
+    for w in space.weights:
+        cdf = _poisson_cdf(float(w * scale)).cdf
+        top = int(np.searchsorted(cdf, 1.0))
+        pmfs.append(np.diff(np.minimum(cdf[:top + 1], 1.0), prepend=0.0))
+    return pmfs
+
+
+def smoothed_differences(table: CountTable, pmfs: list[np.ndarray]) -> np.ndarray:
+    """``S[r, x] = sum_k prod_j pmfs[j][k_j] * diffs[r + k @ radix, x]``.
+
+    One correlation with each atom's pmf along that atom's axis of the
+    box.  A cell whose count plus its pmf's length passes a cap sums
+    over a cut support and must not be read.
+    """
+    d = len(pmfs)
+    # mixed radix with radix[0] = 1: atom j is axis d - 1 - j in C order
+    smoothed = table.diffs.reshape(*(table.caps[::-1] + 1), d)
+    for j, pmf in enumerate(pmfs):
+        src = np.moveaxis(smoothed, d - 1 - j, 0)
+        out = np.zeros_like(src)
+        # ascending k, so every cell sums the pmf in the same order
+        for k, p in enumerate(pmf[:len(src)]):
+            out[:len(src) - k] += p * src[k:]
+        smoothed = np.moveaxis(out, 0, d - 1 - j)
+    return np.ascontiguousarray(smoothed).reshape(-1, d)
+
+
+class MehlerNode:
+    """Exact inner expectations of the nested estimators at one node t.
+
+    By Mehler's formula, ``P_t G(eta) = E[G(t-thinned eta + field)]``
+    with an independent Poisson((1 - t) lambda) refresh field, so given
+    the thinned pattern ``kept``, ``E[D_x G(kept + field)]`` is a row
+    gather at ``kept @ radix`` from G's smoothed difference table.  Rows
+    whose ``kept + reach`` could leave the box, and boxes with no table,
+    sum the evaluated differences over the field's support instead.
+    """
+
+    def __init__(self, space: MeasureSpace, t: float, tables: list[CountTable]):
+        self.t = t
+        self.tables = tables
+        self.pmfs = refresh_pmfs(space, 1.0 - t)
+        self.reach = np.array([len(p) for p in self.pmfs], dtype=np.int64)
+        support = int(np.prod(self.reach))
+        if support > COUNT_TABLE_CELL_CAP:
+            raise BudgetError(
+                f"refresh field support of {support} counts exceeds {COUNT_TABLE_CELL_CAP}")
+        self.smoothed = [None if tb.values is None else smoothed_differences(tb, self.pmfs)
+                         for tb in tables]
+
+    def evaluated(self, F: Functional, kept: np.ndarray) -> np.ndarray:
+        """``sum_k prod_j pmfs[j][k_j] * difference_rows(F, kept + k)``,
+        evaluated once per distinct row of ``kept``, in blocks of about
+        ``COUNT_TABLE_CELL_CAP`` shifted rows."""
+        uniq, inverse = np.unique(kept, axis=0, return_inverse=True)
+        points = np.indices(self.reach).reshape(len(self.reach), -1).T
+        probs = functools.reduce(np.multiply.outer, self.pmfs).ravel()
+        out = np.zeros(uniq.shape)
+        step = max(1, COUNT_TABLE_CELL_CAP // len(uniq))
+        for lo in range(0, len(points), step):
+            shifted = uniq[:, None, :] + points[None, lo:lo + step]
+            diffs = difference_rows(F, shifted.reshape(-1, kept.shape[1]))
+            out += np.tensordot(diffs.reshape(shifted.shape), probs[lo:lo + step], ([1], [0]))
+        return out[inverse.reshape(-1)]
+
+    def inner_means(self, kept: np.ndarray, top: np.ndarray, rank: np.ndarray,
+                    outs: list[np.ndarray]) -> None:
+        """Fill ``outs[i][row, x]`` with ``E[D_x F_i(kept[row] + field)]``.
+
+        ``top`` bounds every column of ``kept`` (the batch's largest
+        sampled counts), so most batches skip the per-row guard.
+        """
+        box = self.tables[0]
+        if box.values is None:
+            rows = np.arange(len(kept))
+        else:
+            np.matmul(kept, box.radix, out=rank)
+            for smoothed, out in zip(self.smoothed, outs):
+                # a rank past the box belongs to a row evaluated below
+                smoothed.take(rank, axis=0, out=out, mode="clip")
+            if np.all(top + self.reach <= box.caps):
+                return
+            rows = np.flatnonzero(np.any(kept + self.reach > box.caps, axis=1))
+        if rows.size:
+            for table, out in zip(self.tables, outs):
+                out[rows] = self.evaluated(table.F, kept[rows])
 
 
 def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
-                             plan: McPlan, t_nodes: int, inner: int) -> Estimate:
-    """Nested estimate of the semigroup covariance representation.
+                             plan: McPlan, t_nodes: int) -> Estimate:
+    """Nested estimate of ``E int_0^1 sum_x w_x D_xF(eta) P_t D_xG(eta) dt``.
 
-    Per replicate: sample a pattern, pair the exact one-point difference
-    of F with an inner average of the difference of G at the thinned-
-    plus-refreshed pattern, then integrate over the node grid and atoms.
-    One uniform pool drives the thinning and the refresh fields at every
-    node (common random numbers across the grid).  The refresh fields
-    are inverted straight to ranks in G's count table and the inner
-    differences read from its difference table
-    (:func:`_inner_difference_sum`).
+    Per replicate: sample a pattern, take the exact one-point difference
+    of F, and pair it at each Gauss-Legendre node with the Mehler form of
+    ``P_t D_xG``: the expectation of ``D_xG(kept + field)`` over a
+    Poisson((1 - t) lambda) refresh field given the t-thinned pattern,
+    read exactly from G's smoothed difference table
+    (:class:`MehlerNode`).  Only the pattern and its thinning are
+    sampled, with one thinning stream shared by every node (common
+    random numbers across the grid).
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
     table_f, table_g = _difference_tables(space, F, G)
+    mehler = [MehlerNode(space, float(t), [table_g]) for t in nodes]
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        b = streams.size
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        pool = _inner_uniform_pool(plan.seed, streams, d, inner, lane=2)
-        bins = _pool_bins(pool)
         df = table_f.difference_rows(counts)
-        out = np.zeros(b)
-        for t, wt in zip(nodes, weights):
-            kept = thin_counts_with_uniforms(counts, float(t), u_thin)
-            inner_sum = _inner_difference_sum(space, table_g, kept, 1.0 - float(t),
-                                              pool, bins)
-            out += wt * (df * inner_sum / inner) @ space.weights
+        top = counts.max(axis=0)
+        rank = np.empty(len(counts), dtype=np.int64)
+        mean_g = np.empty(counts.shape)
+        out = np.zeros(streams.size)
+        for node, wt in zip(mehler, weights):
+            kept = thin_counts_with_uniforms(counts, node.t, u_thin)
+            node.inner_means(kept, top, rank, [mean_g])
+            out += wt * (df * mean_g) @ space.weights
         return out
 
     return mc_estimate(plan, batch)
 
 
 def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional,
-                               plan: McPlan, t_nodes: int, inner: int) -> Estimate:
-    """Nested estimate of the conditional-difference covariance form.
+                               plan: McPlan, t_nodes: int) -> Estimate:
+    """Nested estimate of
+    ``E int_0^1 sum_x w_x E[D_xF | kept_t] E[D_xG | kept_t] dt``.
 
-    The two conditional expectations are estimated from independent
-    inner sample pools so that their product is unbiased given the
-    thinned pattern.  Each pool's inner differences take the rank route
-    of :func:`_inner_difference_sum` through its own count table.
+    Given the t-thinned pattern, each conditional expectation is the
+    Mehler inner expectation over an independent Poisson((1 - t) lambda)
+    refresh field, read exactly from the functional's smoothed difference
+    table at one rank shared by F and G (:class:`MehlerNode`), so their
+    product needs no independent inner samples.
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
-    table_f, table_g = _difference_tables(space, F, G)
+    tables = _difference_tables(space, F, G)
+    mehler = [MehlerNode(space, float(t), tables) for t in nodes]
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        b = streams.size
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        pool_f = _inner_uniform_pool(plan.seed, streams, d, inner, lane=3)
-        pool_g = _inner_uniform_pool(plan.seed, streams, d, inner, lane=4)
-        # binned after both draws, so no bin array adds to a draw's peak
-        bins_f, bins_g = _pool_bins(pool_f), _pool_bins(pool_g)
-        out = np.zeros(b)
-        for t, wt in zip(nodes, weights):
-            kept = thin_counts_with_uniforms(counts, float(t), u_thin)
-            scale = 1.0 - float(t)
-            sum_f = _inner_difference_sum(space, table_f, kept, scale, pool_f, bins_f)
-            sum_g = _inner_difference_sum(space, table_g, kept, scale, pool_g, bins_g)
-            out += wt * ((sum_f / inner) * (sum_g / inner)) @ space.weights
+        top = counts.max(axis=0)
+        rank = np.empty(len(counts), dtype=np.int64)
+        mean_f, mean_g = np.empty(counts.shape), np.empty(counts.shape)
+        out = np.zeros(streams.size)
+        for node, wt in zip(mehler, weights):
+            kept = thin_counts_with_uniforms(counts, node.t, u_thin)
+            node.inner_means(kept, top, rank, [mean_f, mean_g])
+            out += wt * (mean_f * mean_g) @ space.weights
         return out
 
     return mc_estimate(plan, batch)

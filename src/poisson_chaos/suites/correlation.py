@@ -15,7 +15,6 @@ from .common import (POLY4, covariance_conditional_rhs,
                      covariance_semigroup_rhs, mc_covariance)
 
 T_NODES = 16
-INNER = 16
 OUTER_CAP = 100_000
 
 
@@ -55,7 +54,7 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
         def run_anchor(space=s1, estimator=estimator, case_id=case_id):
             plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
             F = CountPolynomial.total_count(space)
-            rhs = estimator(space, F, F, plan, T_NODES, INNER)
+            rhs = estimator(space, F, F, plan, T_NODES)
             lhs = _oracle_covariance(ctx, space, F, F)
             return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
 
@@ -68,7 +67,7 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
 
             def run_semi(space=space, F=F, G=G, case_id=case_id):
                 plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
-                rhs = covariance_semigroup_rhs(space, F, G, plan, T_NODES, INNER)
+                rhs = covariance_semigroup_rhs(space, F, G, plan, T_NODES)
                 lhs = _oracle_covariance(ctx, space, F, G)
                 return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
 
@@ -78,7 +77,7 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
 
             def run_cond(space=space, F=F, G=G, case_id=case_id):
                 plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
-                rhs = covariance_conditional_rhs(space, F, G, plan, T_NODES, INNER)
+                rhs = covariance_conditional_rhs(space, F, G, plan, T_NODES)
                 lhs = _oracle_covariance(ctx, space, F, G)
                 return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
 

@@ -9,9 +9,12 @@ can hold the count-matrix route against it pattern by pattern.
 For the nested Monte Carlo it keeps the direct primitives that the
 lookup tables replaced: thinning by comparing each uniform with every
 entry of its count's binomial CDF row, one-point differences by
-evaluating the functional on shifted count matrices, and the nested
-covariance estimators built on them, which draw every inner refresh
-field as a count matrix.
+evaluating the functional on shifted count matrices, and two pairs of
+nested covariance estimators built on them.  The sampled-inner pair
+draws every inner refresh field as a count matrix (the estimators the
+library used before its inner expectations became exact, kept as the
+statistical reference); the exact-inner pair sums the evaluated
+differences over an enumeration of the refresh field's law.
 
 For the stream generator it keeps the whole-batch Philox block
 function: every counter word a full-size array, every round over all
@@ -30,7 +33,8 @@ from poisson_chaos.estimation import Estimate, mc_estimate
 from poisson_chaos.functionals import difference_rows
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows,
-                                    poisson_counts_with_uniforms, sample_poisson_counts)
+                                    _poisson_cdf, poisson_counts_with_uniforms,
+                                    sample_poisson_counts)
 from poisson_chaos.rng import stream_uniforms
 from poisson_chaos.space import Kernel, contraction
 
@@ -258,6 +262,55 @@ def covariance_conditional_rhs(space, F, G, plan, t_nodes: int, inner: int) -> E
                 sum_g += difference_rows(G, kept + poisson_counts_with_uniforms(
                     space, 1.0 - float(t), pool_g[m]))
             out += wt * ((sum_f / inner) * (sum_g / inner)) @ space.weights
+        return out
+
+    return mc_estimate(plan, batch)
+
+
+def field_law(space, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Joint support (points, atoms) and probabilities of the
+    Poisson(weight * scale) field that CDF inversion draws: a uniform in
+    [0, 1) gives count k of atom j on ``[cdf[k - 1], cdf[k])``."""
+    supports, probs = [], []
+    for w in space.weights:
+        cdf = np.minimum(_poisson_cdf(float(w * scale)).cdf, 1.0)
+        supports.append(range(len(cdf)))
+        probs.append(np.diff(cdf, prepend=0.0))
+    points = np.array(list(itertools.product(*supports)), dtype=np.int64)
+    prob = np.ones(len(points))
+    for j, p in enumerate(probs):
+        prob *= p[points[:, j]]
+    return points, prob
+
+
+def exact_inner_means(F, kept: np.ndarray, law) -> np.ndarray:
+    """``E[D_x F(kept + field)]`` per row, by evaluating the differences
+    at every distinct kept row plus every point of the field's support."""
+    points, prob = law
+    uniq, inverse = np.unique(kept, axis=0, return_inverse=True)
+    shifted = (uniq[:, None, :] + points[None, :, :]).reshape(-1, kept.shape[1])
+    diffs = difference_rows(F, shifted).reshape(len(uniq), len(points), kept.shape[1])
+    return np.einsum("p,upx->ux", prob, diffs)[inverse.reshape(-1)]
+
+
+def covariance_exact_inner_rhs(space, F, G, plan, t_nodes: int,
+                               conditional: bool) -> Estimate:
+    """The library's nested estimators (semigroup form, or the conditional
+    form when ``conditional``) on the direct primitives, with the inner
+    expectations summed over the enumerated field law."""
+    nodes, weights = gauss_legendre_unit(t_nodes)
+    laws = [field_law(space, 1.0 - float(t)) for t in nodes]
+    d = space.size
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
+        df = difference_rows(F, counts)
+        out = np.zeros(streams.size)
+        for t, wt, law in zip(nodes, weights, laws):
+            kept = thin_counts_with_uniforms(counts, float(t), u_thin)
+            left = exact_inner_means(F, kept, law) if conditional else df
+            out += wt * (left * exact_inner_means(G, kept, law)) @ space.weights
         return out
 
     return mc_estimate(plan, batch)

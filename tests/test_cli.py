@@ -55,6 +55,16 @@ class TestExitCodes:
         path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["laplace", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_is_usage_error(self, seed, tiny_config, capsys):
+        # -1 used to run as seed 2**64 - 1 and pass
+        assert main(["laplace", "--config", str(tiny_config), "--seed", seed]) == 2
+        assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+
+    def test_seed_at_the_u64_bounds_runs(self, tiny_config, capsys):
+        for seed in ("0", str(2**64 - 1)):
+            assert main(["laplace", "--config", str(tiny_config), "--seed", seed]) == 0
+
     def test_passing_suite_exits_zero(self, tiny_config, capsys):
         assert main(["laplace", "--config", str(tiny_config)]) == 0
 

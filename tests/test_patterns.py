@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
+from poisson_chaos.functionals import CountTable, Exponential, difference_rows
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
-                                    ScaledInversion, _binomial_bins, _binomial_cdf_rows,
+                                    _binomial_bins, _binomial_cdf_rows,
                                     _invert_cdf, _poisson_cdf, factorial_counts,
-                                    inversion_bins, inversion_ranks,
                                     poisson_counts_with_uniforms,
                                     sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts,
                                     thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
+from poisson_chaos.suites.common import refresh_pmfs, smoothed_differences
 
 import oracle
 from oracle import factorial_apply, factorial_tensor_power
@@ -144,48 +145,67 @@ class TestPoissonInversion:
 
 
 class TestInversionRanks:
-    """Inverting straight to mixed-radix rank offsets gives
-    ``_invert_cdf(table, u) * step`` element for element."""
+    """Refresh fields at the Gauss-Legendre nodes and their ranks in a
+    count box: the pmf a smoothed difference table sums over is the law
+    that inversion draws, and the rank of ``kept + field`` is the rank of
+    ``kept`` plus each atom's count times its mixed-radix step."""
 
-    WEIGHTS = [0.3, 0.4, 1.0, 4.0]
-    STEPS = [1, 7, 45, 1620]
+    WEIGHTS = [0.4, 1.0, 4.0]
+
+    def box(self):
+        """A box with room for any count a weight-scale field can reach
+        (13, 19 and 34 of them), plus three."""
+        space = MeasureSpace(["a", "b", "c"], self.WEIGHTS)
+        caps = [len(p) + 3 for p in refresh_pmfs(space, 1.0)]
+        return space, CountTable(Exponential(space, [0.2, 0.5, 0.05]), caps)
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
     def test_one_atom_equals_scaled_inversion(self, t):
-        zeros = np.zeros(1, dtype=np.int64)
-        for w, step in zip(self.WEIGHTS, self.STEPS):
-            table = _poisson_cdf(float(w * (1.0 - float(t))))
-            u = TestPoissonInversion._probes(table.cdf)
-            bins = inversion_bins(u)
-            assert bins.dtype == np.int16
-            assert np.array_equal(bins, (u * CDF_BINS).astype(np.intp))
-            got = inversion_ranks([ScaledInversion.of(table, step)],
-                                  np.broadcast_to(zeros, u.shape), bins[None], u[:, None])
-            assert np.array_equal(got, _invert_cdf(table, u) * step)
+        """Per atom: every inverted count lies in the support of the
+        refresh pmf, whose running sums are the clamped CDF values that
+        the inversion searches; and the table smoothed along that atom
+        alone is the pmf-weighted sum of the rows ``k`` steps away."""
+        space, table = self.box()
+        pmfs = refresh_pmfs(space, 1.0 - float(t))
+        cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
+        for j, (w, pmf) in enumerate(zip(self.WEIGHTS, pmfs)):
+            pt = _poisson_cdf(float(w * (1.0 - float(t))))
+            u = TestPoissonInversion._probes(pt.cdf)
+            k = _invert_cdf(pt, u)
+            assert k.max() < len(pmf)
+            edges = np.minimum(pt.cdf[:len(pmf)], 1.0)
+            assert edges[-1] == 1.0
+            assert np.array_equal(k, np.searchsorted(edges, u, side="right"))
+            np.testing.assert_allclose(np.cumsum(pmf), edges, rtol=0, atol=1e-15)
+            # the other atoms get a point mass at zero
+            alone = [pmf if i == j else np.ones(1) for i in range(space.size)]
+            read = np.flatnonzero(cells[:, j] + len(pmf) <= table.caps[j])
+            want = np.zeros((read.size, space.size))
+            for count, p in enumerate(pmf):
+                want += p * table.diffs[read + count * table.radix[j]]
+            assert np.array_equal(smoothed_differences(table, alone)[read], want)
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
     def test_atoms_sum_onto_the_base_rank(self, t):
+        space, table = self.box()
         rng = np.random.default_rng(17)
         u = stream_uniforms(23, np.arange(20_000, dtype=np.uint64), len(self.WEIGHTS))
         # a share of every column sits at a CDF value, a split-bin probe
         for j, w in enumerate(self.WEIGHTS):
             cdf = _poisson_cdf(float(w * (1.0 - float(t)))).cdf
             u[:500, j] = rng.choice(cdf[cdf < 1.0], size=500)
-        base = rng.integers(0, 1000, size=len(u))
-        tables = [_poisson_cdf(float(w * (1.0 - float(t)))) for w in self.WEIGHTS]
-        inversions = [ScaledInversion.of(tb, step) for tb, step in zip(tables, self.STEPS)]
-        bins = np.ascontiguousarray(inversion_bins(u).T)
-        want = base + sum(_invert_cdf(tb, u[:, j]) * step
-                          for j, (tb, step) in enumerate(zip(tables, self.STEPS)))
-        out, scratch = np.empty_like(base), np.empty_like(base)
-        assert inversion_ranks(inversions, base, bins, u, out=out, scratch=scratch) is out
-        assert np.array_equal(out, want)
-        assert np.array_equal(inversion_ranks(inversions, base, bins, u), want)
-
-    @pytest.mark.parametrize("u", [-0.5, -0.001, 1.0, 1.5, np.nan])
-    def test_uniforms_outside_unit_interval_rejected(self, u):
-        with pytest.raises(ContractViolationError):
-            inversion_bins(np.array([[0.5, 0.25], [u, 0.5]]))
+        field = poisson_counts_with_uniforms(space, 1.0 - float(t), u)
+        reach = np.array([len(p) for p in refresh_pmfs(space, 1.0 - float(t))])
+        assert np.all(field < reach)
+        base = rng.integers(0, table.caps - reach + 1, size=u.shape)
+        rank = (base + field) @ table.radix
+        want = base @ table.radix + sum(
+            _invert_cdf(_poisson_cdf(float(w * (1.0 - float(t)))), u[:, j]) * table.radix[j]
+            for j, w in enumerate(self.WEIGHTS))
+        assert np.array_equal(rank, want)
+        assert np.array_equal((rank[:, None] // table.radix) % (table.caps + 1), base + field)
+        np.testing.assert_allclose(table.diffs[rank], difference_rows(table.F, base + field),
+                                   rtol=1e-13, atol=1e-15)
 
 
 class TestThinning:

@@ -121,6 +121,42 @@ class TestInputContract:
         with pytest.raises(ContractViolationError):
             raw_blocks(1, streams, 1)
 
+    @pytest.mark.parametrize("word", ["seed", "sub1", "sub2"])
+    @pytest.mark.parametrize("value", [
+        -1,            # used to equal 2**64 - 1
+        2**64,         # used to equal 0
+        1.7,           # used to equal 1
+        2.0,
+        True,          # used to equal 1
+        np.float64(3.0),
+        np.int64(-2),
+    ])
+    def test_bad_seed_and_substream_words(self, word, value):
+        args = {"seed": 5, "sub1": 0, "sub2": 0, word: value}
+        streams = np.arange(3, dtype=np.uint64)
+        with pytest.raises(ContractViolationError, match=word):
+            stream_uniforms(args["seed"], streams, 4, args["sub1"], args["sub2"])
+        with pytest.raises(ContractViolationError, match=word):
+            raw_blocks(args["seed"], streams, 1, args["sub1"], args["sub2"])
+        with pytest.raises(ContractViolationError, match=word):
+            RngStream(args["seed"], 0, args["sub1"], args["sub2"])
+        # before any word is drawn
+        with pytest.raises(ContractViolationError, match=word):
+            stream_uniforms(args["seed"], streams, 0, args["sub1"], args["sub2"])
+
+    def test_bad_stream_handle_rejected(self):
+        for stream in (-1, 2**64, 0.5):
+            with pytest.raises(ContractViolationError, match="stream"):
+                RngStream(1, stream)
+
+    def test_integer_words_of_any_type(self):
+        streams = np.arange(3, dtype=np.uint64)
+        want = stream_uniforms(TOP, streams, 5, sub1=2**63, sub2=7)
+        for seed, sub1, sub2 in ((np.uint64(TOP), np.uint64(2**63), np.int8(7)),
+                                 (TOP, np.uint64(2**63), np.int64(7))):
+            assert np.array_equal(stream_uniforms(seed, streams, 5, sub1, sub2), want)
+        assert np.array_equal(RngStream(TOP, 1, 2**63, 7).uniforms(5), want[1])
+
     def test_integer_streams_of_any_width(self):
         want = stream_uniforms(3, np.array([0, 5, 2**40], dtype=np.uint64), 6)
         for streams in ([0, 5, 2**40], np.array([0, 5, 2**40], dtype=np.int64)):

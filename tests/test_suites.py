@@ -1,16 +1,20 @@
 """Suite registry and runner: coverage, determinism, row consistency."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from poisson_chaos.config import load_config, parse_config
-from poisson_chaos.errors import (ConfigError, ContractViolationError,
+from poisson_chaos import functionals, patterns
+from poisson_chaos.errors import (BudgetError, ConfigError, ContractViolationError,
                                   EvaluationError)
-from poisson_chaos.estimation import ENUMERATION_STATE_CAP, Estimate, McPlan
-from poisson_chaos.functionals import (CountPolynomial, CountTable, Exponential, Opaque,
-                                       difference_rows)
-from poisson_chaos.patterns import (_poisson_cdf, poisson_counts_with_uniforms,
-                                    sample_poisson_counts)
+from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
+                                      OracleBudget, PoissonEnumeration)
+from poisson_chaos.functionals import CountPolynomial, CountTable, Exponential, Opaque
+from poisson_chaos.malliavin import gauss_legendre_unit
+from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
 from poisson_chaos.space import MeasureSpace
 from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
@@ -23,7 +27,7 @@ from poisson_chaos.suites import common
 from poisson_chaos.suites.base import run_cases
 from poisson_chaos.suites.common import (covariance_conditional_rhs,
                                          covariance_semigroup_rhs, mc_covariance)
-from poisson_chaos.suites.correlation import check_monotone
+from poisson_chaos.suites.correlation import T_NODES, check_monotone
 
 import oracle
 
@@ -113,8 +117,6 @@ class TestQuickSuitePasses:
             assert all(r.verdict == "PASS" for r in rows)
 
     def test_covariance_green_small(self, quick_config):
-        import dataclasses
-
         config = dataclasses.replace(quick_config, replicates=5_000)
         rows = run_suite("covariance", config)
         assert all(r.verdict == "PASS" for r in rows)
@@ -288,91 +290,246 @@ class TestErrorRows:
             run_cases(SuiteSpec("power", ("power",), build), quick_config)
 
 
+def enumerated_covariance(space, F, G) -> float:
+    """Cov(F, G) by enumeration, as the covariance suite computes it."""
+    budget = OracleBudget.for_space(space, 1e-8, growth=common.POLY4)
+    enum = PoissonEnumeration.get(space, budget)
+    centred_f = F.evaluate_counts(enum.counts) - enum.expectation_of(F)
+    centred_g = G.evaluate_counts(enum.counts) - enum.expectation_of(G)
+    return enum.expectation_of_values(centred_f * centred_g)
+
+
+def first_and_last(config, space_name):
+    space = config.spaces[space_name]
+    pool = [f for f in config.functionals.values() if f.space is space]
+    return space, pool[0], pool[-1]
+
+
+ESTIMATORS = pytest.mark.parametrize("estimator", [
+    (covariance_semigroup_rhs, oracle.covariance_semigroup_rhs, False),
+    (covariance_conditional_rhs, oracle.covariance_conditional_rhs, True),
+], ids=["semigroup", "conditional"])
+
+
 class TestNestedEstimators:
-    """The rank route, the count tables and the binomial bin table give
-    the nested covariance estimators the same bits as the reference
-    estimators on the direct primitives."""
+    """The nested covariance estimators with exact Mehler inner
+    expectations: equal to the same estimators on the direct primitives,
+    in statistical agreement with the sampled-inner estimators they
+    replaced and with the enumerated covariance, and on their fallback
+    route equal to their tables."""
 
     # two batches, the second partial
     REPLICATES = (1 << 15) + 17
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("estimator", [
-        (covariance_semigroup_rhs, oracle.covariance_semigroup_rhs),
-        (covariance_conditional_rhs, oracle.covariance_conditional_rhs),
-    ], ids=["semigroup", "conditional"])
+    @ESTIMATORS
     @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
     def test_equal_to_direct_primitives(self, space_name, estimator, workers,
                                         quick_config, monkeypatch):
+        """Reference: binomial CDF rows for the thinning, evaluated
+        differences, and the enumerated field law for the inner sums."""
         monkeypatch.setenv("POISSON_CHAOS_THREADS", workers)
-        space = quick_config.spaces[space_name]
-        pool = [f for f in quick_config.functionals.values() if f.space is space]
-        F, G = pool[0], pool[-1]
-        plan = McPlan(self.REPLICATES, 5 + len(pool))
-        fast, reference = estimator
-        fields = self.spy_fields(monkeypatch)
-        got = fast(space, F, G, plan, 8, 4)
-        # every node of the packaged spaces takes the rank route
-        assert fields == []
-        want = reference(space, F, G, plan, 8, 4)
-        assert (got.mean, got.se, got.replicates) == (want.mean, want.se,
-                                                      want.replicates)
+        space, F, G = first_and_last(quick_config, space_name)
+        plan = McPlan(self.REPLICATES, 5 + space.size)
+        fast, _, conditional = estimator
+        got = fast(space, F, G, plan, 4)
+        want = oracle.covariance_exact_inner_rhs(space, F, G, plan, 4, conditional)
+        assert got.replicates == want.replicates
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15)
+        assert got.se == pytest.approx(want.se, rel=1e-9)
+
+    @ESTIMATORS
+    @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_agrees_with_sampled_inner_and_enumeration(self, space_name, estimator, seed,
+                                                       quick_config):
+        space, F, G = first_and_last(quick_config, space_name)
+        plan = McPlan(20_000, seed)
+        fast, sampled, _ = estimator
+        got = fast(space, F, G, plan, 8)
+        old = sampled(space, F, G, plan, 8, 4)
+        exact = enumerated_covariance(space, F, G)
+        assert abs(got.mean - old.mean) <= 4 * math.hypot(got.se, old.se)
+        for est in (got, old):
+            assert abs(est.mean - exact) <= 4 * est.se
+
+    @ESTIMATORS
+    def test_one_and_two_workers_equal(self, estimator, quick_config, monkeypatch):
+        space, F, G = first_and_last(quick_config, "S2")
+        plan = McPlan(self.REPLICATES, 13)
+        results = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("POISSON_CHAOS_THREADS", workers)
+            results.append(estimator[0](space, F, G, plan, 16))
+        assert results[0] == results[1]
+
+    @ESTIMATORS
+    def test_no_inner_stream_lanes(self, estimator, quick_config, monkeypatch):
+        """Only the pattern (lane 0) and its thinning (lane 1) are drawn;
+        the sampled-inner estimators used lanes 2 to 4."""
+        lanes = []
+        for module in (common, patterns):
+            original = module.stream_uniforms
+
+            def recorded(seed, streams, n, sub1=0, sub2=0, original=original):
+                lanes.append(sub1)
+                return original(seed, streams, n, sub1, sub2)
+
+            monkeypatch.setattr(module, "stream_uniforms", recorded)
+        space, F, G = first_and_last(quick_config, "S2")
+        estimator[0](space, F, G, McPlan(self.REPLICATES, 13), 16)
+        assert lanes and set(lanes) == {0, 1}
 
     @staticmethod
-    def spy_fields(monkeypatch) -> list:
-        """Row counts of the refresh fields the estimators draw as counts."""
+    def spy_evaluated(monkeypatch) -> list:
+        """Row counts of the kept matrices the fallback route evaluates."""
         calls = []
-        original = common.poisson_counts_with_uniforms
+        original = common.MehlerNode.evaluated
 
-        def recorded(space, scale, u):
-            calls.append(len(u))
-            return original(space, scale, u)
+        def recorded(self, F, kept):
+            calls.append(len(kept))
+            return original(self, F, kept)
 
-        monkeypatch.setattr(common, "poisson_counts_with_uniforms", recorded)
+        monkeypatch.setattr(common.MehlerNode, "evaluated", recorded)
         return calls
 
-    @pytest.mark.parametrize("estimator", [
-        (covariance_semigroup_rhs, oracle.covariance_semigroup_rhs, 1),
-        (covariance_conditional_rhs, oracle.covariance_conditional_rhs, 2),
-    ], ids=["semigroup", "conditional"])
-    def test_small_caps_take_the_evaluated_route(self, estimator, quick_config,
-                                                 monkeypatch):
-        fast, reference, pools = estimator
-        space = quick_config.spaces["S2"]
-        pool = [f for f in quick_config.functionals.values() if f.space is space]
-        F, G = pool[0], pool[-1]
-        plan = McPlan(5_000, 9)
-        monkeypatch.setattr(common, "_difference_tables", lambda space, *functionals: [
-            CountTable(f, [6] * space.size) for f in functionals])
-        fields = self.spy_fields(monkeypatch)
-        got = fast(space, F, G, plan, 4, 3)
-        assert fields == [5_000] * (4 * 3 * pools)
-        want = reference(space, F, G, plan, 4, 3)
-        assert (got.mean, got.se) == (want.mean, want.se)
-
     def test_guard_boundary(self, monkeypatch):
-        """A table whose smallest cap is one above the largest count that
-        the kept counts plus a field can reach takes the rank route; one
-        cap less sends every field through the count route."""
+        """A row whose kept counts plus the field's reach meet the caps is
+        read from the smoothed table; one cap less sends it, and every
+        row like it, through the evaluated route.  Both give the inner
+        means of the enumerated field law."""
         space = MeasureSpace(["a", "b"], [0.5, 1.0])
         G = Exponential(space, [0.3, 0.7])
-        scale, inner = 0.6, 3
+        t = 0.4
         rng = np.random.default_rng(3)
         kept = rng.integers(0, 4, size=(400, 2))
         kept[0] = 3
-        pool = rng.random((inner, 400, 2))
-        # the first row's fields reach the top of their tables
-        pool[:, 0, :] = np.nextafter(1.0, 0.0)
-        bins = common._pool_bins(pool)
-        reach = [len(_poisson_cdf(float(w * scale)).cdf) for w in space.weights]
-        want = sum(difference_rows(G, kept + poisson_counts_with_uniforms(space, scale, u))
-                   for u in pool)
-        for cap, fields_drawn in ((3 + max(reach), 0), (2 + max(reach), inner)):
-            table = CountTable(G, [cap, cap])
-            fields = self.spy_fields(monkeypatch)
-            got = common._inner_difference_sum(space, table, kept, scale, pool, bins)
-            assert len(fields) == fields_drawn, cap
-            assert np.array_equal(got, want), cap
+        reach = common.MehlerNode(space, t, []).reach
+        want = oracle.exact_inner_means(G, kept, oracle.field_law(space, 1.0 - t))
+        rows = self.spy_evaluated(monkeypatch)
+        for cap in (3 + max(reach), 2 + max(reach)):
+            node = common.MehlerNode(space, t, [CountTable(G, [cap, cap])])
+            out = np.empty(kept.shape)
+            rows.clear()
+            node.inner_means(kept, kept.max(axis=0), np.empty(len(kept), dtype=np.int64),
+                             [out])
+            past = int(np.sum(np.any(kept + reach > cap, axis=1)))
+            assert rows == ([past] if past else []), cap
+            np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-14)
+        assert rows and 0 < rows[0] < len(kept)
+
+    @ESTIMATORS
+    def test_small_caps_take_the_evaluated_route(self, estimator, quick_config,
+                                                 monkeypatch):
+        """With caps of 20, rows whose field could leave the box are
+        evaluated and the rest read from the smaller tables; both give
+        the full tables' values."""
+        fast = estimator[0]
+        space, F, G = first_and_last(quick_config, "S2")
+        plan = McPlan(5_000, 9)
+        want = fast(space, F, G, plan, 8)
+        monkeypatch.setattr(common, "_difference_tables", lambda space, *functionals: [
+            CountTable(f, [20] * space.size) for f in functionals])
+        rows = self.spy_evaluated(monkeypatch)
+        got = fast(space, F, G, plan, 8)
+        assert rows and min(rows) < 5_000
+        assert got.mean == pytest.approx(want.mean, rel=0, abs=1e-14)
+        assert got.se == pytest.approx(want.se, rel=0, abs=1e-14)
+
+    @ESTIMATORS
+    def test_box_without_table_is_evaluated(self, estimator, quick_config, monkeypatch):
+        fast = estimator[0]
+        space, F, G = first_and_last(quick_config, "S2")
+        plan = McPlan(2_000, 9)
+        want = fast(space, F, G, plan, 4)
+        monkeypatch.setattr(functionals, "COUNT_TABLE_CELL_CAP", 1)
+        rows = self.spy_evaluated(monkeypatch)
+        got = fast(space, F, G, plan, 4)
+        assert rows and set(rows) == {2_000}
+        assert got.mean == pytest.approx(want.mean, rel=0, abs=1e-14)
+        assert got.se == pytest.approx(want.se, rel=0, abs=1e-14)
+
+    @ESTIMATORS
+    def test_oversized_field_support_raises(self, estimator):
+        # four atoms of mean 30: about 70**4 support points and no table
+        space = MeasureSpace(["a", "b", "c", "d"], [30.0] * 4)
+        F = CountPolynomial.total_count(space)
+        with pytest.raises(BudgetError, match="support"):
+            estimator[0](space, F, F, McPlan(100, 1), 4)
+
+    @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
+    def test_packaged_spaces_never_fall_back(self, space_name, quick_config, monkeypatch):
+        """Every count a sampler can return plus every point of a refresh
+        field stays inside the box, at every node, whatever the seed; and
+        a covariance run evaluates no inner expectation."""
+        space = quick_config.spaces[space_name]
+        table = common._difference_tables(space, CountPolynomial.total_count(space))[0]
+        assert table.values is not None
+        largest = np.array([len(p) - 1 for p in common.refresh_pmfs(space, 1.0)])
+        for t in gauss_legendre_unit(T_NODES)[0]:
+            node = common.MehlerNode(space, float(t), [table])
+            assert np.all(largest + node.reach <= table.caps), t
+        rows = self.spy_evaluated(monkeypatch)
+        config = dataclasses.replace(quick_config, replicates=2_000)
+        assert all(r.verdict == "PASS" for r in run_suite("covariance", config))
+        assert rows == []
+
+
+class TestSmoothedTables:
+    """Each smoothed difference table is the Mehler inner expectation
+    ``E[D_x F(kept + field)]``, field ~ Poisson((1 - t) lambda), on every
+    row the estimators read."""
+
+    @staticmethod
+    def kept_rows(space, table, node, t):
+        counts = sample_poisson_counts(space, 41, np.arange(4_000, dtype=np.uint64))
+        kept = thin_counts(counts, t, 41, np.arange(4_000, dtype=np.uint64), sub1=1)
+        # the far corner of the rows read from the table, and its faces
+        corner = table.caps - node.reach
+        faces = np.where(np.eye(space.size, dtype=bool), corner, 0)
+        return np.vstack([kept, corner, faces])
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 0.7, 0.99]
+                             + [float(t) for t in gauss_legendre_unit(T_NODES)[0]])
+    def test_equal_to_enumerated_field_law(self, t, quick_config):
+        for space_name in ("S1", "S2", "S3"):
+            space = quick_config.spaces[space_name]
+            pool = [f for f in quick_config.functionals.values() if f.space is space]
+            tables = common._difference_tables(space, *pool)
+            node = common.MehlerNode(space, t, tables)
+            kept = self.kept_rows(space, tables[0], node, t)
+            law = oracle.field_law(space, 1.0 - t)
+            for F, table, smoothed in zip(pool, tables, node.smoothed):
+                got = smoothed[kept @ table.radix]
+                want = oracle.exact_inner_means(F, kept, law)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 0.7, 0.99])
+    @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
+    def test_linear_functional_gives_equal_rows(self, space_name, t, quick_config):
+        """Integer coefficients give exactly constant differences, so every
+        row read is the same float sum; fractional ones round the
+        differences themselves."""
+        space = quick_config.spaces[space_name]
+
+        def linear(coeffs):
+            return CountPolynomial(space, [(c, tuple(int(i == j) for i in range(space.size)))
+                                           for j, c in enumerate(coeffs[:space.size])])
+
+        functionals = [CountPolynomial.total_count(space), linear([2.0, -3.0, 5.0]),
+                       linear([0.7, -1.3, 2.5])]
+        tables = common._difference_tables(space, *functionals)
+        node = common.MehlerNode(space, t, tables)
+        table = tables[0]
+        cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
+        read = np.all(cells + node.reach <= table.caps, axis=1)
+        total, integer, fractional = (smoothed[read] for smoothed in node.smoothed)
+        # the refresh pmfs sum to exactly one, so a unit difference stays one
+        assert np.all(total == 1.0)
+        assert np.array_equal(integer, np.broadcast_to(integer[0], integer.shape))
+        np.testing.assert_allclose(integer[0], [2.0, -3.0, 5.0][:space.size], rtol=1e-15)
+        np.testing.assert_allclose(fractional, np.broadcast_to(
+            [0.7, -1.3, 2.5][:space.size], fractional.shape), rtol=1e-13)
 
 
 def moments_reference(space, F, G, plan):
@@ -472,6 +629,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_states"):
             parse_config({"space": {"S1": {"a": 1.0}},
                           "oracle": {"max_states": max_states}})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 7.0, True, "3"])
+    def test_seed_outside_u64_rejected(self, seed):
+        # a negative seed used to reach the streams and wrap
+        with pytest.raises(ConfigError, match="mc.seed"):
+            parse_config({"space": {"S1": {"a": 1.0}}, "mc": {"seed": seed}})
+
+    def test_seed_at_the_u64_bounds_accepted(self):
+        for seed in (0, 2**64 - 1):
+            config = parse_config({"space": {"S1": {"a": 1.0}}, "mc": {"seed": seed}})
+            assert config.seed == seed
 
     def test_max_states_at_the_bounds_accepted(self):
         for max_states in (1, ENUMERATION_STATE_CAP):
