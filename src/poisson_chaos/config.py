@@ -10,6 +10,7 @@ time.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -88,6 +89,23 @@ def check_seed(seed, what: str = "mc.seed") -> int:
     return seed
 
 
+def _integer(value, what: str, lo: int, hi: int | None = None) -> int:
+    """An integer (a bool, a float or a string is not) in [lo, hi]."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{what} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A finite number (a bool or a string is not) as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_config(document: dict) -> RunConfig:
     spaces = _build_spaces(document.get("space", {}))
     kernels = _build_kernels(document.get("kernels", {}), spaces)
@@ -100,25 +118,27 @@ def parse_config(document: dict) -> RunConfig:
     for s in suites:
         if s not in known:
             raise ConfigError(f"unknown suite {s!r} in configuration")
-    replicates = int(mc.get("replicates", 200_000))
-    if replicates < 1:
-        raise ConfigError("mc.replicates must be >= 1")
+    replicates = _integer(mc.get("replicates", 200_000), "mc.replicates", 1)
     # the enumeration itself refuses more than ENUMERATION_STATE_CAP states
-    max_states = int(oracle.get("max_states", ENUMERATION_STATE_CAP))
-    if not 1 <= max_states <= ENUMERATION_STATE_CAP:
-        raise ConfigError(
-            f"oracle.max_states must lie in [1, {ENUMERATION_STATE_CAP}], got {max_states}")
+    max_states = _integer(oracle.get("max_states", ENUMERATION_STATE_CAP),
+                          "oracle.max_states", 1, ENUMERATION_STATE_CAP)
+    oracle_tol = _number(oracle.get("tail_tol", 1e-10), "oracle.tail_tol")
+    if not 0.0 < oracle_tol < 1.0:
+        raise ConfigError(f"oracle.tail_tol must lie in (0, 1), got {oracle_tol!r}")
+    policy = {}
+    for key, default in (("z", 4.0), ("abs_tol", 1e-6), ("exact_tol", 1e-9)):
+        policy[key] = _number(tol.get(key, default), f"tolerances.{key}")
+        if policy[key] < 0.0:
+            raise ConfigError(f"tolerances.{key} must be >= 0, got {policy[key]!r}")
     return RunConfig(
         spaces=spaces,
         functionals=functionals,
         kernels=kernels,
         replicates=replicates,
         seed=check_seed(mc.get("seed", 20260808)),
-        oracle_tol=float(oracle.get("tail_tol", 1e-10)),
+        oracle_tol=oracle_tol,
         max_states=max_states,
-        policy=TolerancePolicy(z=float(tol.get("z", 4.0)),
-                               abs_tol=float(tol.get("abs_tol", 1e-6)),
-                               exact_tol=float(tol.get("exact_tol", 1e-9))),
+        policy=TolerancePolicy(**policy),
         suites=list(suites),
     )
 

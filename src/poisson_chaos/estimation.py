@@ -135,7 +135,8 @@ def mc_estimate(plan: McPlan,
     m2 = 0.0
     for vals in batches:
         m2 += float(np.sum((vals - mean) ** 2))
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
+    # one replicate took the return above
+    se = math.sqrt(m2 / (n - 1) / n)
     return Estimate(mean=mean, se=se, replicates=n)
 
 

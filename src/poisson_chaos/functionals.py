@@ -10,15 +10,6 @@ sampled treatment.
 All functionals evaluate both on a single pattern and, vectorized, on a
 ``(replicates, atoms)`` count matrix; the vectorized path is what keeps
 the Monte Carlo engine fast.
-
-Sampled count matrices of the nested Monte Carlo stay inside a small
-box of counts, so :class:`CountTable` evaluates F once on every cell of
-the box ``prod_j [0, cap_j]`` and reads the one-point differences of a
-row as one gather by mixed-radix rank instead of evaluating F on shifted
-copies of the matrix.  A batch with a count at or above the smallest
-cap, or with fewer than two rows, goes through :func:`difference_rows`,
-so the lookups and the evaluations give the same bits whenever a row's
-value does not depend on which multi-row matrix holds it.
 """
 
 from __future__ import annotations
@@ -36,8 +27,6 @@ from .space import Kernel, MeasureSpace, symmetrize, tensor_power
 
 ITERATED_DIFFERENCE_CAP = 6
 CHAOS_ORDER_CAP = 4
-# largest count box a CountTable evaluates F on
-COUNT_TABLE_CELL_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -403,53 +392,6 @@ def difference_rows(F: Functional, counts: np.ndarray) -> np.ndarray:
     base = F.evaluate_counts(counts)
     return np.stack([difference_counts(F, x, counts, base)
                      for x in range(counts.shape[1])], axis=1)
-
-
-class CountTable:
-    """F evaluated once on the count box ``prod_j [0, caps[j]]``.
-
-    Cell r of the box is the count vector with entries
-    ``(r // radix[j]) % (caps[j] + 1)`` (mixed radix, ``radix[0] = 1``),
-    and the box is evaluated as one multi-row matrix.  A box of fewer
-    than two cells (a one-row matrix takes another floating-point route)
-    or of more than ``COUNT_TABLE_CELL_CAP`` cells gets no table.
-
-    ``diffs`` is the ``(cells, atoms)`` difference table,
-    ``diffs[r, x] = values[r + radix[x]] - values[r]``, so the one-point
-    differences of a batch are one row gather at the batch's ranks.  A
-    row whose count at x is at its cap holds no difference at x and is
-    never read.
-    """
-
-    def __init__(self, F: Functional, caps: Sequence[int]):
-        self.F = F
-        sizes = [int(c) + 1 for c in caps]
-        if len(sizes) != F.space.size or min(sizes) < 1:
-            raise ContractViolationError("one nonnegative cap per atom is required")
-        self.caps = np.array(sizes, dtype=np.int64) - 1
-        self.cap_min = min(sizes) - 1
-        self.values = None
-        cells = math.prod(sizes)
-        if 2 <= cells <= COUNT_TABLE_CELL_CAP:
-            self.radix = np.cumprod([1] + sizes[:-1], dtype=np.int64)
-            box = (np.arange(cells, dtype=np.int64)[:, None] // self.radix) % sizes
-            self.values = F.evaluate_counts(box)
-            self.diffs = np.empty((cells, len(sizes)))
-            cell = np.arange(cells, dtype=np.int64)
-            for x, step in enumerate(self.radix):
-                np.subtract(np.take(self.values, cell + step, mode="clip"), self.values,
-                            out=self.diffs[:, x])
-
-    def difference_rows(self, counts: np.ndarray) -> np.ndarray:
-        """:func:`difference_rows` of F, read from the table.
-
-        Counts are nonnegative; a batch with a count at or above the
-        smallest cap (so some shifted row could leave the box) or with
-        fewer than two rows is evaluated instead.
-        """
-        if self.values is None or len(counts) < 2 or counts.max() >= self.cap_min:
-            return difference_rows(self.F, counts)
-        return self.diffs.take(counts @ self.radix, axis=0)
 
 
 def iterated_difference(F: Functional, atom_indices: Sequence[int],

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from ..errors import BudgetError
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
-from ..functionals import (COUNT_TABLE_CELL_CAP, ChaosVector, CountTable, Functional,
-                           difference_rows)
+from ..functionals import ChaosVector, Functional, difference_rows
 from ..malliavin import gauss_legendre_unit
 from ..patterns import _poisson_cdf, sample_poisson_counts, thin_counts_with_uniforms
 from ..rng import stream_uniforms
@@ -62,16 +62,39 @@ def seeded_chaos_vector(space: MeasureSpace, order: int, seed: int) -> ChaosVect
     return ChaosVector(space, coeffs)
 
 
-def _difference_tables(space: MeasureSpace, *functionals: Functional) -> list[CountTable]:
-    """Count tables for the nested estimators.
+# largest count box a CountTable evaluates F on
+COUNT_TABLE_CELL_CAP = 1 << 16
 
-    A sampled count is below its inversion table's length, and so is a
-    point of a refresh field of smaller mean, so each atom's cap leaves
-    room for one added point with a margin of two.  Rows that still
-    reach a cap are evaluated (:class:`MehlerNode`).
+
+class CountTable:
+    """F evaluated once on the count box ``prod_j [0, caps[j]]``.
+
+    Cell r of the box is the count vector with entries
+    ``(r // radix[j]) % (caps[j] + 1)`` (mixed radix, ``radix[0] = 1``),
+    and the box is evaluated as one multi-row matrix.  A box of more
+    than ``COUNT_TABLE_CELL_CAP`` cells gets no table (``values`` is
+    None).
+
+    ``diffs`` is the ``(cells, atoms)`` difference table,
+    ``diffs[r, x] = values[r + radix[x]] - values[r]``.  A cell whose
+    count at x is at its cap holds no difference at x; the caps of
+    :func:`mehler_nodes` keep every read off those cells.
     """
-    caps = [2 * len(_poisson_cdf(float(w)).cdf) + 2 for w in space.weights]
-    return [CountTable(F, caps) for F in functionals]
+
+    def __init__(self, F: Functional, caps: np.ndarray):
+        self.F = F
+        self.caps = caps
+        sizes = caps + 1
+        self.values = None
+        cells = math.prod(sizes.tolist())
+        if cells <= COUNT_TABLE_CELL_CAP:
+            self.radix = np.cumprod([1, *sizes[:-1]], dtype=np.int64)
+            cell = np.arange(cells, dtype=np.int64)
+            self.values = F.evaluate_counts((cell[:, None] // self.radix) % sizes)
+            self.diffs = np.empty((cells, len(sizes)))
+            for x, step in enumerate(self.radix):
+                np.subtract(np.take(self.values, cell + step, mode="clip"), self.values,
+                            out=self.diffs[:, x])
 
 
 def refresh_pmfs(space: MeasureSpace, scale: float) -> list[np.ndarray]:
@@ -95,7 +118,7 @@ def smoothed_differences(table: CountTable, pmfs: list[np.ndarray]) -> np.ndarra
 
     One correlation with each atom's pmf along that atom's axis of the
     box.  A cell whose count plus its pmf's length passes a cap sums
-    over a cut support and must not be read.
+    over a cut support and is never read (see :func:`mehler_nodes`).
     """
     d = len(pmfs)
     # mixed radix with radix[0] = 1: atom j is axis d - 1 - j in C order
@@ -116,9 +139,10 @@ class MehlerNode:
     By Mehler's formula, ``P_t G(eta) = E[G(t-thinned eta + field)]``
     with an independent Poisson((1 - t) lambda) refresh field, so given
     the thinned pattern ``kept``, ``E[D_x G(kept + field)]`` is a row
-    gather at ``kept @ radix`` from G's smoothed difference table.  Rows
-    whose ``kept + reach`` could leave the box, and boxes with no table,
-    sum the evaluated differences over the field's support instead.
+    gather at ``kept @ radix`` from G's smoothed difference table.  At
+    t = 1 the field is empty and the gather reads ``D_x G(kept)``.  A
+    box with no table sums the evaluated differences over the field's
+    support instead.
     """
 
     def __init__(self, space: MeasureSpace, t: float, tables: list[CountTable]):
@@ -148,58 +172,69 @@ class MehlerNode:
             out += np.tensordot(diffs.reshape(shifted.shape), probs[lo:lo + step], ([1], [0]))
         return out[inverse.reshape(-1)]
 
-    def inner_means(self, kept: np.ndarray, top: np.ndarray, rank: np.ndarray,
+    def inner_means(self, kept: np.ndarray, rank: np.ndarray,
                     outs: list[np.ndarray]) -> None:
         """Fill ``outs[i][row, x]`` with ``E[D_x F_i(kept[row] + field)]``.
 
-        ``top`` bounds every column of ``kept`` (the batch's largest
-        sampled counts), so most batches skip the per-row guard.
+        ``kept`` holds sampled counts or thinnings of them, which the box
+        invariant of :func:`mehler_nodes` covers.
         """
-        box = self.tables[0]
-        if box.values is None:
-            rows = np.arange(len(kept))
-        else:
-            np.matmul(kept, box.radix, out=rank)
-            for smoothed, out in zip(self.smoothed, outs):
-                # a rank past the box belongs to a row evaluated below
-                smoothed.take(rank, axis=0, out=out, mode="clip")
-            if np.all(top + self.reach <= box.caps):
-                return
-            rows = np.flatnonzero(np.any(kept + self.reach > box.caps, axis=1))
-        if rows.size:
+        if self.tables[0].values is None:
             for table, out in zip(self.tables, outs):
-                out[rows] = self.evaluated(table.F, kept[rows])
+                out[...] = self.evaluated(table.F, kept)
+            return
+        np.matmul(kept, self.tables[0].radix, out=rank)
+        for smoothed, out in zip(self.smoothed, outs):
+            # every rank is in the box; "clip" skips the buffered range check
+            smoothed.take(rank, axis=0, out=out, mode="clip")
+
+
+def mehler_nodes(space: MeasureSpace, ts, functionals: list[Functional]) -> list[MehlerNode]:
+    """A :class:`MehlerNode` at each t of ``ts``, all reading one count
+    table per functional on a box sized from those nodes.
+
+    The box invariant: every cell the nodes read lies in the box.  A
+    sampled count of atom j is at most ``largest_j``, the last count of
+    ``refresh_pmfs(space, 1.0)[j]``; thinning only lowers it; a node's
+    refresh field adds at most ``reach_j(t) - 1``; and the difference at
+    j reads one cell further.  So caps of ``largest_j + max_t reach_j(t)``
+    hold every read, and no row needs a guard.
+    """
+    largest = np.array([len(p) - 1 for p in refresh_pmfs(space, 1.0)])
+    reach = np.max([[len(p) for p in refresh_pmfs(space, 1.0 - float(t))] for t in ts],
+                   axis=0)
+    tables = [CountTable(F, largest + reach) for F in functionals]
+    return [MehlerNode(space, float(t), tables) for t in ts]
 
 
 def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
                              plan: McPlan, t_nodes: int) -> Estimate:
     """Nested estimate of ``E int_0^1 sum_x w_x D_xF(eta) P_t D_xG(eta) dt``.
 
-    Per replicate: sample a pattern, take the exact one-point difference
-    of F, and pair it at each Gauss-Legendre node with the Mehler form of
-    ``P_t D_xG``: the expectation of ``D_xG(kept + field)`` over a
-    Poisson((1 - t) lambda) refresh field given the t-thinned pattern,
-    read exactly from G's smoothed difference table
+    Per replicate: sample a pattern, read the one-point difference of F
+    at the t = 1 node, and pair it at each Gauss-Legendre node with the
+    Mehler form of ``P_t D_xG``: the expectation of ``D_xG(kept + field)``
+    over a Poisson((1 - t) lambda) refresh field given the t-thinned
+    pattern, read exactly from G's smoothed difference table
     (:class:`MehlerNode`).  Only the pattern and its thinning are
     sampled, with one thinning stream shared by every node (common
     random numbers across the grid).
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
-    table_f, table_g = _difference_tables(space, F, G)
-    mehler = [MehlerNode(space, float(t), [table_g]) for t in nodes]
+    (at_one,) = mehler_nodes(space, [1.0], [F])
+    mehler = mehler_nodes(space, nodes, [G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        df = table_f.difference_rows(counts)
-        top = counts.max(axis=0)
         rank = np.empty(len(counts), dtype=np.int64)
-        mean_g = np.empty(counts.shape)
+        df, mean_g = np.empty(counts.shape), np.empty(counts.shape)
+        at_one.inner_means(counts, rank, [df])
         out = np.zeros(streams.size)
         for node, wt in zip(mehler, weights):
             kept = thin_counts_with_uniforms(counts, node.t, u_thin)
-            node.inner_means(kept, top, rank, [mean_g])
+            node.inner_means(kept, rank, [mean_g])
             out += wt * (df * mean_g) @ space.weights
         return out
 
@@ -219,19 +254,17 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
-    tables = _difference_tables(space, F, G)
-    mehler = [MehlerNode(space, float(t), tables) for t in nodes]
+    mehler = mehler_nodes(space, nodes, [F, G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        top = counts.max(axis=0)
         rank = np.empty(len(counts), dtype=np.int64)
         mean_f, mean_g = np.empty(counts.shape), np.empty(counts.shape)
         out = np.zeros(streams.size)
         for node, wt in zip(mehler, weights):
             kept = thin_counts_with_uniforms(counts, node.t, u_thin)
-            node.inner_means(kept, top, rank, [mean_f, mean_g])
+            node.inner_means(kept, rank, [mean_f, mean_g])
             out += wt * (mean_f * mean_g) @ space.weights
         return out
 

@@ -65,6 +65,39 @@ class TestExitCodes:
         for seed in ("0", str(2**64 - 1)):
             assert main(["laplace", "--config", str(tiny_config), "--seed", seed]) == 0
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mc", "replicates", "abc"),
+        ("mc", "replicates", 2.7),
+        ("mc", "replicates", True),
+        ("mc", "replicates", 0),
+        ("oracle", "max_states", 2.5),
+        ("oracle", "tail_tol", 0.0),
+        ("oracle", "tail_tol", 1.0),
+        ("oracle", "tail_tol", "1e-10"),
+        ("tolerances", "z", "nan"),
+        ("tolerances", "z", float("nan")),
+        ("tolerances", "z", -1.0),
+        ("tolerances", "abs_tol", -1e-6),
+        ("tolerances", "abs_tol", 10**400),
+        ("tolerances", "exact_tol", float("inf")),
+        ("tolerances", "exact_tol", False),
+    ])
+    def test_malformed_number_is_usage_error(self, section, key, value, tiny_config,
+                                             tmp_path, capsys):
+        document = json.loads(Path(tiny_config).read_text())
+        document.setdefault(section, {})[key] = value
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["laplace", "--config", str(path)]) == 2
+        assert f"error: {section}.{key} must" in capsys.readouterr().err
+
+    def test_integer_tolerances_run(self, tiny_config, tmp_path, capsys):
+        document = json.loads(Path(tiny_config).read_text())
+        document["tolerances"] = {"z": 4, "abs_tol": 0, "exact_tol": 0}
+        path = tmp_path / "integers.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["laplace", "--config", str(path)]) == 0
+
     def test_passing_suite_exits_zero(self, tiny_config, capsys):
         assert main(["laplace", "--config", str(tiny_config)]) == 0
 

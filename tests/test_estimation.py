@@ -147,6 +147,10 @@ class TestMonteCarlo:
         est = mc_expectation(s1, c, McPlan(10_000, 1))
         assert est == Estimate(5.0, 0.0, 10_000)
 
+    def test_one_replicate_has_zero_se(self):
+        est = mc_estimate(McPlan(1, 6), lambda streams, start: np.array([0.25]))
+        assert est == Estimate(0.25, 0.0, 1)
+
     def test_mean_count(self, s1):
         n = CountPolynomial.total_count(s1)
         est = mc_expectation(s1, n, McPlan(1_000_000, 2))

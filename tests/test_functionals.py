@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from poisson_chaos import estimation, functionals, patterns
+from poisson_chaos import estimation, patterns
 from poisson_chaos.config import load_config
 from poisson_chaos.errors import (ContractViolationError, EvaluationError,
                                   UnsupportedArityError)
 from poisson_chaos.estimation import (McPlan, OracleBudget, PoissonEnumeration,
                                       lattice_shell, shell_size, successor_maps)
-from poisson_chaos.functionals import (CHAOS_ORDER_CAP, COUNT_TABLE_CELL_CAP,
-                                       ChaosVector, CountPolynomial, CountTable,
+from poisson_chaos.functionals import (CHAOS_ORDER_CAP, ChaosVector, CountPolynomial,
                                        Exponential, LinearCombo, Opaque,
                                        chaos_by_enumeration,
                                        chaos_of_exponential, difference,
@@ -295,88 +294,6 @@ class TestDifferenceRows:
             assert rows.shape == counts.shape
             for x in range(space.size):
                 assert np.array_equal(rows[:, x], difference_counts(F, x, counts))
-
-
-class TestCountTable:
-    """Differences read from a count table equal ``difference_rows`` bit
-    for bit, and batches the table cannot serve are evaluated."""
-
-    CAPS = {"S1": [9], "S2": [6, 4], "S3": [4, 3, 5]}
-
-    @staticmethod
-    def space(name):
-        return MeasureSpace([f"x{j}" for j in range(len(TestDifferenceRows.SPACES[name]))],
-                            TestDifferenceRows.SPACES[name])
-
-    @staticmethod
-    def read(table, counts, monkeypatch):
-        """The table's differences, and the batch sizes sent to evaluation."""
-        calls = []
-        original = functionals.difference_rows
-
-        def recorded(F, c):
-            calls.append(len(c))
-            return original(F, c)
-
-        with monkeypatch.context() as m:
-            m.setattr(functionals, "difference_rows", recorded)
-            return table.difference_rows(counts), calls
-
-    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
-    def test_table_route_equals_evaluation(self, name, monkeypatch):
-        space, caps = self.space(name), self.CAPS[name]
-        box = np.array([row[::-1] for row in itertools.product(
-            *(range(c + 1) for c in reversed(caps)))])
-        counts = np.random.default_rng(11).integers(0, min(caps), size=(300, space.size))
-        rank = counts @ np.cumprod([1] + [c + 1 for c in caps[:-1]])
-        edge = counts.copy()
-        edge[7, -1] = min(caps)
-        for F in TestDifferenceRows._functionals(space):
-            table = CountTable(F, caps)
-            assert np.array_equal(table.values, F.evaluate_counts(box))
-            assert np.array_equal(table.values[rank], F.evaluate_counts(counts))
-            got, calls = self.read(table, counts, monkeypatch)
-            assert calls == [] and got.shape == counts.shape
-            assert np.array_equal(got, difference_rows(F, counts))
-            # a row at the box edge sends the whole batch to evaluation, and
-            # so does a one-row batch, which takes another floating-point route
-            for batch in (edge, counts[:1]):
-                got, calls = self.read(table, batch, monkeypatch)
-                assert calls == [len(batch)]
-                assert np.array_equal(got, difference_rows(F, batch))
-
-    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
-    def test_difference_table_gather(self, name):
-        space, caps = self.space(name), self.CAPS[name]
-        radix = np.cumprod([1] + [c + 1 for c in caps[:-1]])
-        box = np.array([row[::-1] for row in itertools.product(
-            *(range(c + 1) for c in reversed(caps)))])
-        counts = np.random.default_rng(13).integers(0, min(caps), size=(500, space.size))
-        for F in TestDifferenceRows._functionals(space):
-            table = CountTable(F, caps)
-            assert table.diffs.shape == (len(box), space.size)
-            for x, step in enumerate(radix):
-                # every cell with room for one more point at x
-                cells = np.flatnonzero(box[:, x] < caps[x])
-                assert np.array_equal(table.diffs[cells, x],
-                                      table.values[cells + step] - table.values[cells])
-            assert np.array_equal(table.diffs.take(counts @ radix, axis=0),
-                                  difference_rows(F, counts))
-
-    def test_boxes_without_a_table(self, monkeypatch):
-        space = self.space("S2")
-        F = Exponential(space, [0.3, 0.7])
-        counts = np.zeros((4, 2), dtype=np.int64)
-        side = math.isqrt(COUNT_TABLE_CELL_CAP)
-        for caps in ([0, 0], [side, side]):
-            table = CountTable(F, caps)
-            assert table.values is None
-            got, calls = self.read(table, counts, monkeypatch)
-            assert calls == [4]
-            assert np.array_equal(got, difference_rows(F, counts))
-        assert CountTable(F, [1, 0]).values.shape == (2,)
-        with pytest.raises(ContractViolationError):
-            CountTable(F, [3])
 
 
 class TestChaosLattice:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.functionals import CountTable, Exponential, difference_rows
+from poisson_chaos.functionals import Exponential, difference_rows
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
                                     _binomial_bins, _binomial_cdf_rows,
@@ -18,7 +18,7 @@ from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
                                     thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
-from poisson_chaos.suites.common import refresh_pmfs, smoothed_differences
+from poisson_chaos.suites.common import CountTable, refresh_pmfs, smoothed_differences
 
 import oracle
 from oracle import factorial_apply, factorial_tensor_power
@@ -156,7 +156,7 @@ class TestInversionRanks:
         """A box with room for any count a weight-scale field can reach
         (13, 19 and 34 of them), plus three."""
         space = MeasureSpace(["a", "b", "c"], self.WEIGHTS)
-        caps = [len(p) + 3 for p in refresh_pmfs(space, 1.0)]
+        caps = np.array([len(p) + 3 for p in refresh_pmfs(space, 1.0)])
         return space, CountTable(Exponential(space, [0.2, 0.5, 0.05]), caps)
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))

@@ -1,18 +1,20 @@
 """Suite registry and runner: coverage, determinism, row consistency."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from poisson_chaos.config import load_config, parse_config
-from poisson_chaos import functionals, patterns
+from poisson_chaos import patterns
 from poisson_chaos.errors import (BudgetError, ConfigError, ContractViolationError,
                                   EvaluationError)
 from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
                                       OracleBudget, PoissonEnumeration)
-from poisson_chaos.functionals import CountPolynomial, CountTable, Exponential, Opaque
+from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
+                                       difference_rows)
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
@@ -315,8 +317,8 @@ class TestNestedEstimators:
     """The nested covariance estimators with exact Mehler inner
     expectations: equal to the same estimators on the direct primitives,
     in statistical agreement with the sampled-inner estimators they
-    replaced and with the enumerated covariance, and on their fallback
-    route equal to their tables."""
+    replaced and with the enumerated covariance, and on boxes with no
+    table equal to the table reads."""
 
     # two batches, the second partial
     REPLICATES = (1 << 15) + 17
@@ -393,56 +395,17 @@ class TestNestedEstimators:
         monkeypatch.setattr(common.MehlerNode, "evaluated", recorded)
         return calls
 
-    def test_guard_boundary(self, monkeypatch):
-        """A row whose kept counts plus the field's reach meet the caps is
-        read from the smoothed table; one cap less sends it, and every
-        row like it, through the evaluated route.  Both give the inner
-        means of the enumerated field law."""
-        space = MeasureSpace(["a", "b"], [0.5, 1.0])
-        G = Exponential(space, [0.3, 0.7])
-        t = 0.4
-        rng = np.random.default_rng(3)
-        kept = rng.integers(0, 4, size=(400, 2))
-        kept[0] = 3
-        reach = common.MehlerNode(space, t, []).reach
-        want = oracle.exact_inner_means(G, kept, oracle.field_law(space, 1.0 - t))
-        rows = self.spy_evaluated(monkeypatch)
-        for cap in (3 + max(reach), 2 + max(reach)):
-            node = common.MehlerNode(space, t, [CountTable(G, [cap, cap])])
-            out = np.empty(kept.shape)
-            rows.clear()
-            node.inner_means(kept, kept.max(axis=0), np.empty(len(kept), dtype=np.int64),
-                             [out])
-            past = int(np.sum(np.any(kept + reach > cap, axis=1)))
-            assert rows == ([past] if past else []), cap
-            np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-14)
-        assert rows and 0 < rows[0] < len(kept)
-
-    @ESTIMATORS
-    def test_small_caps_take_the_evaluated_route(self, estimator, quick_config,
-                                                 monkeypatch):
-        """With caps of 20, rows whose field could leave the box are
-        evaluated and the rest read from the smaller tables; both give
-        the full tables' values."""
-        fast = estimator[0]
-        space, F, G = first_and_last(quick_config, "S2")
-        plan = McPlan(5_000, 9)
-        want = fast(space, F, G, plan, 8)
-        monkeypatch.setattr(common, "_difference_tables", lambda space, *functionals: [
-            CountTable(f, [20] * space.size) for f in functionals])
-        rows = self.spy_evaluated(monkeypatch)
-        got = fast(space, F, G, plan, 8)
-        assert rows and min(rows) < 5_000
-        assert got.mean == pytest.approx(want.mean, rel=0, abs=1e-14)
-        assert got.se == pytest.approx(want.se, rel=0, abs=1e-14)
-
     @ESTIMATORS
     def test_box_without_table_is_evaluated(self, estimator, quick_config, monkeypatch):
+        """A cell cap at the largest refresh field support leaves every box
+        without a table, so each node, t = 1 included, evaluates."""
         fast = estimator[0]
         space, F, G = first_and_last(quick_config, "S2")
         plan = McPlan(2_000, 9)
         want = fast(space, F, G, plan, 4)
-        monkeypatch.setattr(functionals, "COUNT_TABLE_CELL_CAP", 1)
+        support = max(int(np.prod(common.MehlerNode(space, float(t), []).reach))
+                      for t in gauss_legendre_unit(4)[0])
+        monkeypatch.setattr(common, "COUNT_TABLE_CELL_CAP", support)
         rows = self.spy_evaluated(monkeypatch)
         got = fast(space, F, G, plan, 4)
         assert rows and set(rows) == {2_000}
@@ -457,22 +420,98 @@ class TestNestedEstimators:
         with pytest.raises(BudgetError, match="support"):
             estimator[0](space, F, F, McPlan(100, 1), 4)
 
-    @pytest.mark.parametrize("space_name", ["S1", "S2", "S3"])
-    def test_packaged_spaces_never_fall_back(self, space_name, quick_config, monkeypatch):
-        """Every count a sampler can return plus every point of a refresh
-        field stays inside the box, at every node, whatever the seed; and
-        a covariance run evaluates no inner expectation."""
-        space = quick_config.spaces[space_name]
-        table = common._difference_tables(space, CountPolynomial.total_count(space))[0]
-        assert table.values is not None
-        largest = np.array([len(p) - 1 for p in common.refresh_pmfs(space, 1.0)])
-        for t in gauss_legendre_unit(T_NODES)[0]:
-            node = common.MehlerNode(space, float(t), [table])
-            assert np.all(largest + node.reach <= table.caps), t
-        rows = self.spy_evaluated(monkeypatch)
-        config = dataclasses.replace(quick_config, replicates=2_000)
-        assert all(r.verdict == "PASS" for r in run_suite("covariance", config))
-        assert rows == []
+class TestCountTable:
+    """The count box of the nested estimators: F tabulated on it bit for
+    bit, one-point differences read by rank, and caps sized from the
+    Mehler nodes that read it."""
+
+    SPACES = {"S1": [1.0], "S2": [0.5, 1.0], "S3": [0.3, 0.3, 0.4]}
+    CAPS = {"S1": [9], "S2": [6, 4], "S3": [4, 3, 5]}
+
+    @classmethod
+    def box(cls, name):
+        """A space, its box's caps and cells in rank order, and functionals
+        of every variant."""
+        weights = cls.SPACES[name]
+        space = MeasureSpace([f"x{j}" for j in range(len(weights))], weights)
+        caps = np.array(cls.CAPS[name])
+        cells = np.array([row[::-1] for row in itertools.product(
+            *(range(c + 1) for c in reversed(caps)))])
+        rng = np.random.default_rng(space.size)
+        d = space.size
+        e1 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
+        e2 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
+        n = CountPolynomial.total_count(space)
+        return space, caps, cells, [
+            e1,
+            LinearCombo(space, [(0.5, e1), (-1.5, e2)]),
+            n * n + CountPolynomial.atom_count(space, d - 1) * 0.25,
+            Opaque(space, counts_fn=lambda c: np.minimum(c.sum(axis=1), 2.0)),
+            Opaque(space, fn=lambda p: math.sqrt(1.0 + p.total)),
+        ]
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_table_route_equals_evaluation(self, name):
+        space, caps, cells, pool = self.box(name)
+        counts = np.random.default_rng(11).integers(0, caps + 1, size=(300, space.size))
+        rank = counts @ np.cumprod([1, *(caps[:-1] + 1)])
+        for F in pool:
+            table = common.CountTable(F, caps)
+            assert np.array_equal(table.values, F.evaluate_counts(cells))
+            assert np.array_equal(table.values[rank], F.evaluate_counts(counts))
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_difference_table_gather(self, name):
+        space, caps, cells, pool = self.box(name)
+        # every count below its cap, so each difference stays in the box
+        counts = np.random.default_rng(13).integers(0, caps, size=(500, space.size))
+        for F in pool:
+            table = common.CountTable(F, caps)
+            assert table.diffs.shape == (len(cells), space.size)
+            for x, step in enumerate(table.radix):
+                # every cell with room for one more point at x
+                room = np.flatnonzero(cells[:, x] < caps[x])
+                assert np.array_equal(table.diffs[room, x],
+                                      table.values[room + step] - table.values[room])
+            assert np.array_equal(table.diffs.take(counts @ table.radix, axis=0),
+                                  difference_rows(F, counts))
+
+    def test_boxes_without_a_table(self):
+        F = self.box("S2")[3][0]
+        side = math.isqrt(common.COUNT_TABLE_CELL_CAP)
+        full = common.CountTable(F, np.array([side - 1, side - 1]))
+        assert full.values.shape == (common.COUNT_TABLE_CELL_CAP,)
+        assert common.CountTable(F, np.array([side, side - 1])).values is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_caps_fit_the_nodes_that_read_them(self, seed):
+        """On a random space of 1 to 3 atoms of weight 0.05 to 3: each cap
+        is the largest count inversion draws plus the longest refresh
+        field over the nodes, t = 1 included; every node's reads fit the
+        box; and every read equals the enumerated inner means, through
+        the table or, on a box over the cell cap, the evaluated route."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 4))
+        space = MeasureSpace([f"x{j}" for j in range(d)], rng.uniform(0.05, 3.0, size=d))
+        F = Exponential(space, rng.uniform(0.1, 0.9, size=d))
+        ts = [float(t) for t in gauss_legendre_unit(T_NODES)[0]] + [1.0]
+        nodes = common.mehler_nodes(space, ts, [F])
+        caps = nodes[0].tables[0].caps
+        # inversion is monotone, so the largest uniform draws the largest count
+        top = np.full((1, d), np.nextafter(1.0, 0.0))
+        largest = patterns.poisson_counts_with_uniforms(space, 1.0, top)[0]
+        reach = [patterns.poisson_counts_with_uniforms(space, 1.0 - t, top)[0] + 1
+                 for t in ts]
+        assert np.array_equal(caps, largest + np.max(reach, axis=0))
+        kept = np.vstack([rng.integers(0, largest + 1, size=(8, d)), largest,
+                          np.where(np.eye(d, dtype=bool), largest, 0)])
+        for node, r in zip(nodes, reach):
+            assert np.array_equal(node.reach, r)
+            assert np.all(largest + node.reach <= caps)
+            out = np.empty(kept.shape)
+            node.inner_means(kept, np.empty(len(kept), dtype=np.int64), [out])
+            want = oracle.exact_inner_means(F, kept, oracle.field_law(space, 1.0 - node.t))
+            np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-14)
 
 
 class TestSmoothedTables:
@@ -495,11 +534,10 @@ class TestSmoothedTables:
         for space_name in ("S1", "S2", "S3"):
             space = quick_config.spaces[space_name]
             pool = [f for f in quick_config.functionals.values() if f.space is space]
-            tables = common._difference_tables(space, *pool)
-            node = common.MehlerNode(space, t, tables)
-            kept = self.kept_rows(space, tables[0], node, t)
+            (node,) = common.mehler_nodes(space, [t], pool)
+            kept = self.kept_rows(space, node.tables[0], node, t)
             law = oracle.field_law(space, 1.0 - t)
-            for F, table, smoothed in zip(pool, tables, node.smoothed):
+            for F, table, smoothed in zip(pool, node.tables, node.smoothed):
                 got = smoothed[kept @ table.radix]
                 want = oracle.exact_inner_means(F, kept, law)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
@@ -518,9 +556,8 @@ class TestSmoothedTables:
 
         functionals = [CountPolynomial.total_count(space), linear([2.0, -3.0, 5.0]),
                        linear([0.7, -1.3, 2.5])]
-        tables = common._difference_tables(space, *functionals)
-        node = common.MehlerNode(space, t, tables)
-        table = tables[0]
+        (node,) = common.mehler_nodes(space, [t], functionals)
+        table = node.tables[0]
         cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
         read = np.all(cells + node.reach <= table.caps, axis=1)
         total, integer, fractional = (smoothed[read] for smoothed in node.smoothed)
