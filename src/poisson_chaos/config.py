@@ -40,8 +40,15 @@ def _build_spaces(raw: dict) -> dict[str, MeasureSpace]:
     return spaces
 
 
-def _space_of(spaces: dict, entry: dict, what: str) -> MeasureSpace:
-    name = entry.get("space")
+def _object(value, what: str) -> dict:
+    """A JSON object; anything else is a :class:`ConfigError` naming it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _space_of(spaces: dict, entry, what: str) -> MeasureSpace:
+    name = _object(entry, what).get("space")
     if name not in spaces:
         raise ConfigError(f"{what} references unknown space {name!r}")
     return spaces[name]
@@ -49,7 +56,7 @@ def _space_of(spaces: dict, entry: dict, what: str) -> MeasureSpace:
 
 def _build_kernels(raw: dict, spaces: dict) -> dict[str, Kernel]:
     kernels = {}
-    for name, entry in (raw or {}).items():
+    for name, entry in _object(raw, "'kernels'").items():
         space = _space_of(spaces, entry, f"kernel {name!r}")
         try:
             kernels[name] = Kernel(space, entry["values"])
@@ -60,7 +67,7 @@ def _build_kernels(raw: dict, spaces: dict) -> dict[str, Kernel]:
 
 def _build_functionals(raw: dict, spaces: dict) -> dict[str, Functional]:
     functionals: dict[str, Functional] = {}
-    for name, entry in (raw or {}).items():
+    for name, entry in _object(raw, "'functionals'").items():
         space = _space_of(spaces, entry, f"functional {name!r}")
         kind = entry.get("kind")
         try:
@@ -110,10 +117,12 @@ def parse_config(document: dict) -> RunConfig:
     spaces = _build_spaces(document.get("space", {}))
     kernels = _build_kernels(document.get("kernels", {}), spaces)
     functionals = _build_functionals(document.get("functionals", {}), spaces)
-    mc = document.get("mc", {})
-    oracle = document.get("oracle", {})
-    tol = document.get("tolerances", {})
+    mc = _object(document.get("mc", {}), "'mc'")
+    oracle = _object(document.get("oracle", {}), "'oracle'")
+    tol = _object(document.get("tolerances", {}), "'tolerances'")
     suites = document.get("suites", suite_names())
+    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
+        raise ConfigError(f"'suites' must be a list of suite names, got {suites!r}")
     known = set(suite_names())
     for s in suites:
         if s not in known:

@@ -20,7 +20,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,8 +121,11 @@ def mc_estimate(plan: McPlan,
     The callable returns one value per stream of its batch; see
     :func:`mc_batches`.
     """
-    batches = mc_batches(plan, batch_values)
-    n = plan.replicates
+    return _estimate(mc_batches(plan, batch_values), plan.replicates)
+
+
+def _estimate(batches: list[np.ndarray], n: int) -> Estimate:
+    """Mean and standard error of ``n`` replicates given batch by batch."""
     total = 0.0
     lowest, highest = math.inf, -math.inf
     for vals in batches:
@@ -148,6 +151,23 @@ def mc_expectation(space: MeasureSpace, G, plan: McPlan) -> Estimate:
         return G.evaluate_counts(counts)
 
     return mc_estimate(plan, batch)
+
+
+def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan
+                    ) -> list[Estimate]:
+    """Monte Carlo means of several functionals on one sampled batch.
+
+    Each estimate equals ``mc_expectation(space, G, plan)`` bit for bit,
+    but the patterns of a batch are drawn once for all of them.
+    """
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        return np.stack([G.evaluate_counts(counts) for G in functionals])
+
+    batches = mc_batches(plan, batch, shape=(len(functionals),))
+    return [_estimate([vals[i] for vals in batches], plan.replicates)
+            for i in range(len(functionals))]
 
 
 # ---------------------------------------------------------------------------

@@ -567,13 +567,28 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     once on the shell of count vectors with totals ``max_total + 1``
     to ``max_total + order``.  Each term of the signed subset sum is
     then a gather through the per-atom successor maps of
-    :func:`~.estimation.successor_maps`, accumulated with the subsets,
-    order and signs of :func:`iterated_difference_counts`, so each
-    coefficient equals the one computed from it bit for bit, provided a
-    row's value does not depend on which multi-row matrix holds it.  A
-    one-row matrix takes another floating-point route, so a one-row
-    enumeration, or a shell larger than the enumeration state cap, goes
-    through :func:`iterated_difference_counts` per atom tuple instead.
+    :func:`~.estimation.successor_maps`.
+
+    The sums follow ``D^n_{x1..xn} = D_{x1} D^{n-1}_{x2..xn}``: tuples
+    are walked depth first over their suffixes, and each order-(n-1)
+    sum is continued into the order-n sums of every ``x1``.  In the
+    ``itertools.product((0, 1), repeat=n)`` order of
+    :func:`iterated_difference_counts` the first half of the subsets
+    leaves out ``x1``; they are the subsets of ``(x2..xn)`` in their
+    own order, with every sign flipped.  Rounding to nearest is
+    symmetric under negation and a running sum started at +0.0 is never
+    -0.0, so the first half sums to ``0.0 - D`` bit for bit, D being
+    the order-(n-1) sum of the suffix (``0.0 - D`` is +0.0 where D is
+    zero, as the direct sum is).  The second half adds the same subsets
+    shifted by ``e_{x1}``, in the same order and with the signs they
+    have at order n-1, as gathers at the successors of the suffix's
+    subset positions.  Each coefficient therefore equals the one
+    computed by :func:`iterated_difference_counts` bit for bit,
+    provided a row's value does not depend on which multi-row matrix
+    holds it.  A one-row matrix takes another floating-point route, so
+    a one-row enumeration, or a shell larger than the enumeration state
+    cap, goes through :func:`iterated_difference_counts` per atom tuple
+    instead.
     """
     from .estimation import (ENUMERATION_STATE_CAP, PoissonEnumeration, lattice_shell,
                              shell_size, successor_maps)
@@ -606,50 +621,64 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     del base, shell_values
     succ = successor_maps(enum.counts, shell, cap, order)
     del shell
-    for n in range(1, order + 1):
-        coeffs.append(Kernel(space, _enumerated_differences(enum, values, succ, n)))
+    for kernel in _enumerated_levels(enum, values, succ, order):
+        coeffs.append(Kernel(space, kernel))
     return ChaosVector(space, coeffs)
 
 
-def _enumerated_differences(enum, values: np.ndarray, succ: np.ndarray,
-                            n: int) -> np.ndarray:
-    """Level-n kernel of :func:`chaos_by_enumeration` from lattice values.
+def _enumerated_levels(enum, values: np.ndarray, succ: np.ndarray,
+                       order: int) -> list[np.ndarray]:
+    """Levels 1 to ``order`` of :func:`chaos_by_enumeration` from lattice
+    values, by the suffix recursion its docstring describes.
 
-    The subsets of each atom tuple come in ``itertools.product((0, 1),
-    repeat=n)`` order, each added to or subtracted from a zeroed row
-    vector as in :func:`iterated_difference_counts` (``out -= v`` is
+    One running sum per depth is live: ``sums[k]`` holds the order-k+1
+    sum of the tuple last visited at that depth, and ``positions[k]`` the
+    row positions of ``c + shift`` for each subset of its suffix, in
+    product order, ``None`` standing for the unshifted rows.  The
+    positions of the deepest level are composed into one buffer and never
+    kept.  A term with sign -1 is subtracted (``out -= v`` is
     ``out += -1.0 * v`` bit for bit).
     """
     n_rows = len(enum.counts)
-    kernel = np.zeros((succ.shape[0],) * n)
-    subtract = [(n - bin(i).count("1")) % 2 == 1 for i in range(2**n)]
-    out = np.empty(n_rows)
+    kernels = [np.zeros((succ.shape[0],) * n) for n in range(1, order + 1)]
+    sums = [np.empty(n_rows) for _ in range(order)]
     term = np.empty(n_rows)
-    for tup, subsets in _tuple_subsets(succ, n_rows, n, (), [None]):
-        out.fill(0.0)
-        for rows, minus in zip(subsets, subtract):
-            v = values[:n_rows] if rows is None else np.take(values, rows, out=term,
-                                                             mode="clip")
-            (np.subtract if minus else np.add)(out, v, out=out)
-        kernel[tup] = enum.expectation_of_values(out) / math.factorial(n)
-    return kernel
+    composed = np.empty(n_rows, dtype=succ.dtype)
+    positions: list = [[None]] + [None] * (order - 1)
+    for tup in _suffix_preorder(succ.shape[0], order):
+        k = len(tup) - 1
+        out = sums[k]
+        step = succ[tup[0]]
+        deepest = k + 1 == order
+        np.subtract(0.0, values[:n_rows] if k == 0 else sums[k - 1], out=out)
+        if not deepest:
+            # free the previous tuple's subset positions before taking new ones
+            positions[k + 1] = None
+        shifted = []
+        for i, pos in enumerate(positions[k]):
+            if pos is None:
+                rows = step[:n_rows]
+            elif deepest:
+                rows = np.take(step, pos, out=composed, mode="clip")
+            else:
+                rows = step.take(pos)
+            if not deepest:
+                shifted.append(rows)
+            np.take(values, rows, out=term, mode="clip")
+            minus = (k - bin(i).count("1")) % 2 == 1
+            (np.subtract if minus else np.add)(out, term, out=out)
+        kernels[k][tup] = enum.expectation_of_values(out) / math.factorial(k + 1)
+        if not deepest:
+            positions[k + 1] = positions[k] + shifted
+    return kernels
 
 
-def _tuple_subsets(succ: np.ndarray, n_rows: int, n: int, prefix: tuple[int, ...],
-                   subsets: list):
-    """Every atom tuple of length n extending ``prefix``, in product order,
-    with the row positions of ``c + shift`` for each subset of the tuple.
-
-    ``subsets`` holds them for the subsets of ``prefix``, ``None`` standing
-    for the unshifted rows.  Tuples are walked depth first, so the
-    positions for a prefix are gathered once and shared by every tuple
-    that extends it.
-    """
-    if len(prefix) == n:
-        yield prefix, subsets
-        return
-    for x, step in enumerate(succ):
-        extended = []
-        for rows in subsets:
-            extended += [rows, step[:n_rows] if rows is None else step.take(rows)]
-        yield from _tuple_subsets(succ, n_rows, n, prefix + (x,), extended)
+def _suffix_preorder(d: int, order: int, suffix: tuple[int, ...] = ()):
+    """Every atom tuple of length at most ``order`` that ends in ``suffix``,
+    in pre-order: each comes after its tail ``tup[1:]``, with no other
+    tuple of the tail's length in between."""
+    for x in range(d):
+        tup = (x,) + suffix
+        yield tup
+        if len(tup) < order:
+            yield from _suffix_preorder(d, order, tup)

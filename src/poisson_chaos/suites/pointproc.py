@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import mc_expectation
+from ..estimation import mc_expectation, mc_expectations
 from ..functionals import CountPolynomial, Exponential, Functional, Opaque
 from ..patterns import factorial_counts
 from ..space import Kernel, integrate, tensor_power
@@ -118,8 +118,8 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
 
             def run(space=space, fields=fields, case_id=case_id):
                 plan = ctx.plan(case_id)
-                lhs = mc_expectation(space, _field_lhs(space, fields), plan)
-                rhs = mc_expectation(space, _field_rhs(space, fields), plan)
+                lhs, rhs = mc_expectations(
+                    space, [_field_lhs(space, fields), _field_rhs(space, fields)], plan)
                 return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
 
             cases.append(Case(case_id, "mecke-equation", run))
@@ -149,8 +149,8 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
             g = 1.0 + 0.5 * np.arange(space.size, dtype=np.float64)
             fields = [[f * float(g[x] * g[y]) for y in range(space.size)]
                       for x in range(space.size)]
-            lhs = mc_expectation(space, _pair_field_lhs(space, fields), plan)
-            rhs = mc_expectation(space, _pair_field_rhs(space, fields), plan)
+            lhs, rhs = mc_expectations(
+                space, [_pair_field_lhs(space, fields), _pair_field_rhs(space, fields)], plan)
             return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
 
         cases.append(Case(case_id, "multivariate-mecke", run))

@@ -91,6 +91,32 @@ class TestExitCodes:
         assert main(["laplace", "--config", str(path)]) == 2
         assert f"error: {section}.{key} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("mc",), 5, "'mc' must be an object"),
+        (("oracle",), [], "'oracle' must be an object"),
+        (("tolerances",), 1, "'tolerances' must be an object"),
+        (("kernels",), 3, "'kernels' must be an object"),
+        (("functionals",), [], "'functionals' must be an object"),
+        (("space", "S1"), 3, "space 'S1' must map atom ids"),
+        (("kernels", "k"), 3, "kernel 'k' must be an object"),
+        (("functionals", "f"), 3, "functional 'f' must be an object"),
+        (("suites",), "laplace", "'suites' must be a list of suite names"),
+        (("suites",), ["laplace", 7], "'suites' must be a list of suite names"),
+    ])
+    def test_malformed_section_is_usage_error(self, path, value, message, tiny_config,
+                                              tmp_path, capsys):
+        # these used to end in an AttributeError traceback (exit 1), or for
+        # a string of suites in "unknown suite 'l'"
+        document = json.loads(Path(tiny_config).read_text())
+        parent = document
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        config = tmp_path / "sections.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["laplace", "--config", str(config)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_integer_tolerances_run(self, tiny_config, tmp_path, capsys):
         document = json.loads(Path(tiny_config).read_text())
         document["tolerances"] = {"z": 4, "abs_tol": 0, "exact_tol": 0}

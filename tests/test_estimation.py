@@ -14,6 +14,7 @@ from poisson_chaos.errors import BudgetError, ContractViolationError, Evaluation
 from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, Estimate, McPlan, OracleBudget,
                                       PoissonEnumeration, TolerancePolicy,
                                       compare, mc_estimate, mc_expectation,
+                                      mc_expectations,
                                       oracle_expectation, poisson_tail,
                                       worker_count)
 from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
@@ -170,6 +171,31 @@ class TestMonteCarlo:
         monkeypatch.setenv("POISSON_CHAOS_THREADS", "3")
         b = mc_expectation(s2, f, plan)
         assert a == b
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shared_sample_equals_separate_estimates(self, s2, threads, monkeypatch):
+        monkeypatch.setenv("POISSON_CHAOS_THREADS", threads)
+        battery = [Exponential(s2, [0.3, 0.7]), CountPolynomial.total_count(s2),
+                   Opaque(s2, counts_fn=lambda c: np.sqrt(c[:, 0] * 1.5 + c[:, 1]))]
+        # three batches, the last one short
+        plan = McPlan(2 * estimation.BATCH_SIZE + 123, 8, 17)
+        want = [mc_expectation(s2, G, plan) for G in battery]
+        draws = []
+        sampler = estimation.sample_poisson_counts
+
+        def counting(space, seed, streams):
+            draws.append(int(streams[0]))
+            return sampler(space, seed, streams)
+
+        monkeypatch.setattr(estimation, "sample_poisson_counts", counting)
+        got = mc_expectations(s2, battery, plan)
+        for g, w in zip(got, want):
+            assert np.float64(g.mean).view(np.uint64) == np.float64(w.mean).view(np.uint64)
+            assert np.float64(g.se).view(np.uint64) == np.float64(w.se).view(np.uint64)
+            assert g.replicates == w.replicates
+        # one draw per batch, at each batch's first stream
+        assert sorted(draws) == [17, 17 + estimation.BATCH_SIZE,
+                                 17 + 2 * estimation.BATCH_SIZE]
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("POISSON_CHAOS_THREADS", "2")

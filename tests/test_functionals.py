@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,9 +319,12 @@ class TestChaosLattice:
         got = chaos_by_enumeration(F, order, budget)
         want = self._per_tuple(F, order, budget)
         assert got.order == order
-        assert got.coefficients[0] == want[0]
+        # bit patterns, so a -0.0 against a +0.0 counts as a difference
+        bits = lambda a: np.asarray(a, dtype=np.float64).view(np.uint64)  # noqa: E731
+        assert bits(got.coefficients[0]) == bits(want[0])
         for n in range(1, order + 1):
-            assert np.array_equal(got.coefficients[n].values, want[n]), f"level {n}"
+            assert np.array_equal(bits(got.coefficients[n].values), bits(want[n])), \
+                f"level {n}"
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_packaged_spaces(self, name):
@@ -343,7 +347,33 @@ class TestChaosLattice:
         space = MeasureSpace(["a", "b", "c", "d"], [2.5, 3.5, 4.0, 6.0])
         budget = OracleBudget.for_space(space, 1e-10)
         assert len(PoissonEnumeration.get(space, budget).counts) == 249_900
-        self._assert_identical(Exponential(space, [0.12, 0.3, 0.21, 0.07]), 3, budget)
+        F = Exponential(space, [0.12, 0.3, 0.21, 0.07])
+        # one running sum per depth and no table of shifted values
+        tracemalloc.start()
+        try:
+            chaos_by_enumeration(F, 3, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * 2**20
+        self._assert_identical(F, 3, budget)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_spaces(self, seed):
+        rng = np.random.default_rng([seed, 0xC4A05])
+        d = int(rng.integers(1, 5))
+        space = MeasureSpace([f"x{j}" for j in range(d)], rng.uniform(0.05, 0.6, d))
+        budget = OracleBudget.for_space(space, 1e-5)
+        w = rng.uniform(-1.0, 1.0, d)
+        functionals = [
+            Exponential(space, rng.uniform(0.0, 1.0, d)),
+            Opaque(space, counts_fn=lambda c: np.sin(c @ w) + np.sqrt(c[:, 0] + 0.5)),
+            # flat along every atom but the first: many differences are exact zeros
+            Opaque(space, counts_fn=lambda c: np.cos(0.9 * c[:, 0]) - 0.25),
+        ]
+        for F in functionals:
+            for order in range(CHAOS_ORDER_CAP + 1):
+                self._assert_identical(F, order, budget)
 
     def test_opaque_functionals(self, s2):
         s3 = MeasureSpace(["a", "b", "c"], [0.3, 0.3, 0.4])

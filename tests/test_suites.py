@@ -124,6 +124,24 @@ class TestQuickSuitePasses:
         assert all(r.verdict == "PASS" for r in rows)
 
 
+class TestMeckeSharedSample:
+    def test_each_case_draws_once_per_batch(self, quick_config, monkeypatch):
+        # add_point_* and pair_*_exp evaluate both sides on one sampled batch
+        from poisson_chaos import estimation
+        draws = []
+        sampler = estimation.sample_poisson_counts
+
+        def counting(space, seed, streams):
+            draws.append(seed)
+            return sampler(space, seed, streams)
+
+        monkeypatch.setattr(estimation, "sample_poisson_counts", counting)
+        rows = run_suite("mecke", quick_config)
+        assert quick_config.replicates <= estimation.BATCH_SIZE
+        assert sorted(draws) == sorted(row.seed for row in rows)
+        assert all(r.verdict == "PASS" for r in rows)
+
+
 def run_payloads(config, payloads):
     """Judge ready-made payloads through the suite runner."""
     def build(ctx):
