@@ -379,7 +379,7 @@ def difference_counts(F: Functional, atom_index: int, counts: np.ndarray,
                       base: np.ndarray | None = None) -> np.ndarray:
     """Rowwise one-point difference; ``base`` is ``F(counts)`` if known."""
     shift = np.zeros(counts.shape[1], dtype=np.int64)
-    shift[atom_index] = 1
+    shift[F.space.atom_index(atom_index)] = 1
     plus = F.evaluate_counts(counts + shift)
     if base is None:
         base = F.evaluate_counts(counts)
@@ -408,13 +408,14 @@ def iterated_difference_counts(F: Functional, atom_indices: Sequence[int],
     if n > ITERATED_DIFFERENCE_CAP:
         raise UnsupportedArityError(
             f"iterated difference order capped at {ITERATED_DIFFERENCE_CAP}")
+    atoms = [F.space.atom_index(x) for x in atom_indices]
     out = np.zeros(counts.shape[0])
     d = counts.shape[1]
     for bits in itertools.product((0, 1), repeat=n):
         shift = np.zeros(d, dtype=np.int64)
         for j, bit in enumerate(bits):
             if bit:
-                shift[atom_indices[j]] += 1
+                shift[atoms[j]] += 1
         sign = (-1.0) ** (n - sum(bits))
         out += sign * F.evaluate_counts(counts + shift)
     return out

@@ -167,6 +167,7 @@ def malliavin_chaos(cv: ChaosVector, atom_index: int) -> ChaosVector:
     the atom.
     """
     space = cv.space
+    atom_index = space.atom_index(atom_index)
     if cv.order < 1:
         return ChaosVector(space, [0.0])
     coeffs: list = [float(cv.coefficients[1].values[atom_index])]

@@ -56,7 +56,12 @@ class PointPattern:
     counts: np.ndarray
 
     def __init__(self, space: MeasureSpace, counts):
-        c = np.asarray(counts, dtype=np.int64).copy()
+        raw = np.asarray(counts)
+        # NaN fails the float test's first half, an infinity its second
+        if raw.dtype.kind not in "biuf" or (raw.dtype.kind == "f" and not np.all(
+                (raw == np.trunc(raw)) & (np.abs(raw) < 2.0**62))):
+            raise ContractViolationError(f"counts must be finite integers, got {raw.tolist()!r}")
+        c = raw.astype(np.int64)
         if c.shape != (space.size,):
             raise ContractViolationError("one count per atom is required")
         if np.any(c < 0):
@@ -75,11 +80,11 @@ class PointPattern:
 
     def add_point(self, atom_index: int) -> "PointPattern":
         c = self.counts.copy()
-        c[atom_index] += 1
+        c[self.space.atom_index(atom_index)] += 1
         return PointPattern(self.space, c)
 
     def remove_point(self, atom_index: int) -> "PointPattern":
-        if self.counts[atom_index] < 1:
+        if self.counts[self.space.atom_index(atom_index)] < 1:
             raise ContractViolationError("cannot remove a point from an empty atom")
         c = self.counts.copy()
         c[atom_index] -= 1
@@ -143,8 +148,8 @@ class PoissonTable(NamedTuple):
 def _poisson_cdf(mean: float) -> PoissonTable:
     """CDF values of a Poisson law, extended until the tail is below 1e-18,
     with the bin table used by :func:`_invert_cdf`."""
-    if mean < 0:
-        raise ContractViolationError("Poisson mean must be >= 0")
+    if not mean >= 0.0:  # NaN too
+        raise ContractViolationError(f"Poisson mean must be >= 0, got {mean!r}")
     if mean == 0.0:
         cdf = np.array([1.0])
     else:
@@ -246,8 +251,12 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
     """Poisson(weight * scale) counts by CDF inversion of given uniforms.
 
     Inversion is monotone in each uniform, which is what couples draws
-    across nearby intensities when uniforms are reused.
+    across nearby intensities when uniforms are reused.  ``u`` holds one
+    row per draw and one column per atom.
     """
+    if u.ndim != 2 or u.shape[1] != space.size:
+        raise ContractViolationError(
+            f"Poisson uniforms must have shape (rows, {space.size}), got {u.shape}")
     # one pass each; NaN fails both comparisons
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ContractViolationError("Poisson uniforms must lie in [0, 1)")
@@ -258,7 +267,15 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
 
 
 def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
-    """Binomial(count, s) survivors per atom from given uniforms in [0, 1)."""
+    """Binomial(count, s) survivors per atom from given uniforms in [0, 1).
+
+    ``u`` has the shape of the ``(rows, atoms)`` count matrix, whose
+    entries are taken to be non-negative integers (:func:`thin_counts`
+    checks them).
+    """
+    if u.ndim != 2 or u.shape != counts.shape:
+        raise ContractViolationError(
+            f"thinning uniforms must have the counts' shape {counts.shape}, got {u.shape}")
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("retention probability must lie in [0, 1]")
     # a uniform of 1 or more would keep points that do not exist; one pass
@@ -305,7 +322,15 @@ def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,
 
 def thin_counts(counts: np.ndarray, s: float, seed: int, streams: np.ndarray,
                 sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """Binomial(count, s) survivors per atom; one uniform per atom."""
+    """Binomial(count, s) survivors per atom; one uniform per atom.
+
+    ``counts`` must be a ``(rows, atoms)`` matrix of non-negative integers.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.dtype.kind not in "iu" or (
+            counts.size and counts.min() < 0):
+        raise ContractViolationError(
+            "thinning needs a (rows, atoms) matrix of non-negative integer counts")
     u = stream_uniforms(seed, streams, counts.shape[1], sub1, sub2)
     return thin_counts_with_uniforms(counts, s, u)
 

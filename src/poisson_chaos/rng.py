@@ -155,36 +155,19 @@ def _counters_and_key(lanes: tuple[np.uint64, np.uint64, np.uint64], n_blocks: i
     return c0, c1, c2, c3, k0
 
 
-def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
-               sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """Raw 64-bit words for a batch of streams.
-
-    Returns a uint64 array of shape ``(len(streams), 4 * n_blocks)``; row i
-    holds the words of stream ``streams[i]`` in counter order.  ``sub1`` and
-    ``sub2`` select a substream by occupying the third and fourth counter
-    words (the block index occupies the first).  ``streams`` must be a
-    1-d array of non-negative integers, ``seed``, ``sub1`` and ``sub2``
-    integers in [0, 2**64) and ``n_blocks`` at least 0, or
-    :class:`ContractViolationError` is raised.
-    """
-    lanes = _lanes(seed, sub1, sub2)
-    keys = _stream_keys(streams)
-    if n_blocks < 0:
-        raise ContractViolationError(f"n_blocks must be >= 0, got {n_blocks}")
-    out = np.empty((keys.size, n_blocks, 4), dtype=np.uint64)
-    if n_blocks:
-        c0, c1, c2, c3, k0 = _counters_and_key(lanes, n_blocks)
-        step = _chunk_rows(n_blocks)
-        for lo in range(0, keys.size, step):
-            _philox_into(out[lo:lo + step], c0, c1, c2, c3, k0, keys[lo:lo + step, None])
-    return out.reshape(keys.size, 4 * n_blocks)
-
-
 def stream_uniforms(seed: int, streams: np.ndarray, n: int,
                     sub1: int = 0, sub2: int = 0) -> np.ndarray:
     """Uniform [0,1) doubles, one row per stream, ``n`` per row.
 
-    Arguments are checked as in :func:`raw_blocks`.
+    Row i holds the first ``n`` Philox-4x64 words of stream ``streams[i]``
+    in counter order, each turned into a double from its top 53 bits,
+    exactly as NumPy's ``Generator(Philox(key=[seed, stream],
+    counter=[0, 0, sub1, sub2])).random``: ``sub1`` and ``sub2`` select a
+    substream by occupying the third and fourth counter words (the block
+    index occupies the first).  ``streams`` must be a 1-d array of
+    non-negative integers, ``seed``, ``sub1`` and ``sub2`` integers in
+    [0, 2**64) and ``n`` at least 0, or :class:`ContractViolationError`
+    is raised.
     """
     lanes = _lanes(seed, sub1, sub2)
     keys = _stream_keys(streams)

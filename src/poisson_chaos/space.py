@@ -57,6 +57,14 @@ class MeasureSpace:
         except ValueError:
             raise ContractViolationError(f"unknown atom {atom!r}") from None
 
+    def atom_index(self, x) -> int:
+        """``x`` as an atom position; anything but an integer in [0, size) raises."""
+        if (isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+                or not 0 <= x < self.size):
+            raise ContractViolationError(
+                f"atom index must be an integer in [0, {self.size}), got {x!r}")
+        return int(x)
+
     def same_as(self, other: "MeasureSpace") -> bool:
         return self.atoms == other.atoms and np.array_equal(self.weights, other.weights)
 

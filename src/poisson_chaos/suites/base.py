@@ -5,6 +5,13 @@ of cases; each case is a deferred computation producing two values to
 compare (either may carry a standard error).  The runner times the
 case, applies the comparison policy and emits one report row.
 
+A builder registers each case with :meth:`SuiteContext.add`, which
+derives the case's seed and Monte Carlo plan from the same case id the
+report row shows and hands the plan to the case's callable; exact cases
+ignore it.  Builders return ``ctx.cases``.  A row's ``replicates`` is
+read off the :class:`~poisson_chaos.estimation.Estimate` sides of the
+case's payload, so it is 0 for exact rows.
+
 Seeds: every case derives its own 64-bit seed from the run seed and the
 case's name, so results do not depend on which suites run or in which
 order, and replicate i of a case always draws from stream i of that
@@ -13,16 +20,22 @@ case seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigError
-from ..estimation import (Estimate, McPlan, OracleBudget, TolerancePolicy,
-                          compare)
+from ..estimation import (Estimate, McPlan, OracleBudget, PoissonEnumeration,
+                          TolerancePolicy, compare)
 from ..functionals import Exponential, Functional
 from ..space import MeasureSpace
+
+# polynomial growth envelope for the oracle budgets of count functionals
+POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
+# outer replicates of the nested estimators, which run a node grid per replicate
+NESTED_REPLICATE_CAP = 100_000
 
 
 def derive_case_seed(run_seed: int, suite: str, case_id: str) -> int:
@@ -43,7 +56,6 @@ class CasePayload:
     rhs: float | Estimate
     tolerance: float | None = None
     one_sided: bool = False
-    replicates: int = 0
 
 
 @dataclass
@@ -96,7 +108,20 @@ class SuiteContext:
         self.config = config
         self.suite = suite
         self.policy = config.policy
+        self.cases: list[Case] = []
         self._budgets: dict = {}
+
+    # -- cases --------------------------------------------------------------
+
+    def case_seed(self, case_id: str) -> int:
+        return derive_case_seed(self.config.seed, self.suite, case_id)
+
+    def add(self, case_id: str, identity: str, run: Callable[[McPlan], CasePayload],
+            replicates: int | None = None) -> None:
+        """Register a case; ``run`` is called with the case's plan:
+        ``replicates`` (the configured count by default) keyed by the case seed."""
+        plan = McPlan(replicates or self.config.replicates, self.case_seed(case_id))
+        self.cases.append(Case(case_id, identity, functools.partial(run, plan)))
 
     # -- resources ----------------------------------------------------------
 
@@ -106,17 +131,20 @@ class SuiteContext:
         except KeyError:
             raise ConfigError(f"suite {self.suite!r} needs a space named {name!r}") from None
 
-    def plan(self, case_id: str, replicates: int | None = None) -> McPlan:
-        return McPlan(replicates or self.config.replicates,
-                      derive_case_seed(self.config.seed, self.suite, case_id))
-
     def budget(self, space: MeasureSpace, growth=None, tol: float | None = None) -> OracleBudget:
-        key = (space.cache_key(), id(growth), tol)
+        # the key holds the envelope itself: a freed one's id can be reused
+        key = (space.cache_key(), growth, tol)
         if key not in self._budgets:
             self._budgets[key] = OracleBudget.for_space(
                 space, tol if tol is not None else self.config.oracle_tol,
                 growth=growth, max_states=self.config.max_states)
         return self._budgets[key]
+
+    def enumeration(self, space: MeasureSpace, growth=POLY4,
+                    tol: float | None = 1e-8) -> PoissonEnumeration:
+        """The enumeration certified by :meth:`budget`, by default for
+        count functionals of polynomial growth."""
+        return PoissonEnumeration.get(space, self.budget(space, growth, tol))
 
     def exponentials(self, space: MeasureSpace | None = None,
                      small: bool = False) -> list[tuple[str, Exponential]]:
@@ -165,7 +193,8 @@ def run_cases(suite: SuiteSpec, config: RunConfig) -> list[CaseResult]:
                           se_combined=verdict.se_combined, abs_diff=verdict.diff,
                           tolerance=verdict.tolerance,
                           verdict="PASS" if verdict.passed else "FAIL",
-                          replicates=payload.replicates)
+                          replicates=max((side.replicates for side in (payload.lhs, payload.rhs)
+                                          if isinstance(side, Estimate)), default=0))
         except ConfigError:
             raise
         except Exception as exc:  # one broken case must not abort the run
@@ -177,7 +206,7 @@ def run_cases(suite: SuiteSpec, config: RunConfig) -> list[CaseResult]:
             suite=suite.name,
             case_id=case.case_id,
             identity=case.identity,
-            seed=derive_case_seed(config.seed, suite.name, case.case_id),
+            seed=ctx.case_seed(case.case_id),
             wall_time_ms=elapsed_ms,
             **fields,
         ))

@@ -15,9 +15,6 @@ from ..patterns import _poisson_cdf, sample_poisson_counts, thin_counts_with_uni
 from ..rng import stream_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
-# polynomial growth envelope for the oracle budgets of count functionals
-POLY4 = lambda n: (1.0 + n) ** 4  # noqa: E731
-
 
 def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
                   plan: McPlan) -> Estimate:

@@ -10,21 +10,17 @@ from ..functionals import (CountPolynomial, Exponential, Functional, Opaque,
                            difference_rows)
 from ..patterns import _count_vectors, sample_poisson_counts, thin_counts
 from ..space import Kernel
-from .base import Case, CasePayload, SuiteContext
-from .common import (POLY4, covariance_conditional_rhs,
-                     covariance_semigroup_rhs, mc_covariance)
+from .base import NESTED_REPLICATE_CAP, Case, CasePayload, SuiteContext
+from .common import (covariance_conditional_rhs, covariance_semigroup_rhs,
+                     mc_covariance)
 
 T_NODES = 16
-OUTER_CAP = 100_000
-
-
-def _enumeration(ctx: SuiteContext, space) -> PoissonEnumeration:
-    """The enumeration certified for functionals of polynomial growth."""
-    return PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+NESTED_FORMS = (("semigroup", covariance_semigroup_rhs),
+                ("conditional", covariance_conditional_rhs))
 
 
 def _oracle_covariance(ctx: SuiteContext, space, F, G) -> float:
-    enum = _enumeration(ctx, space)
+    enum = ctx.enumeration(space)
     mean_f = enum.expectation_of(F)
     mean_g = enum.expectation_of(G)
     return enum.expectation_of_values(
@@ -43,55 +39,32 @@ def _covariance_pairs(ctx: SuiteContext, space) -> list[tuple[str, Functional, F
 
 
 def build_covariance(ctx: SuiteContext) -> list[Case]:
-    cases = []
-    s1 = ctx.space("S1")
+    capped = min(ctx.config.replicates, NESTED_REPLICATE_CAP)
+
+    def add_nested(case_id, form, estimator, space, F, G):
+        def run(plan):
+            rhs = estimator(space, F, G, plan, T_NODES)
+            return CasePayload(lhs=_oracle_covariance(ctx, space, F, G), rhs=rhs)
+
+        ctx.add(case_id, f"covariance-identity-{form}", run, capped)
 
     # linear anchors: both routes hit the variance of the count exactly
-    for form, estimator in (("semigroup", covariance_semigroup_rhs),
-                            ("conditional", covariance_conditional_rhs)):
-        case_id = f"linear_anchor_S1_{form}"
-
-        def run_anchor(space=s1, estimator=estimator, case_id=case_id):
-            plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
-            F = CountPolynomial.total_count(space)
-            rhs = estimator(space, F, F, plan, T_NODES)
-            lhs = _oracle_covariance(ctx, space, F, F)
-            return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
-
-        cases.append(Case(case_id, f"covariance-identity-{form}", run_anchor))
-
+    s1 = ctx.space("S1")
+    total = CountPolynomial.total_count(s1)
+    for form, estimator in NESTED_FORMS:
+        add_nested(f"linear_anchor_S1_{form}", form, estimator, s1, total, total)
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
         for pair_id, F, G in _covariance_pairs(ctx, space):
-            case_id = f"semigroup_form_{space_name}_{pair_id}"
-
-            def run_semi(space=space, F=F, G=G, case_id=case_id):
-                plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
-                rhs = covariance_semigroup_rhs(space, F, G, plan, T_NODES)
-                lhs = _oracle_covariance(ctx, space, F, G)
-                return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
-
-            cases.append(Case(case_id, "covariance-identity-semigroup", run_semi))
-
-            case_id = f"conditional_form_{space_name}_{pair_id}"
-
-            def run_cond(space=space, F=F, G=G, case_id=case_id):
-                plan = ctx.plan(case_id, min(ctx.config.replicates, OUTER_CAP))
-                rhs = covariance_conditional_rhs(space, F, G, plan, T_NODES)
-                lhs = _oracle_covariance(ctx, space, F, G)
-                return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
-
-            cases.append(Case(case_id, "covariance-identity-conditional", run_cond))
+            for form, estimator in NESTED_FORMS:
+                add_nested(f"{form}_form_{space_name}_{pair_id}", form, estimator,
+                           space, F, G)
 
     # thinning splits the process into independent components with the
     # complementary intensities
     s2 = ctx.space("S2")
     for t in (0.3, 0.7):
-        case_id = f"thinning_split_t{t:g}"
-
-        def run_split(space=s2, t=t, case_id=case_id):
-            plan = ctx.plan(case_id)
-
+        def run_split(plan, space=s2, t=t):
             def batch(streams: np.ndarray, _start: int) -> np.ndarray:
                 counts = sample_poisson_counts(space, plan.seed, streams)
                 kept = thin_counts(counts, t, plan.seed, streams, sub1=1)
@@ -100,29 +73,22 @@ def build_covariance(ctx: SuiteContext) -> list[Case]:
                 dc = dropped[:, 0].astype(np.float64)
                 return (kc - t * space.weights[0]) * (dc - (1 - t) * space.weights[0])
 
-            est = mc_estimate(plan, batch)
-            return CasePayload(lhs=est, rhs=0.0, replicates=plan.replicates)
+            return CasePayload(lhs=mc_estimate(plan, batch), rhs=0.0)
 
-        cases.append(Case(case_id, "thinning-bifurcation", run_split))
+        ctx.add(f"thinning_split_t{t:g}", "thinning-bifurcation", run_split)
 
         for part, scale in (("kept", t), ("dropped", 1.0 - t)):
-            case_id = f"thinning_intensity_{part}_t{t:g}"
-
-            def run_intensity(space=s2, t=t, part=part, scale=scale, case_id=case_id):
-                plan = ctx.plan(case_id)
-
+            def run_intensity(plan, space=s2, t=t, part=part, scale=scale):
                 def batch(streams: np.ndarray, _start: int) -> np.ndarray:
                     counts = sample_poisson_counts(space, plan.seed, streams)
                     kept = thin_counts(counts, t, plan.seed, streams, sub1=1)
                     chosen = kept if part == "kept" else counts - kept
                     return chosen.astype(np.float64) @ np.ones(space.size)
 
-                est = mc_estimate(plan, batch)
-                return CasePayload(lhs=est, rhs=scale * space.total_mass,
-                                   replicates=plan.replicates)
+                return CasePayload(lhs=mc_estimate(plan, batch), rhs=scale * space.total_mass)
 
-            cases.append(Case(case_id, "thinning-bifurcation", run_intensity))
-    return cases
+            ctx.add(f"thinning_intensity_{part}_t{t:g}", "thinning-bifurcation", run_intensity)
+    return ctx.cases
 
 
 def _difference_energy(enum: PoissonEnumeration, F) -> float:
@@ -154,61 +120,49 @@ def _poincare_battery(ctx: SuiteContext) -> list[tuple[str, object, Functional]]
 
 
 def build_poincare(ctx: SuiteContext) -> list[Case]:
-    cases = []
     s1 = ctx.space("S1")
 
     # the linear functional saturates the bound
-    case_id = "equality_linear_S1"
-
-    def run_equality(space=s1):
+    def run_equality(_plan, space=s1):
         F = CountPolynomial.total_count(space)
-        enum = _enumeration(ctx, space)
+        enum = ctx.enumeration(space)
         mean = enum.expectation_of(F)
         var = enum.expectation_of_values((F.evaluate_counts(enum.counts) - mean) ** 2)
         return CasePayload(lhs=var, rhs=_difference_energy(enum, F),
                            tolerance=1e-9)
 
-    cases.append(Case(case_id, "poincare-inequality", run_equality))
+    ctx.add("equality_linear_S1", "poincare-inequality", run_equality)
 
     for name, space, F in _poincare_battery(ctx):
-        case_id = f"variance_bound_{name}"
-
-        def run_bound(space=space, F=F):
+        def run_bound(_plan, space=space, F=F):
             var = _oracle_covariance(ctx, space, F, F)
-            return CasePayload(lhs=var, rhs=_difference_energy(_enumeration(ctx, space), F),
+            return CasePayload(lhs=var, rhs=_difference_energy(ctx.enumeration(space), F),
                                tolerance=1e-9, one_sided=True)
 
-        cases.append(Case(case_id, "poincare-inequality", run_bound))
+        ctx.add(f"variance_bound_{name}", "poincare-inequality", run_bound)
 
     # one sampled instance: the bound with statistical slack
-    case_id = "variance_bound_mc_S2"
-
-    def run_mc(space=ctx.space("S2"), case_id=case_id):
+    def run_mc(plan, space=ctx.space("S2")):
         exps = ctx.exponentials(space)
         F = exps[0][1] if exps else CountPolynomial.total_count(space)
-        plan = ctx.plan(case_id)
         var = mc_covariance(space, F, F, plan)
-        energy = _difference_energy(_enumeration(ctx, space), F)
-        return CasePayload(lhs=var, rhs=energy, replicates=plan.replicates,
-                           one_sided=True)
+        energy = _difference_energy(ctx.enumeration(space), F)
+        return CasePayload(lhs=var, rhs=energy, one_sided=True)
 
-    cases.append(Case(case_id, "poincare-inequality", run_mc))
+    ctx.add("variance_bound_mc_S2", "poincare-inequality", run_mc)
 
     # second-moment extension for an integrable, fast-growing functional
-    case_id = "l1_extension_S1"
-
-    def run_l1(space=s1):
-        growth = lambda n: 4.0**n  # noqa: E731  envelope for the squared functional
-        budget = ctx.budget(space, growth=growth, tol=1e-8)
-        enum = PoissonEnumeration.get(space, budget)
+    def run_l1(_plan, space=s1):
+        # envelope for the squared functional
+        enum = ctx.enumeration(space, growth=lambda n: 4.0**n)
         F = Opaque(space, counts_fn=lambda c: 2.0 ** c.sum(axis=1).astype(np.float64))
         second = enum.expectation_of(F * F)
         mean = enum.expectation_of(F)
         return CasePayload(lhs=second, rhs=mean**2 + _difference_energy(enum, F),
                            tolerance=1e-6, one_sided=True)
 
-    cases.append(Case(case_id, "poincare-l1-extension", run_l1))
-    return cases
+    ctx.add("l1_extension_S1", "poincare-l1-extension", run_l1)
+    return ctx.cases
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +212,6 @@ def check_monotone(space, F: Functional, boundary: int, max_total: int = 5) -> b
 
 
 def build_fkg(ctx: SuiteContext) -> list[Case]:
-    cases = []
     space = ctx.space("S2")
     boundary = 1
     battery = _monotone_battery(space, boundary)
@@ -268,18 +221,14 @@ def build_fkg(ctx: SuiteContext) -> list[Case]:
             continue
         name_f, F = battery[i]
         name_g, G = battery[j]
-        case_id = f"association_{name_f}__{name_g}"
 
-        def run(F=F, G=G, case_id=case_id):
+        def run(plan, F=F, G=G):
             for H in (F, G):
                 if not check_monotone(space, H, boundary):
                     raise AssertionError("battery functional is not monotone")
-            plan = ctx.plan(case_id)
-            cov = mc_covariance(space, F, G, plan)
-            return CasePayload(lhs=0.0, rhs=cov, replicates=plan.replicates,
-                               one_sided=True)
+            return CasePayload(lhs=0.0, rhs=mc_covariance(space, F, G, plan), one_sided=True)
 
-        cases.append(Case(case_id, "fkg-inequality", run))
+        ctx.add(f"association_{name_f}__{name_g}", "fkg-inequality", run)
 
     # exact rows: enumerated covariance of monotone pairs is nonnegative
     for i, j in ((0, 3), (1, 2)):
@@ -287,14 +236,13 @@ def build_fkg(ctx: SuiteContext) -> list[Case]:
             continue
         name_f, F = battery[i]
         name_g, G = battery[j]
-        case_id = f"association_oracle_{name_f}__{name_g}"
 
-        def run_oracle(F=F, G=G):
+        def run_oracle(_plan, F=F, G=G):
             for H in (F, G):
                 if not check_monotone(space, H, boundary):
                     raise AssertionError("battery functional is not monotone")
             cov = _oracle_covariance(ctx, space, F, G)
             return CasePayload(lhs=0.0, rhs=cov, tolerance=1e-9, one_sided=True)
 
-        cases.append(Case(case_id, "fkg-inequality", run_oracle))
-    return cases
+        ctx.add(f"association_oracle_{name_f}__{name_g}", "fkg-inequality", run_oracle)
+    return ctx.cases

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import PoissonEnumeration, mc_expectation
+from ..estimation import mc_expectation
 from ..functionals import Exponential
 from .base import Case, CasePayload, SuiteContext
 
@@ -50,36 +50,26 @@ def _pairs(ctx: SuiteContext) -> list[tuple[str, Exponential, Exponential]]:
 
 
 def build_fock_isometry(ctx: SuiteContext) -> list[Case]:
-    cases = []
     pairs = _pairs(ctx)
     for pair_id, f, g in pairs:
-        case_id = f"series_vs_closed_{pair_id}"
-
-        def run(f=f, g=g):
+        def run(_plan, f=f, g=g):
             series = isometry_series(f, g)
             closed = Exponential(f.space, f.v + g.v).closed_form_mean()
             return CasePayload(lhs=series, rhs=closed, tolerance=1e-10)
 
-        cases.append(Case(case_id, "fock-isometry", run))
+        ctx.add(f"series_vs_closed_{pair_id}", "fock-isometry", run)
 
-        case_id = f"series_vs_oracle_{pair_id}"
-
-        def run(f=f, g=g):
+        def run(_plan, f=f, g=g):
             series = isometry_series(f, g)
-            enum = PoissonEnumeration.get(f.space, ctx.budget(f.space))
-            oracle = enum.expectation_of(f * g)
+            oracle = ctx.enumeration(f.space, growth=None, tol=None).expectation_of(f * g)
             return CasePayload(lhs=series, rhs=oracle, tolerance=1e-6)
 
-        cases.append(Case(case_id, "fock-isometry", run))
+        ctx.add(f"series_vs_oracle_{pair_id}", "fock-isometry", run)
 
     for pair_id, f, g in pairs[:3]:
-        case_id = f"series_vs_mc_{pair_id}"
-
-        def run(f=f, g=g, case_id=case_id):
-            plan = ctx.plan(case_id)
-            series = isometry_series(f, g)
+        def run(plan, f=f, g=g):
             est = mc_expectation(f.space, f * g, plan)
-            return CasePayload(lhs=est, rhs=series, replicates=plan.replicates)
+            return CasePayload(lhs=est, rhs=isometry_series(f, g))
 
-        cases.append(Case(case_id, "fock-isometry", run))
-    return cases
+        ctx.add(f"series_vs_mc_{pair_id}", "fock-isometry", run)
+    return ctx.cases

@@ -22,18 +22,12 @@ def _pool_kernel(ctx: SuiteContext, space) -> Kernel:
 
 
 def build_laplace(ctx: SuiteContext) -> list[Case]:
-    cases = []
     for name, f in ctx.exponentials():
-        case_id = f"exp_transform_{name}"
+        def run(plan, f=f):
+            return CasePayload(lhs=mc_expectation(f.space, f, plan), rhs=f.closed_form_mean())
 
-        def run(f=f, case_id=case_id):
-            plan = ctx.plan(case_id)
-            est = mc_expectation(f.space, f, plan)
-            return CasePayload(lhs=est, rhs=f.closed_form_mean(),
-                               replicates=plan.replicates)
-
-        cases.append(Case(case_id, "laplace-functional", run))
-    return cases
+        ctx.add(f"exp_transform_{name}", "laplace-functional", run)
+    return ctx.cases
 
 
 def _field_lhs(space, fields) -> Functional:
@@ -110,40 +104,30 @@ def _mecke_fields(ctx: SuiteContext, space) -> list[tuple[str, list[Functional]]
 
 
 def build_mecke(ctx: SuiteContext) -> list[Case]:
-    cases = []
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
         for battery_name, fields in _mecke_fields(ctx, space):
-            case_id = f"add_point_{space_name}_{battery_name}"
-
-            def run(space=space, fields=fields, case_id=case_id):
-                plan = ctx.plan(case_id)
+            def run(plan, space=space, fields=fields):
                 lhs, rhs = mc_expectations(
                     space, [_field_lhs(space, fields), _field_rhs(space, fields)], plan)
-                return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
+                return CasePayload(lhs=lhs, rhs=rhs)
 
-            cases.append(Case(case_id, "mecke-equation", run))
+            ctx.add(f"add_point_{space_name}_{battery_name}", "mecke-equation", run)
 
         # analytic anchor: h = total count makes both sides mass*(mass+1)
         mass = space.total_mass
         anchor = mass * (mass + 1.0)
         for side, maker in (("lhs", _field_lhs), ("rhs", _field_rhs)):
-            case_id = f"analytic_{space_name}_{side}"
-
-            def run(space=space, maker=maker, anchor=anchor, case_id=case_id):
-                plan = ctx.plan(case_id)
+            def run(plan, space=space, maker=maker, anchor=anchor):
                 total = CountPolynomial.total_count(space)
                 fields = [total for _ in range(space.size)]
                 est = mc_expectation(space, maker(space, fields), plan)
-                return CasePayload(lhs=est, rhs=anchor, replicates=plan.replicates)
+                return CasePayload(lhs=est, rhs=anchor)
 
-            cases.append(Case(case_id, "mecke-equation", run))
+            ctx.add(f"analytic_{space_name}_{side}", "mecke-equation", run)
 
         # order-2 version on a product field
-        case_id = f"pair_{space_name}_exp"
-
-        def run(space=space, ctx=ctx, case_id=case_id):
-            plan = ctx.plan(case_id)
+        def run(plan, space=space):
             exps = ctx.exponentials(space)
             f = exps[0][1] if exps else Exponential.one(space)
             g = 1.0 + 0.5 * np.arange(space.size, dtype=np.float64)
@@ -151,39 +135,29 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
                       for x in range(space.size)]
             lhs, rhs = mc_expectations(
                 space, [_pair_field_lhs(space, fields), _pair_field_rhs(space, fields)], plan)
-            return CasePayload(lhs=lhs, rhs=rhs, replicates=plan.replicates)
+            return CasePayload(lhs=lhs, rhs=rhs)
 
-        cases.append(Case(case_id, "multivariate-mecke", run))
+        ctx.add(f"pair_{space_name}_exp", "multivariate-mecke", run)
 
-        case_id = f"pair_{space_name}_analytic"
-
-        def run(space=space, case_id=case_id):
-            plan = ctx.plan(case_id)
+        def run(plan, space=space):
             one = CountPolynomial(space, [(1.0, (0,) * space.size)])
             fields = [[one for _ in range(space.size)] for _ in range(space.size)]
             lhs = mc_expectation(space, _pair_field_lhs(space, fields), plan)
-            return CasePayload(lhs=lhs, rhs=space.total_mass**2,
-                               replicates=plan.replicates)
+            return CasePayload(lhs=lhs, rhs=space.total_mass**2)
 
-        cases.append(Case(case_id, "multivariate-mecke", run))
-    return cases
+        ctx.add(f"pair_{space_name}_analytic", "multivariate-mecke", run)
+    return ctx.cases
 
 
 def build_factorial_moments(ctx: SuiteContext) -> list[Case]:
-    cases = []
     for space_name in ("S2", "S3"):
         space = ctx.space(space_name)
         base = _pool_kernel(ctx, space)
         for m in (1, 2, 3):
-            f = tensor_power(base, m)
-            case_id = f"moment_{space_name}_m{m}"
+            def run(plan, space=space, f=tensor_power(base, m)):
+                G = Opaque(space, counts_fn=lambda c: factorial_counts(c, f))
+                return CasePayload(lhs=mc_expectation(space, G, plan),
+                                   rhs=integrate(space, f))
 
-            def run(space=space, f=f, case_id=case_id):
-                plan = ctx.plan(case_id)
-                G = Opaque(space, counts_fn=lambda c, f=f: factorial_counts(c, f))
-                est = mc_expectation(space, G, plan)
-                return CasePayload(lhs=est, rhs=integrate(space, f),
-                                   replicates=plan.replicates)
-
-            cases.append(Case(case_id, "factorial-moments", run))
-    return cases
+            ctx.add(f"moment_{space_name}_m{m}", "factorial-moments", run)
+    return ctx.cases

@@ -9,21 +9,20 @@ import math
 
 import numpy as np
 
-from ..estimation import PoissonEnumeration
-from ..functionals import (ChaosVector, CountPolynomial,
+from ..functionals import (ChaosVector, CountPolynomial, Exponential,
                            chaos_of_exponential, iterated_difference_counts)
 from ..malliavin import (ou_inverse_chaos, ou_inverse_quadrature,
                          ou_semigroup_mc, semigroup_chaos, semigroup_closed_form)
 from ..patterns import PointPattern, _count_vectors
+from ..space import Kernel
 from ..wiener_ito import chaos_reconstruct
-from .base import Case, CasePayload, SuiteContext
-from .common import POLY4, worst_residual
+from .base import NESTED_REPLICATE_CAP, Case, CasePayload, SuiteContext
+from .common import worst_residual
 
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def build_mehler(ctx: SuiteContext) -> list[Case]:
-    cases = []
     s1, s2 = ctx.space("S1"), ctx.space("S2")
 
     # sampled semigroup against the closed-form representative
@@ -39,20 +38,15 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
         F = exps[0][1]
         for s in S_GRID:
             for pattern in patterns:
-                case_id = f"thinning_mc_{space_name}_s{s:g}_N{pattern.total}"
+                def run(plan, F=F, s=s, pattern=pattern):
+                    return CasePayload(lhs=ou_semigroup_mc(F, s, pattern, plan),
+                                       rhs=semigroup_closed_form(F, s).evaluate(pattern))
 
-                def run(space=space, F=F, s=s, pattern=pattern, case_id=case_id):
-                    plan = ctx.plan(case_id)
-                    est = ou_semigroup_mc(F, s, pattern, plan)
-                    closed = semigroup_closed_form(F, s).evaluate(pattern)
-                    return CasePayload(lhs=est, rhs=closed, replicates=plan.replicates)
-
-                cases.append(Case(case_id, "mehler-formula", run))
+                ctx.add(f"thinning_mc_{space_name}_s{s:g}_N{pattern.total}",
+                        "mehler-formula", run)
 
     # chaos-level scaling is the geometric one, and composes
-    case_id = "chaos_scaling_composition"
-
-    def run_scaling():
+    def run_scaling(_plan):
         exps = ctx.exponentials(s2)
         cv = chaos_of_exponential(exps[0][1], 4)
         ab = semigroup_chaos(semigroup_chaos(cv, 0.5), 0.4)
@@ -62,7 +56,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
         worst = max(worst, direct.max_abs_difference(manual))
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-12)
 
-    cases.append(Case(case_id, "mehler-formula", run_scaling))
+    ctx.add("chaos_scaling_composition", "mehler-formula", run_scaling)
 
     # commutation with the difference operator, exponentials, closed forms
     for space_name, order in (("S1", 2), ("S2", 2)):
@@ -72,9 +66,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
             continue
         F = exps[0][1]
         for n in (1, 2):
-            case_id = f"commutation_{space_name}_n{n}"
-
-            def run(space=space, F=F, n=n):
+            def run(_plan, space=space, F=F, n=n):
                 factor = np.exp(-F.v.values) - 1.0
                 counts = _count_vectors(space.size, 4)
                 residuals = []
@@ -88,15 +80,13 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
                 return CasePayload(lhs=worst_residual(residuals), rhs=0.0,
                                    tolerance=1e-10)
 
-            cases.append(Case(case_id, "semigroup-commutation", run))
+            ctx.add(f"commutation_{space_name}_n{n}", "semigroup-commutation", run)
 
     # commutation in expectation for count polynomials, both sides enumerated
-    case_id = "commutation_mean_S2_poly"
-
-    def run_mean_comm(space=s2):
+    def run_mean_comm(_plan, space=s2):
         F = (CountPolynomial.atom_count(space, 0) * CountPolynomial.atom_count(space, 1)
              + CountPolynomial.total_count(space))
-        enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4, tol=1e-8))
+        enum = ctx.enumeration(space)
         worst = 0.0
         for s in (0.25, 0.5, 0.75):
             Ps = semigroup_closed_form(F, s)
@@ -109,7 +99,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
                     worst = max(worst, abs(lhs - rhs))
         return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-8)
 
-    cases.append(Case(case_id, "semigroup-commutation", run_mean_comm))
+    ctx.add("commutation_mean_S2_poly", "semigroup-commutation", run_mean_comm)
 
     # mean preservation and contractivity across the grid, enumerated
     for space_name in ("S1", "S2"):
@@ -118,11 +108,8 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
         battery = [("exp", exps[0][1])] if exps else []
         battery.append(("poly", CountPolynomial.total_count(space)))
         for f_name, F in battery:
-            case_id = f"mean_preservation_{space_name}_{f_name}"
-
-            def run_mean(space=space, F=F):
-                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4,
-                                                                tol=1e-8))
+            def run_mean(_plan, space=space, F=F):
+                enum = ctx.enumeration(space)
                 worst = 0.0
                 mean = enum.expectation_of(F)
                 for s in S_GRID:
@@ -130,13 +117,10 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
                     worst = max(worst, abs(ps_mean - mean))
                 return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-8)
 
-            cases.append(Case(case_id, "semigroup-mean", run_mean))
+            ctx.add(f"mean_preservation_{space_name}_{f_name}", "semigroup-mean", run_mean)
 
-            case_id = f"contractivity_{space_name}_{f_name}"
-
-            def run_contract(space=space, F=F):
-                enum = PoissonEnumeration.get(space, ctx.budget(space, growth=POLY4,
-                                                                tol=1e-8))
+            def run_contract(_plan, space=space, F=F):
+                enum = ctx.enumeration(space)
                 second = enum.expectation_of(F * F)
                 worst = -math.inf
                 for s in S_GRID:
@@ -144,40 +128,33 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
                     worst = max(worst, enum.expectation_of(ps * ps) - second)
                 return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9, one_sided=True)
 
-            cases.append(Case(case_id, "semigroup-contractivity", run_contract))
+            ctx.add(f"contractivity_{space_name}_{f_name}", "semigroup-contractivity",
+                    run_contract)
 
     # inverse generator: quadrature of the semigroup against the chaos route
-    case_id = "inverse_quadrature_linear_S2"
+    capped = min(ctx.config.replicates, NESTED_REPLICATE_CAP)
 
-    def run_inv_linear(space=s2):
-        plan = ctx.plan("inverse_quadrature_linear_S2", min(ctx.config.replicates, 100_000))
+    def run_inv_linear(plan, space=s2):
         F = CountPolynomial.total_count(space) + (-space.total_mass)
         pattern = PointPattern(space, [2, 1])
         est = ou_inverse_quadrature(F, pattern, 16, plan, mean=0.0)
         want = -(pattern.total - space.total_mass)
-        return CasePayload(lhs=est, rhs=want, tolerance=4.0 * est.se + 1e-4,
-                           replicates=plan.replicates)
+        return CasePayload(lhs=est, rhs=want, tolerance=4.0 * est.se + 1e-4)
 
-    cases.append(Case(case_id, "ou-inverse", run_inv_linear))
+    ctx.add("inverse_quadrature_linear_S2", "ou-inverse", run_inv_linear, capped)
 
     for space_name, counts in (("S1", [2]), ("S2", [1, 1])):
         space = ctx.space(space_name)
         # steep decay keeps the order-4 chaos route within the quadrature floor
-        from ..functionals import Exponential
-        from ..space import Kernel
-
         F = Exponential(space, Kernel(space, np.full(space.size, 0.12)))
-        case_id = f"inverse_quadrature_exp_{space_name}"
 
-        def run_inv(space=space, F=F, counts=counts, case_id=case_id):
-            plan = ctx.plan(case_id, min(ctx.config.replicates, 100_000))
+        def run_inv(plan, space=space, F=F, counts=counts):
             pattern = PointPattern(space, counts)
             est = ou_inverse_quadrature(F, pattern, 16, plan)
             cv = chaos_of_exponential(F, 4)
             centered = ChaosVector(space, [0.0, *cv.coefficients[1:]])
             want = chaos_reconstruct(pattern, ou_inverse_chaos(centered))
-            return CasePayload(lhs=est, rhs=want, tolerance=4.0 * est.se + 1e-4,
-                               replicates=plan.replicates)
+            return CasePayload(lhs=est, rhs=want, tolerance=4.0 * est.se + 1e-4)
 
-        cases.append(Case(case_id, "ou-inverse", run_inv))
-    return cases
+        ctx.add(f"inverse_quadrature_exp_{space_name}", "ou-inverse", run_inv, capped)
+    return ctx.cases

@@ -8,14 +8,14 @@ import math
 
 import numpy as np
 
-from ..estimation import PoissonEnumeration, mc_expectation
+from ..estimation import mc_expectation
 from ..functionals import ChaosVector, Opaque, chaos_of_exponential
 from ..patterns import _count_vectors
 from ..space import Kernel, inner_product, symmetrize
 from ..wiener_ito import (chaos_finite_sum, chaos_reconstruct_counts,
                           product_formula_rhs, wiener_ito_counts)
 from .base import Case, CasePayload, SuiteContext
-from .common import POLY4, seeded_chaos_vector, worst_residual
+from .common import seeded_chaos_vector, worst_residual
 
 
 def _seeded_kernel(space, arity: int, seed: int, symmetric: bool = False) -> Kernel:
@@ -25,33 +25,26 @@ def _seeded_kernel(space, arity: int, seed: int, symmetric: bool = False) -> Ker
 
 
 def build_wi_isometry(ctx: SuiteContext) -> list[Case]:
-    cases = []
     # exact enumeration, orders up to two
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
         for m, n in ((1, 1), (1, 2), (2, 2)):
-            case_id = f"oracle_{space_name}_m{m}_n{n}"
-
-            def run(space=space, m=m, n=n):
+            def run(_plan, space=space, m=m, n=n):
                 g = _seeded_kernel(space, m, 100 + 7 * m + n)
                 h = _seeded_kernel(space, n, 200 + 5 * m + n)
                 prod = Opaque(space, counts_fn=lambda c: (
                     wiener_ito_counts(space, g, c) * wiener_ito_counts(space, h, c)))
-                budget = ctx.budget(space, growth=POLY4, tol=1e-8)
-                lhs = PoissonEnumeration.get(space, budget).expectation_of(prod)
+                lhs = ctx.enumeration(space).expectation_of(prod)
                 rhs = (math.factorial(m) * inner_product(space, symmetrize(g), symmetrize(h))
                        if m == n else 0.0)
                 return CasePayload(lhs=lhs, rhs=rhs, tolerance=1e-6)
 
-            cases.append(Case(case_id, "wiener-ito-isometry", run))
+            ctx.add(f"oracle_{space_name}_m{m}_n{n}", "wiener-ito-isometry", run)
 
     # sampled, orders up to three
     space = ctx.space("S2")
     for m, n in ((1, 3), (2, 3), (3, 3)):
-        case_id = f"mc_S2_m{m}_n{n}"
-
-        def run(space=space, m=m, n=n, case_id=case_id):
-            plan = ctx.plan(case_id)
+        def run(plan, space=space, m=m, n=n):
             g = _seeded_kernel(space, m, 300 + m)
             h = _seeded_kernel(space, n, 400 + n)
             prod = Opaque(space, counts_fn=lambda c: (
@@ -59,30 +52,22 @@ def build_wi_isometry(ctx: SuiteContext) -> list[Case]:
             est = mc_expectation(space, prod, plan)
             rhs = (math.factorial(m) * inner_product(space, symmetrize(g), symmetrize(h))
                    if m == n else 0.0)
-            return CasePayload(lhs=est, rhs=rhs, replicates=plan.replicates)
+            return CasePayload(lhs=est, rhs=rhs)
 
-        cases.append(Case(case_id, "wiener-ito-isometry", run))
+        ctx.add(f"mc_S2_m{m}_n{n}", "wiener-ito-isometry", run)
 
     # centering: sampled means of the integrals vanish
     for space_name, n in (("S2", 1), ("S2", 2), ("S3", 3)):
-        space_n = ctx.space(space_name)
-        case_id = f"mean_zero_{space_name}_n{n}"
-
-        def run(space=space_n, n=n, case_id=case_id):
-            plan = ctx.plan(case_id)
+        def run(plan, space=ctx.space(space_name), n=n):
             g = _seeded_kernel(space, n, 500 + n)
             G = Opaque(space, counts_fn=lambda c: wiener_ito_counts(space, g, c))
-            est = mc_expectation(space, G, plan)
-            return CasePayload(lhs=est, rhs=0.0, replicates=plan.replicates)
+            return CasePayload(lhs=mc_expectation(space, G, plan), rhs=0.0)
 
-        cases.append(Case(case_id, "wiener-ito-mean-zero", run))
+        ctx.add(f"mean_zero_{space_name}_n{n}", "wiener-ito-mean-zero", run)
 
     # the integral only sees the symmetrization of its kernel
     for space_name in ("S2", "S3"):
-        space_s = ctx.space(space_name)
-        case_id = f"symmetrization_{space_name}"
-
-        def run(space=space_s):
+        def run(_plan, space=ctx.space(space_name)):
             counts = _count_vectors(space.size, 6)
             kernels = [_seeded_kernel(space, n, 600 + n) for n in (2, 3)]
             worst = worst_residual(wiener_ito_counts(space, g, counts)
@@ -90,19 +75,15 @@ def build_wi_isometry(ctx: SuiteContext) -> list[Case]:
                                    for g in kernels)
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-10)
 
-        cases.append(Case(case_id, "wiener-ito-isometry", run))
-    return cases
+        ctx.add(f"symmetrization_{space_name}", "wiener-ito-isometry", run)
+    return ctx.cases
 
 
 def build_product_formula(ctx: SuiteContext) -> list[Case]:
-    cases = []
     for space_name in ("S1", "S2", "S3"):
         space = ctx.space(space_name)
         for p, q in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            identity = "product-formula-single" if q == 1 else "product-formula-general"
-            case_id = f"pathwise_{space_name}_p{p}_q{q}"
-
-            def run(space=space, p=p, q=q):
+            def run(_plan, space=space, p=p, q=q):
                 f = _seeded_kernel(space, p, 700 + 3 * p + q, symmetric=True)
                 g = _seeded_kernel(space, q, 800 + p + 3 * q, symmetric=True)
                 counts = _count_vectors(space.size, 6)
@@ -110,8 +91,9 @@ def build_product_formula(ctx: SuiteContext) -> list[Case]:
                 worst = worst_residual([lhs - product_formula_rhs(f, g, counts)])
                 return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-9)
 
-            cases.append(Case(case_id, identity, run))
-    return cases
+            ctx.add(f"pathwise_{space_name}_p{p}_q{q}",
+                    "product-formula-single" if q == 1 else "product-formula-general", run)
+    return ctx.cases
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +145,7 @@ def recover_chaos_vector(space, target_fn, order: int, max_total: int) -> ChaosV
 
 def _truncation_errors(ctx: SuiteContext, space, f, order: int) -> list[float]:
     """Enumerated second moment of the reconstruction error per order."""
-    enum = PoissonEnumeration.get(space, ctx.budget(space))
+    enum = ctx.enumeration(space, growth=None, tol=None)
     exact = f.evaluate_counts(enum.counts)
     errors = []
     for n in range(order + 1):
@@ -174,43 +156,36 @@ def _truncation_errors(ctx: SuiteContext, space, f, order: int) -> list[float]:
 
 
 def build_chaos_reconstruction(ctx: SuiteContext) -> list[Case]:
-    cases = []
     # pathwise finite-sum identity on every pattern up to eight points
     for space_name in ("S1", "S2", "S3"):
         space = ctx.space(space_name)
-        exps = ctx.exponentials(space)
-        case_id = f"finite_sum_{space_name}"
 
-        def run(space=space, exps=exps):
+        def run(_plan, space=space, exps=ctx.exponentials(space)):
             counts = _count_vectors(space.size, 8)
             worst = worst_residual(chaos_finite_sum(space, f.v, counts)
                                    - f.evaluate_counts(counts) for _, f in exps)
             return CasePayload(lhs=worst, rhs=0.0, tolerance=1e-10)
 
-        cases.append(Case(case_id, "pathwise-chaos-sum", run))
+        ctx.add(f"finite_sum_{space_name}", "pathwise-chaos-sum", run)
 
     # truncated reconstruction error is monotone and small at full order
     for space_name in ("S1", "S3"):
         space = ctx.space(space_name)
         for name, f in ctx.exponentials(space, small=True):
             for n in range(1, 5):
-                case_id = f"l2_monotone_{name}_n{n}"
-
-                def run(space=space, f=f, n=n):
+                def run(_plan, space=space, f=f, n=n):
                     errors = _truncation_errors(ctx, space, f, 4)
                     return CasePayload(lhs=errors[n], rhs=errors[n - 1],
                                        tolerance=1e-12, one_sided=True)
 
-                cases.append(Case(case_id, "chaos-expansion", run))
+                ctx.add(f"l2_monotone_{name}_n{n}", "chaos-expansion", run)
 
-            case_id = f"l2_terminal_{name}"
-
-            def run(space=space, f=f):
+            def run(_plan, space=space, f=f):
                 errors = _truncation_errors(ctx, space, f, 4)
                 return CasePayload(lhs=errors[4], rhs=0.0,
                                    tolerance=1e-6, one_sided=True)
 
-            cases.append(Case(case_id, "chaos-expansion", run))
+            ctx.add(f"l2_terminal_{name}", "chaos-expansion", run)
 
     # uniqueness: coefficients recovered from pattern evaluations of a
     # finite chaos sum must reproduce that sum's coefficients exactly
@@ -222,14 +197,12 @@ def build_chaos_reconstruction(ctx: SuiteContext) -> list[Case]:
             targets.append((f"exp_{exps[0][0]}", chaos_of_exponential(exps[0][1], order)))
         targets.append(("random", seeded_chaos_vector(space, order, 900 + order)))
         for target_name, cv in targets:
-            case_id = f"uniqueness_{space_name}_{target_name}"
-
-            def run(space=space, cv=cv, order=order):
+            def run(_plan, space=space, cv=cv, order=order):
                 recovered = recover_chaos_vector(
                     space, lambda c: chaos_reconstruct_counts(space, cv, c),
                     order, order + 2)
                 return CasePayload(lhs=recovered.max_abs_difference(cv), rhs=0.0,
                                    tolerance=1e-8)
 
-            cases.append(Case(case_id, "chaos-uniqueness", run))
-    return cases
+            ctx.add(f"uniqueness_{space_name}_{target_name}", "chaos-uniqueness", run)
+    return ctx.cases

@@ -24,7 +24,7 @@ from poisson_chaos.functionals import (CHAOS_ORDER_CAP, ChaosVector, CountPolyno
                                        poisson_raw_moment, t_coefficient_mc)
 from poisson_chaos.patterns import PointPattern
 from poisson_chaos.space import Kernel, MeasureSpace
-from poisson_chaos.suites.common import POLY4
+from poisson_chaos.suites.base import POLY4
 
 LN2 = math.log(2.0)
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
-from poisson_chaos.functionals import Exponential, difference_rows
-from poisson_chaos.malliavin import gauss_legendre_unit
+from poisson_chaos.functionals import (Exponential, chaos_of_exponential,
+                                       difference_counts, difference_rows,
+                                       iterated_difference_counts)
+from poisson_chaos.malliavin import gauss_legendre_unit, malliavin_chaos
 from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
                                     _binomial_bins, _binomial_cdf_rows,
                                     _invert_cdf, _poisson_cdf, factorial_counts,
@@ -36,6 +38,23 @@ class TestPointPattern:
         with pytest.raises(ContractViolationError):
             PointPattern(s2, [1])
 
+    @pytest.mark.parametrize("counts", [
+        [1.7, 0],           # used to become [1, 0]
+        [np.nan, 0],        # a bare ValueError
+        [np.inf, 1],
+        [1, -np.inf],
+        [1e30, 0],
+        ["1", "2"],
+        [1 + 0j, 0],
+    ])
+    def test_non_integral_counts_rejected(self, s2, counts):
+        with pytest.raises(ContractViolationError):
+            PointPattern(s2, counts)
+
+    def test_integral_counts_of_any_type(self, s2):
+        for counts in ([2.0, 1.0], np.array([2, 1], dtype=np.uint8), (np.int32(2), 1)):
+            assert PointPattern(s2, counts) == PointPattern(s2, [2, 1])
+
     def test_add_remove_single_count(self, s2):
         p = PointPattern(s2, [2, 1])
         assert p.add_point(0).counts.tolist() == [3, 1]
@@ -51,6 +70,68 @@ class TestPointPattern:
         assert p.measure_of(Kernel(s2, [1.5, -1.0])) == pytest.approx(2.0)
         with pytest.raises(ContractViolationError):
             p.measure_of(Kernel.constant(s2, 2))
+
+
+class TestAtomIndexContract:
+    """An atom index outside [0, d) raises instead of meaning the last atom
+    (-1) or giving a bare IndexError (d)."""
+
+    CALLS = {
+        "add_point": lambda s2, x: PointPattern(s2, [1, 1]).add_point(x),
+        "remove_point": lambda s2, x: PointPattern(s2, [1, 1]).remove_point(x),
+        "difference_counts": lambda s2, x: difference_counts(
+            Exponential(s2, Kernel(s2, [0.3, 0.2])), x, np.array([[1, 0]])),
+        "iterated_difference_counts": lambda s2, x: iterated_difference_counts(
+            Exponential(s2, Kernel(s2, [0.3, 0.2])), (0, x), np.array([[1, 0]])),
+        "malliavin_chaos": lambda s2, x: malliavin_chaos(
+            chaos_of_exponential(Exponential(s2, Kernel(s2, [0.3, 0.2])), 2), x),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("x", [-1, 2, 7, 1.0, True, np.int64(-2)])
+    def test_outside_the_atoms_rejected(self, s2, call, x):
+        with pytest.raises(ContractViolationError, match="atom index"):
+            self.CALLS[call](s2, x)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_numpy_integer_index_accepted(self, s2, call):
+        self.CALLS[call](s2, np.uint8(1))
+
+
+class TestSamplerContracts:
+    """Malformed sampler inputs raise instead of returning wrong counts."""
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[-1, 2]]),            # used to return [[6, 2]]
+        np.array([[200, -3]]),
+        np.array([[1.5, 2.0]]),
+        np.array([[1.0, 2.0]]),         # integral, but not integer counts
+        np.array([1, 2]),
+    ])
+    def test_thin_counts_rejects_bad_counts(self, counts):
+        with pytest.raises(ContractViolationError):
+            thin_counts(counts, 0.5, 1, np.arange(len(counts), dtype=np.uint64))
+
+    @pytest.mark.parametrize("u_shape", [(1, 1), (1, 3), (2, 2), (2,), (1, 2, 1)])
+    def test_thinning_uniforms_must_match_the_counts(self, u_shape):
+        # one column for two atoms used to thin both atoms with it
+        counts = np.array([[3, 4]])
+        with pytest.raises(ContractViolationError, match="shape"):
+            thin_counts_with_uniforms(counts, 0.5, np.full(u_shape, 0.25))
+
+    @pytest.mark.parametrize("u_shape", [(1, 1), (1, 3), (2,), (1, 2, 1)])
+    def test_poisson_uniforms_one_column_per_atom(self, s2, u_shape):
+        # an extra column used to come back straight from np.empty
+        with pytest.raises(ContractViolationError, match="shape"):
+            poisson_counts_with_uniforms(s2, 1.0, np.full(u_shape, 0.25))
+
+    @pytest.mark.parametrize("scale", [np.nan, -0.5, -np.inf])
+    def test_bad_poisson_mean_rejected(self, s2, scale):
+        # NaN used to build an empty law, so every draw was 0
+        with pytest.raises(ContractViolationError, match="Poisson mean"):
+            sample_poisson_counts(s2, 1, np.arange(4, dtype=np.uint64), scale=scale)
+        with pytest.raises(ContractViolationError, match="Poisson mean"):
+            _poisson_cdf(float(scale))
 
 
 class TestPoissonSampling:

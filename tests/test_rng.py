@@ -8,31 +8,32 @@ from numpy.random import Generator, Philox
 
 from poisson_chaos import rng
 from poisson_chaos.errors import ContractViolationError
-from poisson_chaos.rng import RngStream, raw_blocks, stream_uniforms
+from poisson_chaos.rng import RngStream, stream_uniforms
 
 import oracle
 
 TOP = 2**64 - 1
 
 
-def native_words(seed: int, stream: int, n_words: int, sub1: int = 0, sub2: int = 0):
-    """NumPy's own Philox-4x64 words for one stream and substream."""
+def native_uniforms(seed: int, stream: int, n: int, sub1: int = 0, sub2: int = 0):
+    """NumPy's own Philox-4x64 doubles for one stream and substream."""
     bit_gen = Philox(key=np.array([seed, stream], dtype=np.uint64),
                      counter=np.array([0, 0, sub1, sub2], dtype=np.uint64))
-    return bit_gen.random_raw(n_words).astype(np.uint64)
+    return Generator(bit_gen).random(n)
 
 
 class TestReferenceAgreement:
-    """The vectorized block function must match NumPy's Philox bit for bit."""
+    """The reference block function in ``oracle`` and the vectorized
+    generator must match NumPy's Philox bit for bit."""
 
     def test_raw_blocks_match_numpy(self):
         for seed, stream in [(0, 0), (7, 3), (2**63, 2**64 - 1), (123456789, 42)]:
-            mine = raw_blocks(seed, np.array([stream], dtype=np.uint64), 4)[0]
+            mine = oracle.raw_blocks(seed, np.array([stream], dtype=np.uint64), 4)[0]
             ref = Philox(key=[np.uint64(seed), np.uint64(stream)]).random_raw(16)
             assert np.array_equal(mine, ref.astype(np.uint64))
 
     def test_substream_matches_offset_counter(self):
-        mine = raw_blocks(9, np.array([5], dtype=np.uint64), 3, sub1=11, sub2=2)[0]
+        mine = oracle.raw_blocks(9, np.array([5], dtype=np.uint64), 3, sub1=11, sub2=2)[0]
         ref = Philox(counter=[0, 0, 11, 2], key=[np.uint64(9), np.uint64(5)]).random_raw(12)
         assert np.array_equal(mine, ref.astype(np.uint64))
 
@@ -43,19 +44,15 @@ class TestReferenceAgreement:
 
 
 class TestChunkedBlocks:
-    """The chunked block function equals the whole-batch reference in
+    """The chunked generator equals the whole-batch reference in
     ``oracle`` and NumPy's Philox across chunk boundaries."""
 
     def check(self, seed, streams, n, sub1=0, sub2=0, native_rows=()):
-        n_blocks = -(-n // 4)
-        words = raw_blocks(seed, streams, n_blocks, sub1, sub2)
-        assert np.array_equal(words, oracle.raw_blocks(seed, streams, n_blocks, sub1, sub2))
         u = stream_uniforms(seed, streams, n, sub1, sub2)
         assert u.shape == (streams.size, n)
         assert np.array_equal(u, oracle.philox_uniforms(seed, streams, n, sub1, sub2))
         for i in native_rows:
-            assert np.array_equal(words[i], native_words(seed, int(streams[i]), 4 * n_blocks,
-                                                         sub1, sub2))
+            assert np.array_equal(u[i], native_uniforms(seed, int(streams[i]), n, sub1, sub2))
 
     @pytest.mark.parametrize("n", [3, 16, 49])
     @pytest.mark.parametrize("extra", [-1, 0, 1, "two chunks + 3"])
@@ -79,7 +76,6 @@ class TestChunkedBlocks:
     def test_no_streams(self):
         empty = np.array([], dtype=np.uint64)
         self.check(1, empty, 8)
-        assert raw_blocks(1, np.arange(3, dtype=np.uint64), 0).shape == (3, 0)
         assert stream_uniforms(1, np.arange(3, dtype=np.uint64), 0).shape == (3, 0)
 
     def test_all_keys_and_counters_at_the_top(self):
@@ -103,8 +99,6 @@ class TestInputContract:
         # -3 used to return shape (3, 0), -5 a bare ValueError
         with pytest.raises(ContractViolationError):
             stream_uniforms(1, np.arange(3, dtype=np.uint64), n)
-        with pytest.raises(ContractViolationError):
-            raw_blocks(1, np.arange(3, dtype=np.uint64), n)
 
     @pytest.mark.parametrize("streams", [
         np.array([3, -1]),                          # used to wrap to 2**64 - 1
@@ -118,8 +112,6 @@ class TestInputContract:
     def test_bad_streams(self, streams):
         with pytest.raises(ContractViolationError):
             stream_uniforms(1, streams, 4)
-        with pytest.raises(ContractViolationError):
-            raw_blocks(1, streams, 1)
 
     @pytest.mark.parametrize("word", ["seed", "sub1", "sub2"])
     @pytest.mark.parametrize("value", [
@@ -136,8 +128,6 @@ class TestInputContract:
         streams = np.arange(3, dtype=np.uint64)
         with pytest.raises(ContractViolationError, match=word):
             stream_uniforms(args["seed"], streams, 4, args["sub1"], args["sub2"])
-        with pytest.raises(ContractViolationError, match=word):
-            raw_blocks(args["seed"], streams, 1, args["sub1"], args["sub2"])
         with pytest.raises(ContractViolationError, match=word):
             RngStream(args["seed"], 0, args["sub1"], args["sub2"])
         # before any word is drawn

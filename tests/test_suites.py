@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
 from poisson_chaos.space import MeasureSpace
-from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteSpec,
+from poisson_chaos.suites import (SUITES, Case, CasePayload, SuiteContext, SuiteSpec,
                                   covered_identities, derive_case_seed,
                                   run_suite, suite_names)
 from poisson_chaos.suites import malliavin_ops as malliavin_suite
 from poisson_chaos.suites import semigroup as semigroup_suite
 from poisson_chaos.suites import wiener as wiener_suite
 from poisson_chaos.suites import common
-from poisson_chaos.suites.base import run_cases
+from poisson_chaos.suites.base import POLY4, run_cases
 from poisson_chaos.suites.common import (covariance_conditional_rhs,
                                          covariance_semigroup_rhs, mc_covariance)
 from poisson_chaos.suites.correlation import T_NODES, check_monotone
@@ -122,6 +123,60 @@ class TestQuickSuitePasses:
         config = dataclasses.replace(quick_config, replicates=5_000)
         rows = run_suite("covariance", config)
         assert all(r.verdict == "PASS" for r in rows)
+
+
+class TestCasePlans:
+    """A row's seed and replicate count are those of the one plan its case
+    sampled with, and exact rows sample nothing."""
+
+    def test_rows_show_the_plans_sampled(self, quick_config, monkeypatch):
+        from poisson_chaos import estimation
+        recorded = []
+        inner = estimation.mc_batches
+
+        def recording(plan, *args, **kwargs):
+            recorded.append((plan.seed, plan.replicates))
+            return inner(plan, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "mc_batches", recording)
+        monkeypatch.setattr(common, "mc_batches", recording)
+        rows = [row for suite in suite_names() for row in run_suite(suite, quick_config)]
+        assert all(r.verdict == "PASS" for r in rows)
+        shown = Counter((r.seed, r.replicates) for r in rows if r.replicates > 0)
+        assert set(shown.values()) == {1}
+        assert Counter(recorded) == shown
+        exact = {r.seed for r in rows if r.replicates == 0}
+        assert exact and not exact & {seed for seed, _ in recorded}
+        assert {n for _, n in recorded} == {quick_config.replicates}
+
+
+class TestSuiteContext:
+    def test_add_hands_each_case_its_plan(self, quick_config):
+        plans = []
+
+        def run(plan):
+            plans.append(plan)
+            return CasePayload(lhs=Estimate(0.0, 0.0, plan.replicates), rhs=0.0)
+
+        def build(ctx):
+            ctx.add("default", "power", run)
+            ctx.add("capped", "power", run, replicates=7)
+            return ctx.cases
+
+        rows = run_cases(SuiteSpec("power", ("power",), build), quick_config)
+        want = [(quick_config.replicates, derive_case_seed(quick_config.seed, "power", "default")),
+                (7, derive_case_seed(quick_config.seed, "power", "capped"))]
+        assert [(p.replicates, p.seed) for p in plans] == want
+        assert [(r.replicates, r.seed) for r in rows] == want
+
+    def test_budget_of_each_growth_envelope(self, quick_config):
+        # keyed by id, a second envelope built after the first was freed
+        # got the first one's budget (cutoff 21 in place of 11 on S1)
+        ctx = SuiteContext(quick_config, "power")
+        s1 = quick_config.spaces["S1"]
+        assert ctx.budget(s1, lambda n: 4.0**n, 1e-8).max_total == 21
+        flat = lambda n: 1.0  # noqa: E731
+        assert ctx.budget(s1, flat, 1e-8) == OracleBudget.for_space(s1, 1e-8, growth=flat)
 
 
 class TestMeckeSharedSample:
@@ -312,7 +367,7 @@ class TestErrorRows:
 
 def enumerated_covariance(space, F, G) -> float:
     """Cov(F, G) by enumeration, as the covariance suite computes it."""
-    budget = OracleBudget.for_space(space, 1e-8, growth=common.POLY4)
+    budget = OracleBudget.for_space(space, 1e-8, growth=POLY4)
     enum = PoissonEnumeration.get(space, budget)
     centred_f = F.evaluate_counts(enum.counts) - enum.expectation_of(F)
     centred_g = G.evaluate_counts(enum.counts) - enum.expectation_of(G)
