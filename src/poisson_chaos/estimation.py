@@ -124,6 +124,18 @@ def mc_estimate(plan: McPlan,
     return _estimate(mc_batches(plan, batch_values), plan.replicates)
 
 
+def mc_estimates(plan: McPlan, batch_values: Callable[[np.ndarray, int], np.ndarray],
+                 count: int) -> list[Estimate]:
+    """Averages of the ``count`` rows ``batch_values(streams, start)``
+    returns for every batch.
+
+    Each estimate equals the :func:`mc_estimate` of its row alone bit for
+    bit; see :func:`mc_batches`.
+    """
+    batches = mc_batches(plan, batch_values, shape=(count,))
+    return [_estimate([vals[i] for vals in batches], plan.replicates) for i in range(count)]
+
+
 def _estimate(batches: list[np.ndarray], n: int) -> Estimate:
     """Mean and standard error of ``n`` replicates given batch by batch."""
     total = 0.0
@@ -165,9 +177,7 @@ def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan
         counts = sample_poisson_counts(space, plan.seed, streams)
         return np.stack([G.evaluate_counts(counts) for G in functionals])
 
-    batches = mc_batches(plan, batch, shape=(len(functionals),))
-    return [_estimate([vals[i] for vals in batches], plan.replicates)
-            for i in range(len(functionals))]
+    return mc_estimates(plan, batch, len(functionals))
 
 
 # ---------------------------------------------------------------------------

@@ -522,10 +522,11 @@ def t_coefficient_mc(F: Functional, n: int, plan) -> KernelEstimate:
     """Monte Carlo estimate of the order-n difference-moment kernel.
 
     Entry (x1..xn) is the replicate average of the order-n difference
-    of F at those atoms; one shared pool of sampled patterns serves all
-    entries (common random numbers).  Order zero estimates the mean.
+    of F at those atoms; the patterns of a batch are drawn once and
+    serve all entries (common random numbers).  Order zero estimates
+    the mean.
     """
-    from .estimation import Estimate, mc_estimate, sample_poisson_counts
+    from .estimation import mc_estimates, sample_poisson_counts
 
     if n > CHAOS_ORDER_CAP:
         raise UnsupportedArityError(f"difference-moment order capped at {CHAOS_ORDER_CAP}")
@@ -533,25 +534,14 @@ def t_coefficient_mc(F: Functional, n: int, plan) -> KernelEstimate:
     d = space.size
     tuples = list(itertools.product(range(d), repeat=n))
 
-    estimates: dict[tuple[int, ...], Estimate] = {}
-    for tup in tuples:
-        def batch(streams, _start, tup=tup):
-            counts = sample_poisson_counts(space, plan.seed, streams)
-            if n == 0:
-                return F.evaluate_counts(counts)
-            return iterated_difference_counts(F, tup, counts)
+    def batch(streams, _start):
+        counts = sample_poisson_counts(space, plan.seed, streams)
+        return np.stack([iterated_difference_counts(F, tup, counts) for tup in tuples])
 
-        estimates[tup] = mc_estimate(plan, batch)
-
-    if n == 0:
-        est = estimates[()]
-        return KernelEstimate(Kernel.scalar(space, est.mean),
-                              Kernel.scalar(space, est.se), plan.replicates)
-    means = np.zeros((d,) * n)
-    ses = np.zeros((d,) * n)
-    for tup, est in estimates.items():
-        means[tup] = est.mean
-        ses[tup] = est.se
+    estimates = mc_estimates(plan, batch, len(tuples))
+    shape = (d,) * n
+    means = np.array([est.mean for est in estimates]).reshape(shape)
+    ses = np.array([est.se for est in estimates]).reshape(shape)
     return KernelEstimate(Kernel(space, means), Kernel(space, ses), plan.replicates)
 
 

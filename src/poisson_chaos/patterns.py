@@ -24,6 +24,7 @@ range of the table, go to the compare-and-sum over the CDF rows.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -126,6 +127,22 @@ def _count_vectors(d: int, cap: int) -> np.ndarray:
         tail = sub[sums <= cap - first]
         rows.append(np.column_stack([np.full(len(tail), first, dtype=np.int64), tail]))
     return np.vstack(rows)
+
+
+def _count_matrix(counts, atoms: int | None = None) -> np.ndarray:
+    """``counts`` as a ``(rows, atoms)`` matrix of non-negative integers.
+
+    Shape and dtype are O(1) checks and the sign one ``min()`` pass; any
+    column count passes when ``atoms`` is None.
+    """
+    counts = np.asarray(counts)
+    if (counts.ndim != 2 or counts.dtype.kind not in "iu"
+            or (atoms is not None and counts.shape[1] != atoms)
+            or (counts.size and counts.min() < 0)):
+        raise ContractViolationError(
+            f"counts must be a (rows, {'atoms' if atoms is None else atoms}) "
+            f"matrix of non-negative integers, got {counts.dtype} {counts.shape}")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +343,7 @@ def thin_counts(counts: np.ndarray, s: float, seed: int, streams: np.ndarray,
 
     ``counts`` must be a ``(rows, atoms)`` matrix of non-negative integers.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.dtype.kind not in "iu" or (
-            counts.size and counts.min() < 0):
-        raise ContractViolationError(
-            "thinning needs a (rows, atoms) matrix of non-negative integer counts")
+    counts = _count_matrix(counts)
     u = stream_uniforms(seed, streams, counts.shape[1], sub1, sub2)
     return thin_counts_with_uniforms(counts, s, u)
 
@@ -361,12 +374,47 @@ def superpose(p: PointPattern, q: PointPattern) -> PointPattern:
 
 
 def _falling_factorial_table(counts: np.ndarray, m: int) -> np.ndarray:
-    """table[..., j] = counts * (counts-1) * ... * (counts-j+1), j = 0..m."""
-    table = np.ones(counts.shape + (m + 1,))
-    c = counts.astype(np.float64)
+    """table[a, j] = c * (c-1) * ... * (c-j+1) for atom a's count column c,
+    j = 0..m: one contiguous row vector per (atom, order)."""
+    c = counts.T.astype(np.float64)
+    table = np.empty((c.shape[0], m + 1, c.shape[1]))
+    table[:, 0] = 1.0
     for j in range(1, m + 1):
-        table[..., j] = table[..., j - 1] * (c - (j - 1))
+        table[:, j] = table[:, j - 1] * (c - (j - 1))
     return table
+
+
+@lru_cache(maxsize=64)
+def _factorial_plan(d: int, m: int) -> tuple:
+    """(flat kernel index, ((atom, multiplicity), ...)) for every atom tuple
+    of an arity-m kernel on d atoms, in ``itertools.product`` order (the
+    kernel's C order), with the atoms of each tuple ascending."""
+    return tuple((flat, tuple(sorted(collections.Counter(tup).items())))
+                 for flat, tup in enumerate(itertools.product(range(d), repeat=m)))
+
+
+def _factorial_sum(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rowwise factorial-measure integral of the kernel ``values`` read from
+    a falling-factorial table of order at least its arity.
+
+    The inputs are not checked: the public callers check the count matrix
+    and the kernel once, and one table serves every kernel of a call.
+    """
+    rows = table.shape[2]
+    if values.ndim == 0:
+        return np.full(rows, float(values))
+    coeffs = values.ravel().tolist()
+    out = np.zeros(rows)
+    for flat, factors in _factorial_plan(table.shape[0], values.ndim):
+        coeff = coeffs[flat]
+        if coeff == 0.0:
+            continue
+        (a, k), *rest = factors
+        term = table[a, k] * coeff
+        for a, k in rest:
+            term *= table[a, k]
+        out += term
+    return out
 
 
 def factorial_counts(counts: np.ndarray, f: Kernel) -> np.ndarray:
@@ -377,23 +425,12 @@ def factorial_counts(counts: np.ndarray, f: Kernel) -> np.ndarray:
     with multiplicity m_a carries the falling factorial
     (c_a)(c_a - 1)...(c_a - m_a + 1) many instance tuples.  For the
     constant kernel this is the falling factorial of the total point
-    count; arity 0 returns the kernel's scalar on every row.
+    count; arity 0 returns the kernel's scalar on every row.  ``counts``
+    must be a ``(rows, atoms)`` matrix of non-negative integers on the
+    kernel's space.
     """
     m = f.arity
-    if m == 0:
-        return np.full(counts.shape[0], float(f.values))
     if m > FACTORIAL_ARITY_CAP:
         raise UnsupportedArityError(f"factorial measure arity capped at {FACTORIAL_ARITY_CAP}")
-    d = counts.shape[1]
-    table = _falling_factorial_table(counts, m)
-    out = np.zeros(counts.shape[0])
-    for tup in itertools.product(range(d), repeat=m):
-        coeff = float(f.values[tup])
-        if coeff == 0.0:
-            continue
-        mult = np.bincount(np.asarray(tup), minlength=d)
-        term = np.full(counts.shape[0], coeff)
-        for a in np.nonzero(mult)[0]:
-            term = term * table[:, a, mult[a]]
-        out += term
-    return out
+    counts = _count_matrix(counts, f.space.size)
+    return _factorial_sum(_falling_factorial_table(counts, m), f.values)

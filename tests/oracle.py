@@ -4,7 +4,9 @@ The library evaluates factorial-measure integrals, stochastic integrals
 and chaos sums rowwise over count matrices.  This module keeps an
 independent route that lists every ordered tuple of distinct point
 instances of one pattern and sums the kernel over them, so the tests
-can hold the count-matrix route against it pattern by pattern.
+can hold the count-matrix route against it pattern by pattern, and the
+per-term count-matrix route (a table per factorial integral, a
+reduction per subset) that the shared tables must match bit for bit.
 
 For the nested Monte Carlo it keeps the direct primitives that the
 lookup tables replaced: thinning by comparing each uniform with every
@@ -181,6 +183,72 @@ def product_formula_rhs(f: Kernel, g: Kernel, state: WiState) -> float:
             term = contraction(f, g, r, l)
             total += outer * math.comb(r, l) * wiener_ito(state, term)
     return total
+
+
+# The count-matrix routes as they were before one falling-factorial
+# table served a whole call: every factorial integral builds its own
+# table and walks the atom tuples with a bincount each, and every subset
+# term reduces the kernel from scratch.  The library must match them bit
+# for bit.
+
+
+def factorial_counts(counts: np.ndarray, f: Kernel) -> np.ndarray:
+    """Rowwise factorial-measure integral, one tuple at a time."""
+    m = f.arity
+    if m == 0:
+        return np.full(counts.shape[0], float(f.values))
+    d = counts.shape[1]
+    table = np.ones(counts.shape + (m + 1,))
+    c = counts.astype(np.float64)
+    for j in range(1, m + 1):
+        table[..., j] = table[..., j - 1] * (c - (j - 1))
+    out = np.zeros(counts.shape[0])
+    for tup in itertools.product(range(d), repeat=m):
+        coeff = float(f.values[tup])
+        if coeff == 0.0:
+            continue
+        mult = np.bincount(np.asarray(tup), minlength=d)
+        term = np.full(counts.shape[0], coeff)
+        for a in np.nonzero(mult)[0]:
+            term = term * table[:, a, mult[a]]
+        out += term
+    return out
+
+
+def wiener_ito_counts(space, g: Kernel, counts: np.ndarray) -> np.ndarray:
+    """Rowwise stochastic integral, each subset term reduced on its own."""
+    n = g.arity
+    if n == 0:
+        return np.full(counts.shape[0], float(g.values))
+    out = np.zeros(counts.shape[0])
+    for size in range(n + 1):
+        for J in itertools.combinations(range(n), size):
+            reduced = g.values
+            for ax in sorted(set(range(n)) - set(J), reverse=True):
+                reduced = np.tensordot(reduced, space.weights, axes=([ax], [0]))
+            if reduced.ndim == 0:
+                out += (-1.0) ** (n - size) * float(reduced)
+            else:
+                out += (-1.0) ** (n - size) * factorial_counts(counts, Kernel(space, reduced))
+    return out
+
+
+def chaos_reconstruct_counts(space, cv, counts: np.ndarray) -> np.ndarray:
+    out = np.full(counts.shape[0], cv.coefficients[0])
+    for n in range(1, cv.order + 1):
+        out += wiener_ito_counts(space, cv.coefficients[n], counts)
+    return out
+
+
+def product_formula_rhs_counts(f: Kernel, g: Kernel, counts: np.ndarray) -> np.ndarray:
+    p, q = f.arity, g.arity
+    out = np.zeros(counts.shape[0])
+    for r in range(min(p, q) + 1):
+        outer = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+        for l in range(r + 1):
+            term = contraction(f, g, r, l)
+            out += outer * math.comb(r, l) * wiener_ito_counts(f.space, term, counts)
+    return out
 
 
 def binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:

@@ -231,6 +231,38 @@ class TestDifferenceMomentEstimates:
         with pytest.raises(UnsupportedArityError):
             t_coefficient_mc(Exponential(s1, [0.1]), 5, McPlan(10, 1))
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_one_draw_per_batch(self, n, monkeypatch):
+        # one sampled batch serves every atom tuple; each entry is the
+        # per-tuple estimate bit for bit
+        s3 = MeasureSpace(["a", "b", "c"], [0.4, 1.0, 1.7])
+        F = Exponential(s3, [0.3, LN2, 0.1])
+        plan = McPlan(65_536, 3)
+        draws = []
+        sampler = estimation.sample_poisson_counts
+
+        def counting(space, seed, streams):
+            draws.append(len(streams))
+            return sampler(space, seed, streams)
+
+        monkeypatch.setattr(estimation, "sample_poisson_counts", counting)
+        est = t_coefficient_mc(F, n, plan)
+        assert draws == [estimation.BATCH_SIZE] * 2
+        for tup in itertools.product(range(3), repeat=n):
+            def batch(streams, _start, tup=tup):
+                return iterated_difference_counts(
+                    F, tup, sampler(s3, plan.seed, streams))
+
+            want = estimation.mc_estimate(plan, batch)
+            got = (float(est.values.values[tup]), float(est.se.values[tup]))
+            assert np.array(got).view(np.uint64).tolist() == \
+                np.array([want.mean, want.se]).view(np.uint64).tolist()
+
+    def test_non_finite_difference_raises(self, s1):
+        blows_up = Opaque(s1, counts_fn=lambda c: np.where(c[:, 0] > 1, np.nan, 0.0))
+        with pytest.raises(EvaluationError):
+            t_coefficient_mc(blows_up, 1, McPlan(2000, 3))
+
     def test_se_shrinks_with_replicates(self, s1):
         f = Exponential(s1, [LN2])
         ratios = []

@@ -15,7 +15,7 @@ from poisson_chaos.errors import (BudgetError, ConfigError, ContractViolationErr
 from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
                                       OracleBudget, PoissonEnumeration)
 from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
-                                       difference_rows)
+                                       chaos_of_exponential, difference_rows)
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
@@ -31,6 +31,7 @@ from poisson_chaos.suites.base import POLY4, run_cases
 from poisson_chaos.suites.common import (covariance_conditional_rhs,
                                          covariance_semigroup_rhs, mc_covariance)
 from poisson_chaos.suites.correlation import T_NODES, check_monotone
+from poisson_chaos.wiener_ito import chaos_reconstruct_counts
 
 import oracle
 
@@ -195,6 +196,49 @@ class TestMeckeSharedSample:
         assert quick_config.replicates <= estimation.BATCH_SIZE
         assert sorted(draws) == sorted(row.seed for row in rows)
         assert all(r.verdict == "PASS" for r in rows)
+
+
+class TestTruncationCurve:
+    """The five ``l2_*`` cases of a functional read one truncation curve."""
+
+    def test_one_curve_per_functional(self, quick_config, monkeypatch):
+        curves = []
+        inner = wiener_suite._truncation_errors
+
+        def recording(ctx, space, f, order):
+            errors = inner(ctx, space, f, order)
+            curves.append((ctx, space, f, order, errors))
+            return errors
+
+        monkeypatch.setattr(wiener_suite, "_truncation_errors", recording)
+        rows = [r for r in run_suite("chaos_reconstruction", quick_config)
+                if r.case_id.startswith("l2_")]
+        assert rows and all(r.verdict == "PASS" for r in rows)
+        assert len(rows) == 5 * len(curves)
+        assert len({(space.cache_key(), id(f)) for _, space, f, _, _ in curves}) == len(curves)
+        for ctx, space, f, order, errors in curves:
+            # each order rebuilt and reconstructed from scratch
+            enum = ctx.enumeration(space, growth=None, tol=None)
+            exact = f.evaluate_counts(enum.counts)
+            want = [enum.expectation_of_values(
+                (exact - chaos_reconstruct_counts(space, chaos_of_exponential(f, n),
+                                                  enum.counts)) ** 2)
+                    for n in range(order + 1)]
+            assert np.array(errors).view(np.uint64).tolist() == \
+                np.array(want).view(np.uint64).tolist()
+
+    def test_a_raising_curve_errors_every_case(self, quick_config, monkeypatch):
+        calls = []
+
+        def raising(ctx, space, f, order):
+            calls.append(id(f))
+            raise FloatingPointError("curve")
+
+        monkeypatch.setattr(wiener_suite, "_truncation_errors", raising)
+        rows = [r for r in run_suite("chaos_reconstruction", quick_config)
+                if r.case_id.startswith("l2_")]
+        assert rows and all(r.verdict == "ERROR" for r in rows)
+        assert len(calls) == len(rows) == 5 * len(set(calls))
 
 
 def run_payloads(config, payloads):

@@ -13,7 +13,7 @@ from poisson_chaos.estimation import (McPlan, OracleBudget, PoissonEnumeration,
                                       mc_expectation)
 from poisson_chaos.functionals import (ChaosVector, Exponential, Opaque,
                                        chaos_of_exponential)
-from poisson_chaos.patterns import PointPattern, _count_vectors
+from poisson_chaos.patterns import PointPattern, _count_vectors, factorial_counts
 from poisson_chaos.space import (Kernel, MeasureSpace, inner_product,
                                  symmetrize, tensor_power)
 from poisson_chaos.suites.common import seeded_chaos_vector
@@ -287,3 +287,103 @@ class TestOracleEquivalence:
         for v in exps:
             self.assert_close(chaos_finite_sum(space, v, counts),
                               [oracle.chaos_finite_sum(s, v) for s in states])
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestSharedTables:
+    """One falling-factorial table per count matrix and one reduction per
+    slot set give the per-term route's numbers bit for bit."""
+
+    @staticmethod
+    def kernel(space, rng, arity, sparse):
+        shape = (space.size,) * arity
+        vals = rng.normal(size=shape)
+        if sparse:
+            # zero coefficients of both signs, which the tuple walk skips
+            vals = vals * (rng.random(shape) > 0.4)
+        return Kernel(space, vals)
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_equal_to_per_term_route(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 3
+        space = MeasureSpace([f"x{i}" for i in range(d)], rng.uniform(0.2, 3.0, d))
+        for rows in (0, 1, 60):
+            counts = rng.integers(0, 8, size=(rows, d))
+            for n in range(5):
+                for sparse in (False, True):
+                    g = self.kernel(space, rng, n, sparse)
+                    assert bits(factorial_counts(counts, g)) == bits(
+                        oracle.factorial_counts(counts, g))
+                    assert bits(wiener_ito_counts(space, g, counts)) == bits(
+                        oracle.wiener_ito_counts(space, g, counts))
+            for order in range(5):
+                cv = seeded_chaos_vector(space, order, seed + 10 * order)
+                assert bits(chaos_reconstruct_counts(space, cv, counts)) == bits(
+                    oracle.chaos_reconstruct_counts(space, cv, counts))
+            for p, q in ((0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
+                f = symmetrize(self.kernel(space, rng, p, sparse=p == 2))
+                g = symmetrize(self.kernel(space, rng, q, sparse=False))
+                assert bits(product_formula_rhs(f, g, counts)) == bits(
+                    oracle.product_formula_rhs_counts(f, g, counts))
+
+    def test_non_finite_reduction_raises(self):
+        # finite entries whose measure integral overflows
+        space = MeasureSpace(["a"], [2.0])
+        with np.errstate(over="ignore"), pytest.raises(ContractViolationError,
+                                                       match="finite"):
+            wiener_ito_counts(space, Kernel(space, [[1e308]]), np.array([[1]]))
+
+
+SPACES = load_config().spaces
+S3 = SPACES["S3"]
+F9 = Kernel(S3, np.arange(9.0).reshape(3, 3))
+COUNT_ENTRIES = {
+    "factorial_counts": lambda space, counts: factorial_counts(counts, F9),
+    "wiener_ito_counts": lambda space, counts: wiener_ito_counts(space, F9, counts),
+    "chaos_reconstruct_counts": lambda space, counts: chaos_reconstruct_counts(
+        space, ChaosVector(S3, [1.0, Kernel(S3, [1.0, 2.0, 3.0]), symmetrize(F9)]), counts),
+    "product_formula_rhs": lambda space, counts: product_formula_rhs(
+        symmetrize(F9), Kernel(S3, [1.0, 2.0, 3.0]), counts),
+    "chaos_finite_sum": lambda space, counts: chaos_finite_sum(
+        space, Kernel(S3, [0.1, 0.2, 0.3]), counts),
+}
+
+
+class TestCountMatrixContract:
+    """The public count-matrix entry points refuse what is not a
+    (rows, atoms) matrix of non-negative integers on the kernel's space."""
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+    @pytest.mark.parametrize("counts", [
+        [[1, 2]],        # read only part of the kernel
+        [[-1, 2, 0]],    # a negative falling factorial
+        [[1.5, 2, 0]],   # a fractional one
+        [1, 2, 0],       # one pattern, not a matrix
+        [[1, 2, 0, 0]],  # one atom too many
+        np.zeros((2, 3), dtype=bool),
+    ], ids=["two_columns", "negative", "fractional", "one_dimensional",
+            "four_columns", "bool"])
+    def test_malformed_counts_rejected(self, entry, counts):
+        with pytest.raises(ContractViolationError, match="non-negative integers"):
+            COUNT_ENTRIES[entry](S3, counts)
+
+    @pytest.mark.parametrize("entry", ["wiener_ito_counts", "chaos_reconstruct_counts",
+                                       "chaos_finite_sum"])
+    @pytest.mark.parametrize("space", [
+        SPACES["S2"],
+        MeasureSpace(S3.atoms, [1.0, 1.0, 1.0]),
+    ], ids=["other_size", "other_weights"])
+    def test_other_space_rejected(self, entry, space):
+        with pytest.raises(ContractViolationError, match="different space"):
+            COUNT_ENTRIES[entry](space, np.array([[1, 2, 0]]))
+
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_matrices_accepted(self, entry, dtype):
+        counts = np.array([[1, 2, 0], [0, 0, 0]], dtype=dtype)
+        got = COUNT_ENTRIES[entry](S3, counts)
+        assert bits(got) == bits(COUNT_ENTRIES[entry](S3, counts.astype(np.int64)))
