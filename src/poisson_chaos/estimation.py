@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ContractViolationError, EvaluationError
-from .patterns import _count_vectors, _poisson_cdf, sample_poisson_counts
+from .patterns import _count_vectors, poisson_law, sample_poisson_counts
 from .space import MeasureSpace
 
 BATCH_SIZE = 1 << 15
@@ -338,7 +338,7 @@ class PoissonEnumeration:
         self.counts = _count_vectors(space.size, budget.max_total)
         probs = np.ones(len(self.counts))
         for j in range(space.size):
-            cdf = _poisson_cdf(float(space.weights[j])).cdf
+            cdf = poisson_law(float(space.weights[j])).cdf[0]
             pmf = np.diff(cdf, prepend=0.0)
             if len(pmf) < budget.max_total + 1:
                 pmf = np.concatenate([pmf, np.zeros(budget.max_total + 1 - len(pmf))])

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, UnsupportedArityError
-from .patterns import PointPattern
+from .patterns import PointPattern, _count_matrix
 from .space import Kernel, MeasureSpace, symmetrize, tensor_power
 
 ITERATED_DIFFERENCE_CAP = 6
@@ -378,6 +378,7 @@ def difference(F: Functional, atom_index: int, pattern: PointPattern) -> float:
 def difference_counts(F: Functional, atom_index: int, counts: np.ndarray,
                       base: np.ndarray | None = None) -> np.ndarray:
     """Rowwise one-point difference; ``base`` is ``F(counts)`` if known."""
+    counts = _count_matrix(counts, F.space.size)
     shift = np.zeros(counts.shape[1], dtype=np.int64)
     shift[F.space.atom_index(atom_index)] = 1
     plus = F.evaluate_counts(counts + shift)
@@ -389,6 +390,7 @@ def difference_counts(F: Functional, atom_index: int, counts: np.ndarray,
 def difference_rows(F: Functional, counts: np.ndarray) -> np.ndarray:
     """One-point differences at every atom: column x is
     ``difference_counts(F, x, counts)``, with F(counts) evaluated once."""
+    counts = _count_matrix(counts, F.space.size)
     base = F.evaluate_counts(counts)
     return np.stack([difference_counts(F, x, counts, base)
                      for x in range(counts.shape[1])], axis=1)
@@ -402,6 +404,7 @@ def iterated_difference(F: Functional, atom_indices: Sequence[int],
 
 def iterated_difference_counts(F: Functional, atom_indices: Sequence[int],
                                counts: np.ndarray) -> np.ndarray:
+    counts = _count_matrix(counts, F.space.size)
     n = len(atom_indices)
     if n == 0:
         return F.evaluate_counts(counts)

@@ -19,7 +19,7 @@ from .estimation import Estimate, McPlan, mc_estimate
 from .functionals import (ChaosVector, CountPolynomial, Exponential, Functional,
                           LinearCombo, Opaque, falling_factorial_coeffs,
                           poisson_raw_moment, stirling2)
-from .patterns import (PointPattern, poisson_counts_with_uniforms,
+from .patterns import (PointPattern, _count_matrix, poisson_counts_with_uniforms,
                        sample_poisson_counts, thin_counts,
                        thin_counts_with_uniforms)
 from .rng import stream_uniforms
@@ -125,6 +125,7 @@ def skorohod_counts(H, counts: np.ndarray) -> np.ndarray:
     """Rowwise pathwise Kabanov-Skorohod integral over a count matrix."""
     space = H.space
     d = space.size
+    counts = _count_matrix(counts, d)
     out = np.zeros(counts.shape[0])
     for x in range(d):
         h_x = H.functional_at(x)
@@ -188,6 +189,7 @@ def ou_generator_pathwise(F: Functional, pattern: PointPattern) -> float:
 
 def ou_generator_counts(F: Functional, counts: np.ndarray) -> np.ndarray:
     space = F.space
+    counts = _count_matrix(counts, space.size)
     base = F.evaluate_counts(counts)
     out = np.zeros(counts.shape[0])
     for x in range(space.size):
@@ -282,6 +284,8 @@ def ou_semigroup_mc(F: Functional, s: float, pattern: PointPattern,
     """
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("semigroup parameter must lie in [0, 1]")
+    if not pattern.space.same_as(F.space):
+        raise ContractViolationError("pattern lives on a different space")
     space = F.space
     base_counts = pattern.counts
 
@@ -316,6 +320,8 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
     if mean is None:
         raise ContractViolationError(
             "centering requires a closed-form mean or an explicit one")
+    if not pattern.space.same_as(F.space):
+        raise ContractViolationError("pattern lives on a different space")
     space = F.space
     base_counts = pattern.counts
     s_nodes, s_weights = gauss_legendre_unit(nodes)

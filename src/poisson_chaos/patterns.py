@@ -6,20 +6,22 @@ draw is reproducible and batches of replicates vectorize: the functions
 ending in ``_counts`` operate on whole ``(replicates, atoms)`` count
 matrices and are exactly the per-pattern operations applied rowwise.
 
-Poisson inversion uses an indexed search (the guide table of Chen and
-Asau, 1974; Devroye, *Non-Uniform Random Variate Generation*, 1986,
-section III.2.4): the unit interval is cut into ``CDF_BINS`` equal bins,
-and a bin that holds no CDF value maps every uniform in it to the same
-count, read from the table in one lookup.  Only uniforms falling in a
-bin that holds a CDF value go to a binary search, so the counts are
-exactly those of a binary search over the whole CDF.
+Every count law is one cached :class:`CountLaw` of CDF rows and their
+bin table: a Poisson law is one row, and thinning reads the
+Binomial(n, s) laws as one row per count n below a power-of-two size
+class.  A uniform u in [0, 1) becomes the number of entries of its row
+at or below u, by an indexed search (the guide table of Chen and Asau,
+1974; Devroye, *Non-Uniform Random Variate Generation*, 1986, section
+III.2.4): ``bins[r, i]`` is the count of every uniform in bin i of
+``CDF_BINS`` equal bins under row r, read by one flat lookup at
+``r * (CDF_BINS + 1) + floor(u * CDF_BINS)``.  A bin that holds a CDF
+value of its row is split (-1), and only its uniforms count the row's
+entries directly, so the counts are exactly those of a binary search.
 
-Binomial thinning uses the same bins, one row per point count n: entry
-``[n, i]`` is the number of survivors of every uniform in bin i of the
-Binomial(n, s) CDF row, or -1 where a CDF value falls in the bin.  The
-table is cached per retention probability and power-of-two size class
-of the largest count; uniforms in split bins, and counts above the int8
-range of the table, go to the compare-and-sum over the CDF rows.
+A uniform below 1 never counts an entry at or above 1, so a row's
+support ends at its first such entry (padding with ones keeps a
+binomial count at most n), and :meth:`CountLaw.pmf`, the law of the
+counts that inversion returns, sums to the CDF values clamped at 1.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from .rng import RngStream, stream_uniforms
 from .space import Kernel, MeasureSpace
 
 FACTORIAL_ARITY_CAP = 4
-# bins of the Poisson inversion table; a power of two keeps u * CDF_BINS exact
+# bins of every inversion table; a power of two keeps u * CDF_BINS exact
 CDF_BINS = 4096
-# thinning bin tables hold at least this many rows, and at most int8's range
+# thinning laws hold a power of two of rows, at least this many (and at
+# most THIN_COUNT_MAX + 1)
 THIN_TABLE_MIN_ROWS = 16
-THIN_TABLE_MAX_ROWS = 128
 # the largest count whose binomial coefficients all fit a float
 THIN_COUNT_MAX = 1029
 
@@ -146,66 +148,100 @@ def _count_matrix(counts, atoms: int | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# inverse-CDF tables
+# inversion tables
 
 
-class PoissonTable(NamedTuple):
-    """CDF of a Poisson law with its bin lookup table.
+class CountLaw(NamedTuple):
+    """CDF rows of a count law, one per parameter value, with their bins.
 
-    ``bins[i]`` is the count of every uniform in ``[i/B, (i+1)/B)`` when
-    no CDF value falls in ``(i/B, (i+1)/B]``, and -1 otherwise; the last
-    entry (``u = 1``) is always -1.
+    Rows are nondecreasing; an entry at or above 1, such as the padding
+    of a short row, counts for no uniform.  ``bins[r, i]`` is the count
+    of every u in ``[i/B, (i+1)/B)`` under row r when no entry of row r
+    falls in ``(i/B, (i+1)/B]``, and -1 otherwise; the last entry
+    (u = 1) is always -1.
     """
 
     cdf: np.ndarray
     bins: np.ndarray
 
+    def invert(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Count of each uniform under its row of ``rows`` (an integer
+        array of u's shape), or under row 0 when ``rows`` is None.
 
+        With ``B = CDF_BINS`` a power of two, ``u * B`` and the bin edges
+        ``i / B`` are exact, so ``i = floor(u * B)`` is the bin with
+        ``i/B <= u < (i+1)/B``.  Uniforms in split bins (at most one bin
+        per CDF value, so a small share) count the entries of their row
+        at or below them, which on a sorted row is
+        ``np.searchsorted(row, u, side="right")``.
+        """
+        cell = (u * CDF_BINS).astype(np.intp)
+        if rows is not None:
+            cell += np.multiply(rows, CDF_BINS + 1, dtype=np.intp)
+        k = self.bins.ravel().take(cell).astype(np.int64)
+        split = np.nonzero(k < 0)
+        if split[0].size:
+            cdf = self.cdf[0] if rows is None else self.cdf[rows[split]]
+            k[split] = np.sum(cdf <= u[split][:, None], axis=-1)
+        return k
+
+    def pmf(self, row: int = 0) -> np.ndarray:
+        """Law of the counts that :meth:`invert` returns for ``row``, from
+        0 to the largest, whose running sums are the row's CDF values
+        clamped at 1."""
+        cdf = self.cdf[row]
+        top = int(np.searchsorted(cdf, 1.0))
+        return np.diff(np.minimum(cdf[:top + 1], 1.0), prepend=0.0)
+
+
+def _count_law(cdf: np.ndarray) -> CountLaw:
+    """The inversion table of the CDF rows ``cdf``, shared read-only by
+    every caller and thread."""
+    grid = np.arange(CDF_BINS + 1) / CDF_BINS
+    bins = np.empty((len(cdf), CDF_BINS + 1), dtype=np.int16)
+    for r, row in enumerate(cdf):
+        edges = np.searchsorted(row, grid, side="right")
+        bins[r, :-1] = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    bins[:, -1] = -1
+    cdf.setflags(write=False)
+    bins.setflags(write=False)
+    return CountLaw(cdf, bins)
+
+
+# a row holds at most 951 CDF values (at the largest mean, 708.4), so a
+# law takes under 16 KB and the cache under 8.1 MB
 @lru_cache(maxsize=512)
-def _poisson_cdf(mean: float) -> PoissonTable:
-    """CDF values of a Poisson law, extended until the tail is below 1e-18,
-    with the bin table used by :func:`_invert_cdf`."""
+def poisson_law(mean: float) -> CountLaw:
+    """The Poisson law as one CDF row, extended until the tail is below
+    1e-18."""
     if not mean >= 0.0:  # NaN too
         raise ContractViolationError(f"Poisson mean must be >= 0, got {mean!r}")
     if mean == 0.0:
-        cdf = np.array([1.0])
-    else:
-        p0 = math.exp(-mean)
-        if p0 < sys.float_info.min:
-            # a subnormal exp(-mean) carries too few bits to build the law from
-            raise ContractViolationError(
-                f"Poisson mean {mean!r} underflows exp(-mean); use a smaller weight")
-        pmf = [p0]
-        k = 0
-        while k < mean + 1 or pmf[-1] > 1e-18:
-            k += 1
-            pmf.append(pmf[-1] * mean / k)
-            if k > 10_000:
-                break
-        cdf = np.cumsum(pmf)
-        cdf[-1] = max(cdf[-1], 1.0)
-    edges = np.searchsorted(cdf, np.arange(CDF_BINS + 1) / CDF_BINS, side="right")
-    bins = np.append(np.where(edges[:-1] == edges[1:], edges[:-1], -1), -1).astype(np.int16)
-    # cached and shared by every caller and thread
-    cdf.setflags(write=False)
-    bins.setflags(write=False)
-    return PoissonTable(cdf, bins)
+        return _count_law(np.ones((1, 1)))
+    p0 = math.exp(-mean)
+    if p0 < sys.float_info.min:
+        # a subnormal exp(-mean) carries too few bits to build the law from
+        raise ContractViolationError(
+            f"Poisson mean {mean!r} underflows exp(-mean); use a smaller weight")
+    pmf = [p0]
+    k = 0
+    while k < mean + 1 or pmf[-1] > 1e-18:
+        k += 1
+        pmf.append(pmf[-1] * mean / k)
+        if k > 10_000:
+            break
+    cdf = np.cumsum(pmf)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return _count_law(cdf[None, :])
 
 
-@lru_cache(maxsize=512)
 def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
     """Row n holds the Binomial(n, s) CDF at k = 0..n, padded with ones.
 
     The pmf is ``comb(n, k) * s**k * (1 - s)**(n - k)``, with the exact
-    coefficient rounded once to a float, so a count whose central
-    coefficient exceeds the float range (1,030 and up) is rejected.
+    coefficient rounded once to a float; ``n_max`` is at most
+    ``THIN_COUNT_MAX``.
     """
-    try:
-        float(math.comb(n_max, n_max // 2))
-    except OverflowError:
-        raise ContractViolationError(
-            f"cannot thin a count of {n_max}: its binomial coefficients "
-            "exceed the float range") from None
     s_pow = np.array([s**k for k in range(n_max + 1)])
     q_pow = np.array([(1.0 - s) ** k for k in range(n_max + 1)])
     rows = np.ones((n_max + 1, n_max + 2))
@@ -220,43 +256,13 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
     return rows
 
 
-# up to 512 KB a table; a verify run uses about two dozen
+# a law of R rows takes 8 R (R + 1) + 2 R (CDF_BINS + 1) bytes: 0.13 MB
+# at 16 rows, every law of a verify run, and 16.9 MB at the
+# THIN_COUNT_MAX + 1 cap, so the cache stays under 1.1 GB
 @lru_cache(maxsize=64)
-def _binomial_bins(rows: int, s: float) -> np.ndarray:
-    """Bin table of the Binomial(n, s) CDF rows for n < ``rows``.
-
-    ``bins[n, i]`` is the survivor count of every uniform in
-    ``[i/B, (i+1)/B)`` when no CDF value of row n falls in
-    ``(i/B, (i+1)/B]``, and -1 otherwise, as in :class:`PoissonTable`.
-    """
-    cdf = _binomial_cdf_rows(rows - 1, s)
-    grid = np.arange(CDF_BINS + 1) / CDF_BINS
-    bins = np.empty((rows, CDF_BINS + 1), dtype=np.int8)
-    for n in range(rows):
-        edges = np.searchsorted(cdf[n], grid, side="right")
-        bins[n, :-1] = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-    bins[:, -1] = -1
-    bins.setflags(write=False)
-    return bins
-
-
-def _invert_cdf(table: PoissonTable, u: np.ndarray) -> np.ndarray:
-    """Smallest k with cdf[k] > u, vectorized over u in [0, 1].
-
-    Indexed search after Chen and Asau (1974), equal to
-    ``np.searchsorted(cdf, u, side="right")`` element for element.  With
-    ``B = CDF_BINS`` a power of two, ``u * B`` and the bin edges ``i / B``
-    are exact, so ``i = floor(u * B)`` is the bin with
-    ``i/B <= u < (i+1)/B``.  If no CDF value lies in ``(i/B, (i+1)/B]``,
-    every u in the bin has the same number of CDF values at or below it,
-    the stored ``bins[i]``.  Uniforms in the other bins (at most one bin
-    per CDF value, so a small share) fall back to the binary search.
-    """
-    k = table.bins[(u * CDF_BINS).astype(np.intp)].astype(np.int64)
-    split = np.flatnonzero(k < 0)
-    if split.size:
-        k[split] = np.searchsorted(table.cdf, u[split], side="right")
-    return k
+def binomial_law(rows: int, s: float) -> CountLaw:
+    """The Binomial(n, s) laws for n < ``rows``, row n for count n."""
+    return _count_law(_binomial_cdf_rows(rows - 1, s))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +285,7 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
         raise ContractViolationError("Poisson uniforms must lie in [0, 1)")
     counts = np.empty(u.shape, dtype=np.int64)
     for j in range(space.size):
-        counts[:, j] = _invert_cdf(_poisson_cdf(float(space.weights[j] * scale)), u[:, j])
+        counts[:, j] = poisson_law(float(space.weights[j] * scale)).invert(u[:, j])
     return counts
 
 
@@ -288,7 +294,7 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
 
     ``u`` has the shape of the ``(rows, atoms)`` count matrix, whose
     entries are taken to be non-negative integers (:func:`thin_counts`
-    checks them).
+    checks them).  Each count is its row of one :func:`binomial_law`.
     """
     if u.ndim != 2 or u.shape != counts.shape:
         raise ContractViolationError(
@@ -300,30 +306,14 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ContractViolationError("thinning uniforms must lie in [0, 1)")
     n_max = int(counts.max(initial=0))
-    if n_max >= THIN_TABLE_MAX_ROWS:
-        # CDF rows per size class of THIN_TABLE_MAX_ROWS counts, so batches
-        # share them; row n does not depend on the table's size, and a count
-        # past THIN_COUNT_MAX is passed on as is to be rejected by name
-        size = n_max if n_max > THIN_COUNT_MAX else min(
-            THIN_COUNT_MAX, -(-n_max // THIN_TABLE_MAX_ROWS) * THIN_TABLE_MAX_ROWS)
-        rows = _binomial_cdf_rows(size, float(s))
-        kept = np.empty_like(counts)
-        for j in range(counts.shape[1]):
-            # from column n_max on every row read is padding, and a padding
-            # one never counts against a uniform below 1
-            kept[:, j] = np.sum(rows[counts[:, j], :n_max] <= u[:, j, None], axis=1)
-        return kept
-    # one table per size class, so a new largest count rarely builds one
-    size = max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length())
-    bins = _binomial_bins(size, float(s))
-    cell = np.multiply(counts, CDF_BINS + 1, dtype=np.intp)
-    cell += (u * CDF_BINS).astype(np.intp)
-    kept = bins.ravel().take(cell)
-    split = np.nonzero(kept < 0)
-    if split[0].size:
-        rows = _binomial_cdf_rows(size - 1, float(s))
-        kept[split] = np.sum(rows[counts[split], :] <= u[split][:, None], axis=1)
-    return kept.astype(counts.dtype)
+    if n_max > THIN_COUNT_MAX:
+        raise ContractViolationError(
+            f"cannot thin a count of {n_max}: its binomial coefficients "
+            "exceed the float range")
+    # one law per size class, so a new largest count rarely builds one
+    rows = min(max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length()), THIN_COUNT_MAX + 1)
+    kept = binomial_law(rows, float(s)).invert(u, counts)
+    return kept.astype(counts.dtype, copy=False)
 
 
 def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,

@@ -11,7 +11,7 @@ from ..errors import BudgetError
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
 from ..functionals import ChaosVector, Functional, difference_rows
 from ..malliavin import gauss_legendre_unit
-from ..patterns import _poisson_cdf, sample_poisson_counts, thin_counts_with_uniforms
+from ..patterns import poisson_law, sample_poisson_counts, thin_counts_with_uniforms
 from ..rng import stream_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
@@ -94,22 +94,6 @@ class CountTable:
                             out=self.diffs[:, x])
 
 
-def refresh_pmfs(space: MeasureSpace, scale: float) -> list[np.ndarray]:
-    """Per-atom pmf of the Poisson(weight * scale) counts that inversion
-    of :func:`_poisson_cdf` draws.
-
-    A uniform below 1 treats every CDF value at or above 1 as 1, so the
-    support ends at the first of them, and the running sums of the pmf
-    are the clamped CDF values, ending at exactly 1.
-    """
-    pmfs = []
-    for w in space.weights:
-        cdf = _poisson_cdf(float(w * scale)).cdf
-        top = int(np.searchsorted(cdf, 1.0))
-        pmfs.append(np.diff(np.minimum(cdf[:top + 1], 1.0), prepend=0.0))
-    return pmfs
-
-
 def smoothed_differences(table: CountTable, pmfs: list[np.ndarray]) -> np.ndarray:
     """``S[r, x] = sum_k prod_j pmfs[j][k_j] * diffs[r + k @ radix, x]``.
 
@@ -145,7 +129,8 @@ class MehlerNode:
     def __init__(self, space: MeasureSpace, t: float, tables: list[CountTable]):
         self.t = t
         self.tables = tables
-        self.pmfs = refresh_pmfs(space, 1.0 - t)
+        # the law of the refresh counts that inversion draws
+        self.pmfs = [poisson_law(float(w * (1.0 - t))).pmf() for w in space.weights]
         self.reach = np.array([len(p) for p in self.pmfs], dtype=np.int64)
         support = int(np.prod(self.reach))
         if support > COUNT_TABLE_CELL_CAP:
@@ -191,15 +176,16 @@ def mehler_nodes(space: MeasureSpace, ts, functionals: list[Functional]) -> list
     table per functional on a box sized from those nodes.
 
     The box invariant: every cell the nodes read lies in the box.  A
-    sampled count of atom j is at most ``largest_j``, the last count of
-    ``refresh_pmfs(space, 1.0)[j]``; thinning only lowers it; a node's
-    refresh field adds at most ``reach_j(t) - 1``; and the difference at
-    j reads one cell further.  So caps of ``largest_j + max_t reach_j(t)``
-    hold every read, and no row needs a guard.
+    sampled count of atom j is at most ``largest_j``, the largest count
+    of its Poisson law's pmf; thinning only lowers it; a node's refresh
+    field adds at most ``reach_j(t) - 1``, the largest count of its
+    refresh law; and the difference at j reads one cell further.  So
+    caps of ``largest_j + max_t reach_j(t)`` hold every read, and no row
+    needs a guard.
     """
-    largest = np.array([len(p) - 1 for p in refresh_pmfs(space, 1.0)])
-    reach = np.max([[len(p) for p in refresh_pmfs(space, 1.0 - float(t))] for t in ts],
-                   axis=0)
+    largest = np.array([len(poisson_law(float(w)).pmf()) - 1 for w in space.weights])
+    reach = np.max([[len(poisson_law(float(w * (1.0 - float(t)))).pmf())
+                     for w in space.weights] for t in ts], axis=0)
     tables = [CountTable(F, largest + reach) for F in functionals]
     return [MehlerNode(space, float(t), tables) for t in ts]
 

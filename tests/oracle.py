@@ -35,7 +35,7 @@ from poisson_chaos.estimation import Estimate, mc_estimate
 from poisson_chaos.functionals import difference_rows
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows,
-                                    _poisson_cdf, poisson_counts_with_uniforms,
+                                    poisson_counts_with_uniforms, poisson_law,
                                     sample_poisson_counts)
 from poisson_chaos.rng import stream_uniforms
 from poisson_chaos.space import Kernel, contraction
@@ -341,7 +341,7 @@ def field_law(space, scale: float) -> tuple[np.ndarray, np.ndarray]:
     [0, 1) gives count k of atom j on ``[cdf[k - 1], cdf[k])``."""
     supports, probs = [], []
     for w in space.weights:
-        cdf = np.minimum(_poisson_cdf(float(w * scale)).cdf, 1.0)
+        cdf = np.minimum(poisson_law(float(w * scale)).cdf[0], 1.0)
         supports.append(range(len(cdf)))
         probs.append(np.diff(cdf, prepend=0.0))
     points = np.array(list(itertools.product(*supports)), dtype=np.int64)

@@ -11,16 +11,15 @@ from poisson_chaos.functionals import (Exponential, chaos_of_exponential,
                                        difference_counts, difference_rows,
                                        iterated_difference_counts)
 from poisson_chaos.malliavin import gauss_legendre_unit, malliavin_chaos
-from poisson_chaos.patterns import (CDF_BINS, THIN_TABLE_MAX_ROWS, PointPattern,
-                                    _binomial_bins, _binomial_cdf_rows,
-                                    _invert_cdf, _poisson_cdf, factorial_counts,
-                                    poisson_counts_with_uniforms,
-                                    sample_poisson, sample_poisson_counts,
+from poisson_chaos.patterns import (CDF_BINS, THIN_COUNT_MAX, THIN_TABLE_MIN_ROWS,
+                                    PointPattern, _binomial_cdf_rows, binomial_law,
+                                    factorial_counts, poisson_counts_with_uniforms,
+                                    poisson_law, sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts,
                                     thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
-from poisson_chaos.suites.common import CountTable, refresh_pmfs, smoothed_differences
+from poisson_chaos.suites.common import CountTable, smoothed_differences
 
 import oracle
 from oracle import factorial_apply, factorial_tensor_power
@@ -131,7 +130,7 @@ class TestSamplerContracts:
         with pytest.raises(ContractViolationError, match="Poisson mean"):
             sample_poisson_counts(s2, 1, np.arange(4, dtype=np.uint64), scale=scale)
         with pytest.raises(ContractViolationError, match="Poisson mean"):
-            _poisson_cdf(float(scale))
+            poisson_law(float(scale))
 
 
 class TestPoissonSampling:
@@ -176,13 +175,15 @@ class TestPoissonInversion:
         ])
         return u[(u >= 0.0) & (u < 1.0)]
 
-    @pytest.mark.parametrize("mean", [0.0, 0.05, 0.3, 1.0, 4.0, 7.0, 50.0, 400.0])
+    @pytest.mark.parametrize("mean", [0.0, 0.05, 0.3, 1.0, 4.0, 7.0, 50.0, 300.0, 400.0,
+                                      708.0])
     def test_matches_binary_search(self, mean):
-        table = _poisson_cdf(mean)
-        u = self._probes(table.cdf)
+        law = poisson_law(mean)
+        cdf = law.cdf[0]
+        u = self._probes(cdf)
         assert u.size > 100_000
-        want = np.searchsorted(table.cdf, u, side="right")
-        got = _invert_cdf(table, u)
+        want = np.searchsorted(cdf, u, side="right")
+        got = law.invert(u)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -209,18 +210,18 @@ class TestPoissonInversion:
     def test_subnormal_start_rejected(self, mean):
         # exp(-mean) is subnormal here: mean 740 used to build a law of mean 741.9
         with pytest.raises(ContractViolationError):
-            _poisson_cdf(mean)
+            poisson_law(mean)
         with pytest.raises(ContractViolationError):
             sample_poisson(MeasureSpace(["a"], [mean]), RngStream(3, 0))
 
     def test_largest_normal_start_still_built(self):
-        table = _poisson_cdf(700.0)
+        law = poisson_law(700.0)
         pmf = [math.exp(-700.0)]
         while len(pmf) <= 701 or pmf[-1] > 1e-18:
             pmf.append(pmf[-1] * 700.0 / len(pmf))
         want = np.cumsum(pmf)
         want[-1] = max(want[-1], 1.0)
-        assert np.array_equal(table.cdf, want)
+        assert np.array_equal(law.cdf, [want])
         law_mean = float(np.dot(np.arange(len(want)), np.diff(want, prepend=0.0)))
         assert law_mean == pytest.approx(700.0, rel=1e-9)
 
@@ -237,7 +238,7 @@ class TestInversionRanks:
         """A box with room for any count a weight-scale field can reach
         (13, 19 and 34 of them), plus three."""
         space = MeasureSpace(["a", "b", "c"], self.WEIGHTS)
-        caps = np.array([len(p) + 3 for p in refresh_pmfs(space, 1.0)])
+        caps = np.array([len(poisson_law(w).pmf()) + 3 for w in self.WEIGHTS])
         return space, CountTable(Exponential(space, [0.2, 0.5, 0.05]), caps)
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
@@ -247,14 +248,14 @@ class TestInversionRanks:
         the inversion searches; and the table smoothed along that atom
         alone is the pmf-weighted sum of the rows ``k`` steps away."""
         space, table = self.box()
-        pmfs = refresh_pmfs(space, 1.0 - float(t))
         cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
-        for j, (w, pmf) in enumerate(zip(self.WEIGHTS, pmfs)):
-            pt = _poisson_cdf(float(w * (1.0 - float(t))))
-            u = TestPoissonInversion._probes(pt.cdf)
-            k = _invert_cdf(pt, u)
-            assert k.max() < len(pmf)
-            edges = np.minimum(pt.cdf[:len(pmf)], 1.0)
+        for j, w in enumerate(self.WEIGHTS):
+            law = poisson_law(float(w * (1.0 - float(t))))
+            pmf = law.pmf()
+            u = TestPoissonInversion._probes(law.cdf[0])
+            k = law.invert(u)
+            assert k.max() == len(pmf) - 1
+            edges = np.minimum(law.cdf[0, :len(pmf)], 1.0)
             assert edges[-1] == 1.0
             assert np.array_equal(k, np.searchsorted(edges, u, side="right"))
             np.testing.assert_allclose(np.cumsum(pmf), edges, rtol=0, atol=1e-15)
@@ -272,17 +273,17 @@ class TestInversionRanks:
         rng = np.random.default_rng(17)
         u = stream_uniforms(23, np.arange(20_000, dtype=np.uint64), len(self.WEIGHTS))
         # a share of every column sits at a CDF value, a split-bin probe
-        for j, w in enumerate(self.WEIGHTS):
-            cdf = _poisson_cdf(float(w * (1.0 - float(t)))).cdf
+        laws = [poisson_law(float(w * (1.0 - float(t)))) for w in self.WEIGHTS]
+        for j, law in enumerate(laws):
+            cdf = law.cdf[0]
             u[:500, j] = rng.choice(cdf[cdf < 1.0], size=500)
         field = poisson_counts_with_uniforms(space, 1.0 - float(t), u)
-        reach = np.array([len(p) for p in refresh_pmfs(space, 1.0 - float(t))])
+        reach = np.array([len(law.pmf()) for law in laws])
         assert np.all(field < reach)
         base = rng.integers(0, table.caps - reach + 1, size=u.shape)
         rank = (base + field) @ table.radix
-        want = base @ table.radix + sum(
-            _invert_cdf(_poisson_cdf(float(w * (1.0 - float(t)))), u[:, j]) * table.radix[j]
-            for j, w in enumerate(self.WEIGHTS))
+        want = base @ table.radix + sum(law.invert(u[:, j]) * table.radix[j]
+                                        for j, law in enumerate(laws))
         assert np.array_equal(rank, want)
         assert np.array_equal((rank[:, None] // table.radix) % (table.caps + 1), base + field)
         np.testing.assert_allclose(table.diffs[rank], difference_rows(table.F, base + field),
@@ -356,15 +357,21 @@ class TestThinningLargeCounts:
 
     def test_batches_share_cdf_rows(self):
         # keyed by each batch's exact largest count, 20 batches of Poisson(200)
-        # and Poisson(150) counts built 13 tables
+        # and Poisson(150) counts built 13 tables; their largest counts
+        # (about 240 to 260) fall in the 256- and 512-row classes
         rng = np.random.default_rng(3)
         batches = [np.column_stack([rng.poisson(200, 4096), rng.poisson(150, 4096)])
                    for _ in range(20)]
-        _binomial_cdf_rows.cache_clear()
+        binomial_law.cache_clear()
         for counts in batches:
             thin_counts_with_uniforms(counts, 0.37, rng.random(counts.shape))
-        classes = {-(-int(c.max()) // THIN_TABLE_MAX_ROWS) for c in batches}
-        assert _binomial_cdf_rows.cache_info().misses == len(classes) <= 2
+        classes = {1 << int(c.max()).bit_length() for c in batches}
+        assert binomial_law.cache_info().misses == len(classes) <= 2
+        # each class's law is the one cached
+        for rows in classes:
+            binomial_law(rows, 0.37)
+        assert binomial_law.cache_info().misses == len(classes)
+        binomial_law.cache_clear()
 
     @pytest.mark.parametrize("top", [128, 129, 255, 256, 257, 1024, 1025, 1029])
     def test_size_classes_keep_the_survivors(self, top):
@@ -409,36 +416,55 @@ class TestThinningTable:
             got = thin_counts_with_uniforms(counts, s, uu)
             assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, uu)), n
 
+    # the largest count of every size class, and the smallest of the
+    # capped one (1,024 to THIN_COUNT_MAX)
+    CLASS_TOPS = [15, 16, 31, 63, 127, 255, 511, 1023, 1024, THIN_COUNT_MAX]
+
     @pytest.mark.parametrize("s", RETENTIONS)
     def test_random_batches(self, s):
         rng = np.random.default_rng(int(s * 100))
-        counts = rng.integers(0, 41, size=(20_000, 2))
-        u = rng.random(size=counts.shape)
-        got = thin_counts_with_uniforms(counts, s, u)
-        assert got.dtype == counts.dtype
-        assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u))
+        for top in [40, *self.CLASS_TOPS]:
+            # fewer rows for long CDF rows keep the oracle's row gather small
+            counts = rng.integers(0, top + 1, size=(20_000 if top < 64 else 1_000, 2))
+            counts[0, 0] = top
+            u = rng.random(size=counts.shape)
+            got = thin_counts_with_uniforms(counts, s, u)
+            assert got.dtype == counts.dtype
+            assert np.array_equal(got, oracle.thin_counts_with_uniforms(counts, s, u)), top
+        binomial_law.cache_clear()
 
     def test_counts_above_the_table(self):
+        # counts of up to 383, in the 512-row size class
         rng = np.random.default_rng(5)
-        counts = rng.integers(0, 3 * THIN_TABLE_MAX_ROWS, size=(5_000, 2))
-        counts[0, 0] = THIN_TABLE_MAX_ROWS
+        counts = rng.integers(0, 384, size=(5_000, 2))
+        counts[0, 0] = 128
         u = rng.random(size=counts.shape)
         for s in self.RETENTIONS:
             assert np.array_equal(thin_counts_with_uniforms(counts, s, u),
                                   oracle.thin_counts_with_uniforms(counts, s, u))
 
     def test_one_table_per_size_class(self):
-        _binomial_bins.cache_clear()
+        binomial_law.cache_clear()
         counts = np.array([[17, 3], [2, 0]])
         u = np.full(counts.shape, 0.5)
-        for top in (17, 20, 31):
+        for top in (17, 20, 31, 3, 0, 15, 1024, THIN_COUNT_MAX):
             counts[0, 0] = top
             thin_counts_with_uniforms(counts, 0.41, u)
-        info = _binomial_bins.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        table = _binomial_bins(32, 0.41)
-        assert table.shape == (32, CDF_BINS + 1) and table.dtype == np.int8
-        assert np.all(table[:, -1] == -1)
+        info = binomial_law.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+        for rows in (THIN_TABLE_MIN_ROWS, THIN_COUNT_MAX + 1):
+            binomial_law(rows, 0.41)
+        law = binomial_law(32, 0.41)
+        assert binomial_law.cache_info().misses == 3
+        assert law.bins.shape == (32, CDF_BINS + 1) and law.bins.dtype == np.int16
+        assert np.all(law.bins[:, -1] == -1)
+        assert np.array_equal(law.cdf, _binomial_cdf_rows(31, 0.41))
+        # row n's pmf is a Binomial(n, 0.41) law on at most 0..n
+        for n in range(32):
+            pmf = law.pmf(n)
+            assert len(pmf) <= n + 1 and pmf.sum() == pytest.approx(1.0, abs=1e-15)
+            assert pmf @ np.arange(len(pmf)) == pytest.approx(0.41 * n, rel=1e-12, abs=1e-15)
+        binomial_law.cache_clear()
 
 
 class TestSuperpose:

@@ -12,7 +12,11 @@ from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
 from poisson_chaos.estimation import (McPlan, OracleBudget, PoissonEnumeration,
                                       mc_expectation)
 from poisson_chaos.functionals import (ChaosVector, Exponential, Opaque,
-                                       chaos_of_exponential)
+                                       chaos_of_exponential, difference_counts,
+                                       difference_rows, iterated_difference_counts)
+from poisson_chaos.malliavin import (difference_field, ou_generator_counts,
+                                     ou_inverse_quadrature, ou_semigroup_mc,
+                                     skorohod_counts)
 from poisson_chaos.patterns import PointPattern, _count_vectors, factorial_counts
 from poisson_chaos.space import (Kernel, MeasureSpace, inner_product,
                                  symmetrize, tensor_power)
@@ -341,6 +345,7 @@ class TestSharedTables:
 SPACES = load_config().spaces
 S3 = SPACES["S3"]
 F9 = Kernel(S3, np.arange(9.0).reshape(3, 3))
+E3 = Exponential(S3, [0.2, 0.5, 0.1])
 COUNT_ENTRIES = {
     "factorial_counts": lambda space, counts: factorial_counts(counts, F9),
     "wiener_ito_counts": lambda space, counts: wiener_ito_counts(space, F9, counts),
@@ -350,6 +355,19 @@ COUNT_ENTRIES = {
         symmetrize(F9), Kernel(S3, [1.0, 2.0, 3.0]), counts),
     "chaos_finite_sum": lambda space, counts: chaos_finite_sum(
         space, Kernel(S3, [0.1, 0.2, 0.3]), counts),
+    "difference_counts": lambda space, counts: difference_counts(E3, 1, counts),
+    "difference_rows": lambda space, counts: difference_rows(E3, counts),
+    "iterated_difference_counts": lambda space, counts: iterated_difference_counts(
+        E3, [0, 2], counts),
+    "skorohod_counts": lambda space, counts: skorohod_counts(difference_field(E3), counts),
+    "ou_generator_counts": lambda space, counts: ou_generator_counts(E3, counts),
+}
+# the Monte Carlo operators take one pattern, made of the first row's counts
+PATTERN_ENTRIES = {
+    "ou_semigroup_mc": lambda space, counts: ou_semigroup_mc(
+        E3, 0.5, PointPattern(space, counts[0, :space.size]), McPlan(64, 1)),
+    "ou_inverse_quadrature": lambda space, counts: ou_inverse_quadrature(
+        E3, PointPattern(space, counts[0, :space.size]), 4, McPlan(64, 1)),
 }
 
 
@@ -372,14 +390,14 @@ class TestCountMatrixContract:
             COUNT_ENTRIES[entry](S3, counts)
 
     @pytest.mark.parametrize("entry", ["wiener_ito_counts", "chaos_reconstruct_counts",
-                                       "chaos_finite_sum"])
+                                       "chaos_finite_sum", *PATTERN_ENTRIES])
     @pytest.mark.parametrize("space", [
         SPACES["S2"],
         MeasureSpace(S3.atoms, [1.0, 1.0, 1.0]),
     ], ids=["other_size", "other_weights"])
     def test_other_space_rejected(self, entry, space):
         with pytest.raises(ContractViolationError, match="different space"):
-            COUNT_ENTRIES[entry](space, np.array([[1, 2, 0]]))
+            {**COUNT_ENTRIES, **PATTERN_ENTRIES}[entry](space, np.array([[1, 2, 0]]))
 
     @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
