@@ -157,6 +157,7 @@ def _estimate(batches: list[np.ndarray], n: int) -> Estimate:
 
 def mc_expectation(space: MeasureSpace, G, plan: McPlan) -> Estimate:
     """Monte Carlo mean of a functional under the Poisson law."""
+    space.check_same(G.space, "functional defined on a different space")
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
@@ -172,6 +173,8 @@ def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan
     Each estimate equals ``mc_expectation(space, G, plan)`` bit for bit,
     but the patterns of a batch are drawn once for all of them.
     """
+    for G in functionals:
+        space.check_same(G.space, "functional defined on a different space")
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
@@ -237,88 +240,6 @@ class OracleBudget:
         raise BudgetError("no truncation point reaches the requested tail bound")
 
 
-# rows per block when ranking lattice rows; bounds the temporaries
-_RANK_BLOCK = 1 << 16
-
-
-def _level_vectors(d: int, total: int) -> np.ndarray:
-    """All count vectors in d atoms with exactly this total, in lexicographic order."""
-    if d == 1:
-        return np.array([[total]], dtype=np.int64)
-    head = _count_vectors(d - 1, total)
-    return np.column_stack([head, total - head.sum(axis=1)])
-
-
-def shell_size(d: int, cap: int, order: int) -> int:
-    """Number of count vectors in d atoms with total in (cap, cap + order]."""
-    return math.comb(cap + order + d, d) - math.comb(cap + d, d)
-
-
-def lattice_shell(d: int, cap: int, order: int) -> np.ndarray:
-    """The count vectors with totals cap+1 .. cap+order, one total after
-    another, each in lexicographic order."""
-    return np.vstack([_level_vectors(d, cap + k) for k in range(1, order + 1)])
-
-
-def successor_maps(counts: np.ndarray, shell: np.ndarray, cap: int,
-                   order: int) -> np.ndarray:
-    """Row positions of one added point in the stacked lattice.
-
-    ``counts`` is the enumeration (every count vector of total at most
-    ``cap``, lexicographic, as built by ``_count_vectors``) and ``shell``
-    is ``lattice_shell(d, cap, order)``; stacked, they hold every count
-    vector of total at most ``cap + order``.  Entry ``[x, i]`` is the
-    position of row ``i`` plus one point at atom ``x``, for every row of
-    total below ``cap + order``.
-
-    Positions come from the combinatorial number system rather than from
-    a mixed-radix key, which overflows int64 on wide spaces.  With
-    ``B[m, q] = C(q + m, m)``, the number of count vectors in m atoms of
-    total at most q, the lexicographic rank of a vector among those of
-    total at most ``q_0`` is ``sum_j B[d-j, q_j] - B[d-j, q_{j+1}]``
-    with ``q_{j+1} = q_j - c_j`` the budget left after coordinate j.  A
-    vector of the shell is ranked within its total: the same sum with
-    ``q_0`` its total and ``m`` one lower, which ranks its first d-1
-    coordinates.
-    """
-    d = counts.shape[1]
-    top = cap + order
-    # table[m, q] = C(q + m, m); entries too large for int64 are never read
-    table = np.ones((d + 1, top + 1), dtype=np.int64)
-    for m in range(1, d + 1):
-        table[m] = np.cumsum(table[m - 1])
-    flat = table.ravel()
-    width = top + 1
-    # start[t]: position of the first shell row of total t; table[d - 1, t]
-    # counts the vectors of total exactly t
-    start = np.zeros(top + 1, dtype=np.int64)
-    start[cap + 1:] = len(counts) + np.concatenate([[0], np.cumsum(table[d - 1, cap + 1:top])])
-    below_top = len(counts) + shell_size(d, cap, order - 1)
-    # int32 halves the maps; positions fit while enumeration and shell each
-    # stay within ENUMERATION_STATE_CAP
-    succ = np.empty((d, below_top), dtype=np.int32)
-    sources = ((counts, 0), (shell[:below_top - len(counts)], len(counts)))
-    for rows_all, offset in sources:
-        for lo in range(0, len(rows_all), _RANK_BLOCK):
-            rows = rows_all[lo:lo + _RANK_BLOCK]
-            # total of each successor, whatever the atom
-            target = rows.sum(axis=1) + 1
-            in_shell = target > cap
-            budget = np.where(in_shell, target, cap)
-            m_row = (d - in_shell) * width
-            first = start[np.where(in_shell, target, 0)]
-            for x in range(d):
-                pos = first.copy()
-                q = budget
-                for j in range(d):
-                    q_next = q - rows[:, j] - (j == x)
-                    cell = m_row - j * width
-                    pos += flat[cell + q] - flat[cell + q_next]
-                    q = q_next
-                succ[x, offset + lo:offset + lo + len(rows)] = pos
-    return succ
-
-
 class PoissonEnumeration:
     """All count vectors with total below the budget, with their probabilities.
 
@@ -359,6 +280,7 @@ class PoissonEnumeration:
         return found
 
     def expectation_of(self, G) -> float:
+        self.space.check_same(G.space, "functional defined on a different space")
         return self.expectation_of_values(G.evaluate_counts(self.counts))
 
     def expectation_of_values(self, values: np.ndarray) -> float:

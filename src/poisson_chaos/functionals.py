@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, EvaluationError, UnsupportedArityError
-from .patterns import PointPattern, _count_matrix
+from .patterns import (PointPattern, _count_matrix, lattice_shell, shell_size,
+                       successor_maps)
 from .space import Kernel, MeasureSpace, symmetrize, tensor_power
 
 ITERATED_DIFFERENCE_CAP = 6
@@ -73,8 +74,7 @@ class Functional:
         raise NotImplementedError
 
     def evaluate(self, pattern: PointPattern) -> float:
-        if not pattern.space.same_as(self.space):
-            raise ContractViolationError("pattern lives on a different space")
+        self.space.check_same(pattern.space, "pattern lives on a different space")
         value = float(self.evaluate_counts(pattern.counts[None, :])[0])
         if not math.isfinite(value):
             raise EvaluationError(f"functional evaluated to {value!r}")
@@ -445,8 +445,7 @@ class ChaosVector:
                 k = Kernel(space, k)
             if k.arity != n:
                 raise ContractViolationError(f"coefficient {n} must have arity {n}")
-            if not k.space.same_as(space):
-                raise ContractViolationError("coefficient on a different space")
+            space.check_same(k.space, "coefficient on a different space")
             if n >= 2 and np.max(np.abs(k.values - symmetrize(k).values)) > tol:
                 raise ContractViolationError(f"coefficient {n} is not symmetric")
             coeffs.append(k)
@@ -470,6 +469,7 @@ class ChaosVector:
         return ChaosVector(self.space, out)
 
     def __add__(self, other: "ChaosVector") -> "ChaosVector":
+        self.space.check_same(other.space, "chaos vectors live on different spaces")
         order = max(self.order, other.order)
         out = [self.coefficients[0] + other.coefficients[0]]
         for n in range(1, order + 1):
@@ -486,6 +486,7 @@ class ChaosVector:
         return self.max_abs_difference(other) <= tol
 
     def max_abs_difference(self, other: "ChaosVector") -> float:
+        self.space.check_same(other.space, "chaos vectors live on different spaces")
         worst = abs(self.coefficients[0] - other.coefficients[0])
         for n in range(1, max(self.order, other.order) + 1):
             a, b = self.coefficient(n), other.coefficient(n)
@@ -560,8 +561,8 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     only twice: once on the enumeration (which also gives level 0) and
     once on the shell of count vectors with totals ``max_total + 1``
     to ``max_total + order``.  Each term of the signed subset sum is
-    then a gather through the per-atom successor maps of
-    :func:`~.estimation.successor_maps`.
+    then a gather through the per-atom successor maps that the shift
+    rule of :mod:`.patterns` gives (:func:`~.patterns.successor_maps`).
 
     The sums follow ``D^n_{x1..xn} = D_{x1} D^{n-1}_{x2..xn}``: tuples
     are walked depth first over their suffixes, and each order-(n-1)
@@ -584,8 +585,7 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     cap, goes through :func:`iterated_difference_counts` per atom tuple
     instead.
     """
-    from .estimation import (ENUMERATION_STATE_CAP, PoissonEnumeration, lattice_shell,
-                             shell_size, successor_maps)
+    from .estimation import ENUMERATION_STATE_CAP, PoissonEnumeration
 
     if order > CHAOS_ORDER_CAP:
         raise UnsupportedArityError(f"chaos order capped at {CHAOS_ORDER_CAP}")

@@ -40,8 +40,7 @@ class FunctionalField:
         if len(functionals) != space.size:
             raise ContractViolationError("one functional per atom is required")
         for f in functionals:
-            if not f.space.same_as(space):
-                raise ContractViolationError("field entry on a different space")
+            space.check_same(f.space, "field entry on a different space")
         self.space = space
         self._functionals = tuple(functionals)
 
@@ -63,8 +62,7 @@ class ChaosField:
         for n, k in enumerate(kernels):
             if k.arity != n + 1:
                 raise ContractViolationError(f"field kernel {n} must have arity {n + 1}")
-            if not k.space.same_as(space):
-                raise ContractViolationError("field kernel on a different space")
+            space.check_same(k.space, "field kernel on a different space")
             if n >= 2:
                 for x in range(space.size):
                     slice_ = Kernel(space, k.values[x])
@@ -284,8 +282,7 @@ def ou_semigroup_mc(F: Functional, s: float, pattern: PointPattern,
     """
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("semigroup parameter must lie in [0, 1]")
-    if not pattern.space.same_as(F.space):
-        raise ContractViolationError("pattern lives on a different space")
+    F.space.check_same(pattern.space, "pattern lives on a different space")
     space = F.space
     base_counts = pattern.counts
 
@@ -320,8 +317,7 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
     if mean is None:
         raise ContractViolationError(
             "centering requires a closed-form mean or an explicit one")
-    if not pattern.space.same_as(F.space):
-        raise ContractViolationError("pattern lives on a different space")
+    F.space.check_same(pattern.space, "pattern lives on a different space")
     space = F.space
     base_counts = pattern.counts
     s_nodes, s_weights = gauss_legendre_unit(nodes)

@@ -22,6 +22,14 @@ A uniform below 1 never counts an entry at or above 1, so a row's
 support ends at its first such entry (padding with ones keeps a
 binomial count at most n), and :meth:`CountLaw.pmf`, the law of the
 counts that inversion returns, sums to the CDF values clamped at 1.
+
+The count vectors of total at most a cap are enumerated in
+lexicographic order (``_count_vectors``); those of each larger total
+follow as the shell, one total after another (:func:`lattice_shell`).
+Adding a point at atom x preserves lexicographic order.  So it maps the
+rows of total below the cap, in order, onto the enumeration's rows with
+``c_x >= 1``, and the rows of total t onto the rows of total t + 1 with
+``c_x >= 1``: this shift rule is all :func:`successor_maps` reads.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import itertools
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +140,54 @@ def _count_vectors(d: int, cap: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _level_vectors(d: int, total: int) -> np.ndarray:
+    """All count vectors in d atoms with exactly this total, in lexicographic order."""
+    if d == 1:
+        return np.array([[total]], dtype=np.int64)
+    head = _count_vectors(d - 1, total)
+    return np.column_stack([head, total - head.sum(axis=1)])
+
+
+def shell_size(d: int, cap: int, order: int) -> int:
+    """Number of count vectors in d atoms with total in (cap, cap + order]."""
+    return math.comb(cap + order + d, d) - math.comb(cap + d, d)
+
+
+def lattice_shell(d: int, cap: int, order: int) -> np.ndarray:
+    """The count vectors with totals cap+1 .. cap+order, one total after
+    another, each in lexicographic order."""
+    return np.vstack([_level_vectors(d, cap + k) for k in range(1, order + 1)])
+
+
+def successor_maps(counts: np.ndarray, shell: np.ndarray, cap: int,
+                   order: int) -> np.ndarray:
+    """Row positions of one added point in the stacked lattice.
+
+    ``counts`` is ``_count_vectors(d, cap)`` and ``shell`` is
+    ``lattice_shell(d, cap, order)``; stacked, they hold every count
+    vector of total at most ``cap + order``.  Entry ``[x, i]`` is the
+    position of row ``i`` plus one point at atom ``x``, for every row of
+    total below ``cap + order``, by the shift rule of the module
+    docstring.  Positions are int32, which holds them while enumeration
+    and shell each stay within the enumeration state cap.
+    """
+    n, d = counts.shape
+    totals = counts.sum(axis=1)
+    below_cap = totals < cap
+    # edges[k]: stacked position of the first row of total cap + k + 1
+    edges = [n + shell_size(d, cap, k) for k in range(order + 1)]
+    # the rows of total cap + k for k < order: the enumeration's rows of
+    # total cap lie among its others, each shell level is one block
+    sources = [np.flatnonzero(totals == cap)] + [
+        slice(lo, hi) for lo, hi in zip(edges[:-2], edges[1:-1])]
+    succ = np.empty((d, edges[-2]), dtype=np.int32)
+    for x, row in enumerate(succ):
+        row[:n][below_cap] = np.flatnonzero(counts[:, x])
+        for k, source in enumerate(sources):
+            row[source] = edges[k] + np.flatnonzero(shell[edges[k] - n:edges[k + 1] - n, x])
+    return succ
+
+
 def _count_matrix(counts, atoms: int | None = None) -> np.ndarray:
     """``counts`` as a ``(rows, atoms)`` matrix of non-negative integers.
 
@@ -208,8 +265,26 @@ def _count_law(cdf: np.ndarray) -> CountLaw:
     return CountLaw(cdf, bins)
 
 
+# one lock over the law caches: threads that miss at once build a law once
+_LAW_LOCK = threading.Lock()
+
+
+def _locked(cached):
+    """The ``lru_cache`` ``cached``, looked up (a build included) under
+    ``_LAW_LOCK``."""
+
+    @wraps(cached)
+    def lookup(*args):
+        with _LAW_LOCK:
+            return cached(*args)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
 # a row holds at most 951 CDF values (at the largest mean, 708.4), so a
 # law takes under 16 KB and the cache under 8.1 MB
+@_locked
 @lru_cache(maxsize=512)
 def poisson_law(mean: float) -> CountLaw:
     """The Poisson law as one CDF row, extended until the tail is below
@@ -259,6 +334,7 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
 # a law of R rows takes 8 R (R + 1) + 2 R (CDF_BINS + 1) bytes: 0.13 MB
 # at 16 rows, every law of a verify run, and 16.9 MB at the
 # THIN_COUNT_MAX + 1 cap, so the cache stays under 1.1 GB
+@_locked
 @lru_cache(maxsize=64)
 def binomial_law(rows: int, s: float) -> CountLaw:
     """The Binomial(n, s) laws for n < ``rows``, row n for count n."""
@@ -354,8 +430,7 @@ def thin(pattern: PointPattern, s: float, rng: RngStream) -> PointPattern:
 
 def superpose(p: PointPattern, q: PointPattern) -> PointPattern:
     """Sum of two counting measures on the same space."""
-    if not p.space.same_as(q.space):
-        raise ContractViolationError("patterns live on different spaces")
+    p.space.check_same(q.space, "patterns live on different spaces")
     return PointPattern(p.space, p.counts + q.counts)
 
 

@@ -68,6 +68,11 @@ class MeasureSpace:
     def same_as(self, other: "MeasureSpace") -> bool:
         return self.atoms == other.atoms and np.array_equal(self.weights, other.weights)
 
+    def check_same(self, other: "MeasureSpace", message: str) -> None:
+        """Raise ``ContractViolationError(message)`` unless ``other`` is this space."""
+        if not self.same_as(other):
+            raise ContractViolationError(message)
+
     def cache_key(self) -> tuple:
         return (self.atoms, self.weights.tobytes())
 
@@ -135,13 +140,8 @@ class Kernel:
         return bool(np.max(np.abs(self.values - sym)) <= tol)
 
 
-def _check_same_space(a: Kernel, b: Kernel) -> None:
-    if not a.space.same_as(b.space):
-        raise ContractViolationError("kernels live on different spaces")
-
-
 def _check_same_arity(a: Kernel, b: Kernel) -> None:
-    _check_same_space(a, b)
+    a.space.check_same(b.space, "kernels live on different spaces")
     if a.arity != b.arity:
         raise ContractViolationError(f"arity mismatch: {a.arity} vs {b.arity}")
 
@@ -152,8 +152,7 @@ def integrate(space: MeasureSpace, f: Kernel) -> float:
     The empty product measure has total mass one, so an arity-0 kernel
     integrates to its own scalar value.
     """
-    if not f.space.same_as(space):
-        raise ContractViolationError("kernel defined on a different space")
+    space.check_same(f.space, "kernel defined on a different space")
     if f.arity > INTEGRATION_ARITY_CAP:
         raise UnsupportedArityError(f"integration arity capped at {INTEGRATION_ARITY_CAP}")
     vals = f.values
@@ -179,7 +178,7 @@ def tensor(*factors: Kernel) -> Kernel:
     space = factors[0].space
     vals = factors[0].values
     for f in factors[1:]:
-        _check_same_space(factors[0], f)
+        space.check_same(f.space, "kernels live on different spaces")
         vals = np.multiply.outer(vals, f.values)
     return Kernel(space, vals)
 
@@ -223,7 +222,7 @@ def contraction(f: Kernel, g: Kernel, r: int, l: int) -> Kernel:
     measure and r - l stay as shared free arguments; the result has
     arity p + q - r - l.  With r = l = 0 this is the tensor product.
     """
-    _check_same_space(f, g)
+    f.space.check_same(g.space, "kernels live on different spaces")
     p, q = f.arity, g.arity
     if not (0 <= r <= min(p, q)):
         raise ContractViolationError(f"r={r} outside 0..min({p},{q})")

@@ -25,6 +25,8 @@ def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
     covered by the policy floor).  It needs the means first, so the
     batches are reduced in three passes rather than by ``mc_estimate``.
     """
+    space.check_same(F.space, "functional defined on a different space")
+    space.check_same(G.space, "functional defined on a different space")
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)

@@ -90,8 +90,7 @@ def wiener_ito(pattern: PointPattern, g: Kernel) -> float:
 def wiener_ito_counts(space: MeasureSpace, g: Kernel, counts: np.ndarray) -> np.ndarray:
     """Rowwise pathwise integral over a ``(rows, atoms)`` count matrix of
     non-negative integers on the kernel's space (vectorized)."""
-    if not g.space.same_as(space):
-        raise ContractViolationError("kernel defined on a different space")
+    space.check_same(g.space, "kernel defined on a different space")
     if g.arity > WIENER_ITO_ARITY_CAP:
         raise UnsupportedArityError(f"stochastic integral arity capped at {WIENER_ITO_ARITY_CAP}")
     counts = _count_matrix(counts, space.size)
@@ -108,8 +107,7 @@ def chaos_reconstruct_counts(space: MeasureSpace, cv: ChaosVector,
     """Truncated chaos sum at every row of a ``(rows, atoms)`` count matrix
     of non-negative integers on the chaos vector's space: the expectation
     plus the integrals of levels 1 to the order, added in that order."""
-    if not cv.space.same_as(space):
-        raise ContractViolationError("chaos vector on a different space")
+    space.check_same(cv.space, "chaos vector on a different space")
     if cv.order > WIENER_ITO_ARITY_CAP:
         raise UnsupportedArityError(f"stochastic integral arity capped at {WIENER_ITO_ARITY_CAP}")
     counts = _count_matrix(counts, space.size)
@@ -131,8 +129,7 @@ def chaos_finite_sum(space: MeasureSpace, v: Kernel, counts: np.ndarray) -> np.n
     no arity cap.  The sum equals, row by row, exp of minus the
     counting integral of v.
     """
-    if not v.space.same_as(space):
-        raise ContractViolationError("kernel defined on a different space")
+    space.check_same(v.space, "kernel defined on a different space")
     if v.arity != 1:
         raise ContractViolationError("exponent kernel must have arity 1")
     if np.any(v.values < 0):

@@ -17,9 +17,10 @@ from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, Estimate, McPlan, 
                                       mc_expectations,
                                       oracle_expectation, poisson_tail,
                                       worker_count)
-from poisson_chaos.functionals import CountPolynomial, Exponential, Opaque
+from poisson_chaos.functionals import ChaosVector, CountPolynomial, Exponential, Opaque
 from poisson_chaos.patterns import factorial_counts
 from poisson_chaos.space import Kernel, MeasureSpace
+from poisson_chaos.suites.common import mc_covariance
 
 
 @pytest.fixture
@@ -283,3 +284,32 @@ class TestComparePolicy:
         policy = TolerancePolicy(z=2.0, abs_tol=0.0, exact_tol=1e-12)
         assert not compare(1.0, 1.0 + 1e-11, policy).passed
         assert compare(Estimate(1.0, 0.01, 10), 1.019, policy).passed
+
+
+
+# same atoms, other weights: a functional on B read under A's law would
+# give a number, just under the wrong law
+A = MeasureSpace(["a", "b"], [0.5, 1.0])
+B = MeasureSpace(["a", "b"], [2.0, 3.0])
+ON_A = Exponential(A, [0.3, 0.2])
+ON_B = Exponential(B, [0.3, 0.2])
+PLAN = McPlan(1_000, 3)
+OTHER_SPACE_CALLS = {
+    "oracle_expectation": lambda: oracle_expectation(A, ON_B, OracleBudget.for_space(A, 1e-10)),
+    "expectation_of": lambda: PoissonEnumeration.get(
+        A, OracleBudget.for_space(A, 1e-10)).expectation_of(ON_B),
+    "mc_expectation": lambda: mc_expectation(A, ON_B, PLAN),
+    "mc_expectations": lambda: mc_expectations(A, [ON_A, ON_B], PLAN),
+    "mc_covariance_first": lambda: mc_covariance(A, ON_B, ON_A, PLAN),
+    "mc_covariance_second": lambda: mc_covariance(A, ON_A, ON_B, PLAN),
+    "chaos_add": lambda: ChaosVector(A, [1.0]) + ChaosVector(B, [2.0]),
+    "chaos_max_abs_difference": lambda: ChaosVector(A, [1.0]).max_abs_difference(
+        ChaosVector(B, [2.0])),
+    "chaos_allclose": lambda: ChaosVector(A, [1.0]).allclose(ChaosVector(B, [1.0])),
+}
+
+
+@pytest.mark.parametrize("call", list(OTHER_SPACE_CALLS.values()), ids=list(OTHER_SPACE_CALLS))
+def test_other_space_rejected(call):
+    with pytest.raises(ContractViolationError, match="different space"):
+        call()

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from poisson_chaos import patterns
 from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
 from poisson_chaos.functionals import (Exponential, chaos_of_exponential,
                                        difference_counts, difference_rows,
@@ -465,6 +468,39 @@ class TestThinningTable:
             assert len(pmf) <= n + 1 and pmf.sum() == pytest.approx(1.0, abs=1e-15)
             assert pmf @ np.arange(len(pmf)) == pytest.approx(0.41 * n, rel=1e-12, abs=1e-15)
         binomial_law.cache_clear()
+
+
+class TestLawCacheUnderThreads:
+    @pytest.mark.parametrize("law,args", [(binomial_law, (16, 0.377)),
+                                          (poisson_law, (3.217,))])
+    def test_concurrent_misses_build_once(self, law, args, monkeypatch):
+        built = []
+        build = patterns._count_law
+
+        def slow_build(cdf):
+            built.append(len(cdf))
+            # both threads are inside the lookup before a build ends
+            time.sleep(0.2)
+            return build(cdf)
+
+        monkeypatch.setattr(patterns, "_count_law", slow_build)
+        law.cache_clear()
+        barrier = threading.Barrier(2, timeout=30)
+        found = []
+
+        def ask():
+            barrier.wait()
+            found.append(law(*args))
+
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        law.cache_clear()
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        assert len(found) == 2 and found[0] is found[1]
 
 
 class TestSuperpose:
