@@ -122,6 +122,7 @@ class Functional:
 
 def _coerce(space: MeasureSpace, value) -> Functional:
     if isinstance(value, Functional):
+        space.check_same(value.space, "functional defined on a different space")
         return value
     if isinstance(value, (int, float)):
         return CountPolynomial(space, [(float(value), (0,) * space.size)])
@@ -322,6 +323,7 @@ class CountPolynomial(Functional):
         if isinstance(other, (int, float)):
             other = _coerce(self.space, other)
         if isinstance(other, CountPolynomial):
+            self.space.check_same(other.space, "functional defined on a different space")
             return CountPolynomial(self.space,
                                    [(c, e) for e, c in self._terms.items()]
                                    + [(c, e) for e, c in other._terms.items()])
@@ -334,6 +336,7 @@ class CountPolynomial(Functional):
             return CountPolynomial(self.space,
                                    [(c * float(other), e) for e, c in self._terms.items()])
         if isinstance(other, CountPolynomial):
+            self.space.check_same(other.space, "functional defined on a different space")
             prod = []
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():

@@ -2,31 +2,35 @@
 
 Pathwise: the one-point difference, the add/drop form of the
 Kabanov-Skorohod integral, the birth-death generator, and the thinning
-semigroup realized by Monte Carlo.  Chaos-level: the same operators as
+semigroup realized by Monte Carlo and, for one-point differences,
+exactly through Mehler's formula.  Chaos-level: the same operators as
 exact coefficient maps.  The pair of routes is what the verification
 suites hold against each other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, UnsupportedArityError
+from .errors import BudgetError, ContractViolationError, UnsupportedArityError
 from .estimation import Estimate, McPlan, mc_estimate
 from .functionals import (ChaosVector, CountPolynomial, Exponential, Functional,
-                          LinearCombo, Opaque, falling_factorial_coeffs,
-                          poisson_raw_moment, stirling2)
+                          LinearCombo, Opaque, difference_rows,
+                          falling_factorial_coeffs, poisson_raw_moment, stirling2)
 from .patterns import (PointPattern, _count_matrix, poisson_counts_with_uniforms,
-                       sample_poisson_counts, thin_counts,
+                       poisson_law, sample_poisson_counts, thin_counts,
                        thin_counts_with_uniforms)
 from .rng import stream_uniforms
 from .space import Kernel, MeasureSpace, symmetrize
 from .wiener_ito import wiener_ito_counts
 
 CHAOS_FIELD_ORDER_CAP = 3
+# largest count box a MehlerDifferences tabulates its functionals on
+COUNT_TABLE_CELL_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +302,8 @@ def ou_semigroup_mc(F: Functional, s: float, pattern: PointPattern,
 
 def gauss_legendre_unit(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transported to (0, 1)."""
+    if isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise ContractViolationError(f"node count must be an integer >= 1, got {nodes!r}")
     x, w = np.polynomial.legendre.leggauss(nodes)
     return (x + 1.0) / 2.0, w / 2.0
 
@@ -335,3 +341,116 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
         return out
 
     return mc_estimate(inner, batch)
+
+
+# ---------------------------------------------------------------------------
+# Mehler operator, exact
+
+
+def smoothed_differences(diffs: np.ndarray, caps: np.ndarray,
+                         pmfs: list[np.ndarray]) -> np.ndarray:
+    """``S[r, x] = sum_k prod_j pmfs[j][k_j] * diffs[r + k @ radix, x]``
+    for a ``(cells, atoms)`` table on the box of :class:`MehlerDifferences`.
+
+    One correlation with each atom's pmf along that atom's axis of the
+    box.  A cell whose count plus its pmf's length passes a cap sums
+    over a cut support and is never read.
+    """
+    d = len(pmfs)
+    # mixed radix with radix[0] = 1: atom j is axis d - 1 - j in C order
+    smoothed = diffs.reshape(*(caps[::-1] + 1), d)
+    for j, pmf in enumerate(pmfs):
+        src = np.moveaxis(smoothed, d - 1 - j, 0)
+        out = np.zeros_like(src)
+        # ascending k, so every cell sums the pmf in the same order
+        for k, p in enumerate(pmf[:len(src)]):
+            out[:len(src) - k] += p * src[k:]
+        smoothed = np.moveaxis(out, 0, d - 1 - j)
+    return np.ascontiguousarray(smoothed).reshape(-1, d)
+
+
+class MehlerDifferences:
+    """Mehler's formula ``P_t F(eta) = E[F(t-thinned eta + field_t)]``,
+    exact, at each node t of ``ts``, with ``field_t`` an independent
+    Poisson((1 - t) lambda) refresh field (empty at t = 1): given a
+    thinned pattern ``kept``, :meth:`read` returns
+    ``E[D_x F(kept + field_t)]`` for each functional.
+
+    Each functional is evaluated once on the count box
+    ``prod_j [0, caps[j]]``, cell r holding the counts
+    ``(r // radix[j]) % (caps[j] + 1)``; its difference table
+    ``diffs[r, x] = values[r + radix[x]] - values[r]`` is smoothed with
+    each node's refresh pmfs (the laws inversion draws), and a read is a
+    row gather at ``kept @ radix``.  A box of more than
+    ``COUNT_TABLE_CELL_CAP`` cells gets no tables (``smoothed`` is None),
+    and a read sums the evaluated differences over the field's support.
+
+    The box invariant: every cell a read touches lies in the box.  A
+    sampled count of atom j is at most ``largest_j``, the largest count
+    of its Poisson law's pmf; thinning only lowers it; node t's field
+    adds at most ``reach_j(t) - 1``; the difference reads one cell
+    further.  So caps of ``largest_j + max_t reach_j(t)`` hold every
+    read, no row needs a guard, and the cut cells past a cap are never
+    read.
+    """
+
+    def __init__(self, space: MeasureSpace, ts, functionals: Sequence[Functional]):
+        for F in functionals:
+            space.check_same(F.space, "functional defined on a different space")
+        self.ts = [float(t) for t in ts]
+        if not self.ts or not all(0.0 <= t <= 1.0 for t in self.ts):
+            raise ContractViolationError("Mehler nodes must be a nonempty list in [0, 1]")
+        self.functionals = list(functionals)
+        self.pmfs = [[poisson_law(float(w * (1.0 - t))).pmf() for w in space.weights]
+                     for t in self.ts]
+        self.reach = np.array([[len(p) for p in pmfs] for pmfs in self.pmfs], dtype=np.int64)
+        support = int(np.max(np.prod(self.reach, axis=1)))
+        if support > COUNT_TABLE_CELL_CAP:
+            raise BudgetError(
+                f"refresh field support of {support} counts exceeds {COUNT_TABLE_CELL_CAP}")
+        largest = np.array([len(poisson_law(float(w)).pmf()) - 1 for w in space.weights])
+        self.caps = largest + np.max(self.reach, axis=0)
+        sizes = self.caps + 1
+        cells = math.prod(sizes.tolist())
+        self.smoothed = None
+        if cells <= COUNT_TABLE_CELL_CAP:
+            self.radix = np.cumprod([1, *sizes[:-1]], dtype=np.int64)
+            cell = np.arange(cells, dtype=np.int64)
+            box = (cell[:, None] // self.radix) % sizes
+            self.values = [F.evaluate_counts(box) for F in self.functionals]
+            self.diffs = [np.stack([np.take(values, cell + step, mode="clip") - values
+                                    for step in self.radix], axis=1) for values in self.values]
+            self.smoothed = [[smoothed_differences(diffs, self.caps, pmfs)
+                              for diffs in self.diffs] for pmfs in self.pmfs]
+
+    def read(self, node: int, kept: np.ndarray) -> list[np.ndarray]:
+        """``E[D_x F(kept[row] + field_t)]`` at ``t = ts[node]``, one
+        ``(rows, atoms)`` array per functional.
+
+        ``kept`` holds sampled counts or thinnings of them, which the box
+        invariant covers.
+        """
+        if self.smoothed is None:
+            return self._evaluated(node, kept)
+        rank = kept @ self.radix
+        # every rank is in the box; "clip" skips the buffered range check
+        return [smoothed.take(rank, axis=0, mode="clip") for smoothed in self.smoothed[node]]
+
+    def _evaluated(self, node: int, kept: np.ndarray) -> list[np.ndarray]:
+        """``sum_k prod_j pmfs[j][k_j] * difference_rows(F, kept + k)``,
+        evaluated once per distinct row of ``kept``, in blocks of about
+        ``COUNT_TABLE_CELL_CAP`` shifted rows."""
+        uniq, inverse = np.unique(kept, axis=0, return_inverse=True)
+        points = np.indices(self.reach[node]).reshape(len(self.reach[node]), -1).T
+        probs = functools.reduce(np.multiply.outer, self.pmfs[node]).ravel()
+        step = max(1, COUNT_TABLE_CELL_CAP // len(uniq))
+        outs = []
+        for F in self.functionals:
+            out = np.zeros(uniq.shape)
+            for lo in range(0, len(points), step):
+                shifted = uniq[:, None, :] + points[None, lo:lo + step]
+                diffs = difference_rows(F, shifted.reshape(-1, kept.shape[1]))
+                out += np.tensordot(diffs.reshape(shifted.shape), probs[lo:lo + step],
+                                    ([1], [0]))
+            outs.append(out[inverse.reshape(-1)])
+        return outs

@@ -1,17 +1,17 @@
-"""Estimators shared by several suites."""
+"""Estimators shared by several suites.
+
+The nested covariance estimators read their inner expectations from
+the library's exact Mehler operator, :class:`MehlerDifferences`.
+"""
 
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
 
-from ..errors import BudgetError
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
-from ..functionals import ChaosVector, Functional, difference_rows
-from ..malliavin import gauss_legendre_unit
-from ..patterns import poisson_law, sample_poisson_counts, thin_counts_with_uniforms
+from ..functionals import ChaosVector, Functional
+from ..malliavin import MehlerDifferences, gauss_legendre_unit
+from ..patterns import sample_poisson_counts, thin_counts_with_uniforms
 from ..rng import stream_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
@@ -61,166 +61,35 @@ def seeded_chaos_vector(space: MeasureSpace, order: int, seed: int) -> ChaosVect
     return ChaosVector(space, coeffs)
 
 
-# largest count box a CountTable evaluates F on
-COUNT_TABLE_CELL_CAP = 1 << 16
-
-
-class CountTable:
-    """F evaluated once on the count box ``prod_j [0, caps[j]]``.
-
-    Cell r of the box is the count vector with entries
-    ``(r // radix[j]) % (caps[j] + 1)`` (mixed radix, ``radix[0] = 1``),
-    and the box is evaluated as one multi-row matrix.  A box of more
-    than ``COUNT_TABLE_CELL_CAP`` cells gets no table (``values`` is
-    None).
-
-    ``diffs`` is the ``(cells, atoms)`` difference table,
-    ``diffs[r, x] = values[r + radix[x]] - values[r]``.  A cell whose
-    count at x is at its cap holds no difference at x; the caps of
-    :func:`mehler_nodes` keep every read off those cells.
-    """
-
-    def __init__(self, F: Functional, caps: np.ndarray):
-        self.F = F
-        self.caps = caps
-        sizes = caps + 1
-        self.values = None
-        cells = math.prod(sizes.tolist())
-        if cells <= COUNT_TABLE_CELL_CAP:
-            self.radix = np.cumprod([1, *sizes[:-1]], dtype=np.int64)
-            cell = np.arange(cells, dtype=np.int64)
-            self.values = F.evaluate_counts((cell[:, None] // self.radix) % sizes)
-            self.diffs = np.empty((cells, len(sizes)))
-            for x, step in enumerate(self.radix):
-                np.subtract(np.take(self.values, cell + step, mode="clip"), self.values,
-                            out=self.diffs[:, x])
-
-
-def smoothed_differences(table: CountTable, pmfs: list[np.ndarray]) -> np.ndarray:
-    """``S[r, x] = sum_k prod_j pmfs[j][k_j] * diffs[r + k @ radix, x]``.
-
-    One correlation with each atom's pmf along that atom's axis of the
-    box.  A cell whose count plus its pmf's length passes a cap sums
-    over a cut support and is never read (see :func:`mehler_nodes`).
-    """
-    d = len(pmfs)
-    # mixed radix with radix[0] = 1: atom j is axis d - 1 - j in C order
-    smoothed = table.diffs.reshape(*(table.caps[::-1] + 1), d)
-    for j, pmf in enumerate(pmfs):
-        src = np.moveaxis(smoothed, d - 1 - j, 0)
-        out = np.zeros_like(src)
-        # ascending k, so every cell sums the pmf in the same order
-        for k, p in enumerate(pmf[:len(src)]):
-            out[:len(src) - k] += p * src[k:]
-        smoothed = np.moveaxis(out, 0, d - 1 - j)
-    return np.ascontiguousarray(smoothed).reshape(-1, d)
-
-
-class MehlerNode:
-    """Exact inner expectations of the nested estimators at one node t.
-
-    By Mehler's formula, ``P_t G(eta) = E[G(t-thinned eta + field)]``
-    with an independent Poisson((1 - t) lambda) refresh field, so given
-    the thinned pattern ``kept``, ``E[D_x G(kept + field)]`` is a row
-    gather at ``kept @ radix`` from G's smoothed difference table.  At
-    t = 1 the field is empty and the gather reads ``D_x G(kept)``.  A
-    box with no table sums the evaluated differences over the field's
-    support instead.
-    """
-
-    def __init__(self, space: MeasureSpace, t: float, tables: list[CountTable]):
-        self.t = t
-        self.tables = tables
-        # the law of the refresh counts that inversion draws
-        self.pmfs = [poisson_law(float(w * (1.0 - t))).pmf() for w in space.weights]
-        self.reach = np.array([len(p) for p in self.pmfs], dtype=np.int64)
-        support = int(np.prod(self.reach))
-        if support > COUNT_TABLE_CELL_CAP:
-            raise BudgetError(
-                f"refresh field support of {support} counts exceeds {COUNT_TABLE_CELL_CAP}")
-        self.smoothed = [None if tb.values is None else smoothed_differences(tb, self.pmfs)
-                         for tb in tables]
-
-    def evaluated(self, F: Functional, kept: np.ndarray) -> np.ndarray:
-        """``sum_k prod_j pmfs[j][k_j] * difference_rows(F, kept + k)``,
-        evaluated once per distinct row of ``kept``, in blocks of about
-        ``COUNT_TABLE_CELL_CAP`` shifted rows."""
-        uniq, inverse = np.unique(kept, axis=0, return_inverse=True)
-        points = np.indices(self.reach).reshape(len(self.reach), -1).T
-        probs = functools.reduce(np.multiply.outer, self.pmfs).ravel()
-        out = np.zeros(uniq.shape)
-        step = max(1, COUNT_TABLE_CELL_CAP // len(uniq))
-        for lo in range(0, len(points), step):
-            shifted = uniq[:, None, :] + points[None, lo:lo + step]
-            diffs = difference_rows(F, shifted.reshape(-1, kept.shape[1]))
-            out += np.tensordot(diffs.reshape(shifted.shape), probs[lo:lo + step], ([1], [0]))
-        return out[inverse.reshape(-1)]
-
-    def inner_means(self, kept: np.ndarray, rank: np.ndarray,
-                    outs: list[np.ndarray]) -> None:
-        """Fill ``outs[i][row, x]`` with ``E[D_x F_i(kept[row] + field)]``.
-
-        ``kept`` holds sampled counts or thinnings of them, which the box
-        invariant of :func:`mehler_nodes` covers.
-        """
-        if self.tables[0].values is None:
-            for table, out in zip(self.tables, outs):
-                out[...] = self.evaluated(table.F, kept)
-            return
-        np.matmul(kept, self.tables[0].radix, out=rank)
-        for smoothed, out in zip(self.smoothed, outs):
-            # every rank is in the box; "clip" skips the buffered range check
-            smoothed.take(rank, axis=0, out=out, mode="clip")
-
-
-def mehler_nodes(space: MeasureSpace, ts, functionals: list[Functional]) -> list[MehlerNode]:
-    """A :class:`MehlerNode` at each t of ``ts``, all reading one count
-    table per functional on a box sized from those nodes.
-
-    The box invariant: every cell the nodes read lies in the box.  A
-    sampled count of atom j is at most ``largest_j``, the largest count
-    of its Poisson law's pmf; thinning only lowers it; a node's refresh
-    field adds at most ``reach_j(t) - 1``, the largest count of its
-    refresh law; and the difference at j reads one cell further.  So
-    caps of ``largest_j + max_t reach_j(t)`` hold every read, and no row
-    needs a guard.
-    """
-    largest = np.array([len(poisson_law(float(w)).pmf()) - 1 for w in space.weights])
-    reach = np.max([[len(poisson_law(float(w * (1.0 - float(t)))).pmf())
-                     for w in space.weights] for t in ts], axis=0)
-    tables = [CountTable(F, largest + reach) for F in functionals]
-    return [MehlerNode(space, float(t), tables) for t in ts]
-
-
 def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
                              plan: McPlan, t_nodes: int) -> Estimate:
     """Nested estimate of ``E int_0^1 sum_x w_x D_xF(eta) P_t D_xG(eta) dt``.
 
     Per replicate: sample a pattern, read the one-point difference of F
-    at the t = 1 node, and pair it at each Gauss-Legendre node with the
-    Mehler form of ``P_t D_xG``: the expectation of ``D_xG(kept + field)``
-    over a Poisson((1 - t) lambda) refresh field given the t-thinned
-    pattern, read exactly from G's smoothed difference table
-    (:class:`MehlerNode`).  Only the pattern and its thinning are
-    sampled, with one thinning stream shared by every node (common
-    random numbers across the grid).
+    at t = 1, and pair it at each Gauss-Legendre node with the Mehler
+    form of ``P_t D_xG``: the expectation of ``D_xG(kept + field)`` over
+    a Poisson((1 - t) lambda) refresh field given the t-thinned pattern,
+    read exactly by :class:`MehlerDifferences`.  Only the pattern and
+    its thinning are sampled, with one thinning stream shared by every
+    node (common random numbers across the grid).
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
-    (at_one,) = mehler_nodes(space, [1.0], [F])
-    mehler = mehler_nodes(space, nodes, [G])
+    at_one = MehlerDifferences(space, [1.0], [F])
+    mehler = MehlerDifferences(space, nodes, [G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        rank = np.empty(len(counts), dtype=np.int64)
-        df, mean_g = np.empty(counts.shape), np.empty(counts.shape)
-        at_one.inner_means(counts, rank, [df])
+        (df,) = at_one.read(0, counts)
         out = np.zeros(streams.size)
-        for node, wt in zip(mehler, weights):
-            kept = thin_counts_with_uniforms(counts, node.t, u_thin)
-            node.inner_means(kept, rank, [mean_g])
-            out += wt * (df * mean_g) @ space.weights
+        for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
+            kept = thin_counts_with_uniforms(counts, t, u_thin)
+            (mean_g,) = mehler.read(node, kept)
+            # wt * (df * mean_g) in place: fresh temporaries page-fault
+            mean_g *= df
+            mean_g *= wt
+            out += mean_g @ space.weights
         return out
 
     return mc_estimate(plan, batch)
@@ -233,24 +102,24 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
 
     Given the t-thinned pattern, each conditional expectation is the
     Mehler inner expectation over an independent Poisson((1 - t) lambda)
-    refresh field, read exactly from the functional's smoothed difference
-    table at one rank shared by F and G (:class:`MehlerNode`), so their
-    product needs no independent inner samples.
+    refresh field, read exactly for F and G at one rank by
+    :class:`MehlerDifferences`, so their product needs no independent
+    inner samples.
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     d = space.size
-    mehler = mehler_nodes(space, nodes, [F, G])
+    mehler = MehlerDifferences(space, nodes, [F, G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
-        rank = np.empty(len(counts), dtype=np.int64)
-        mean_f, mean_g = np.empty(counts.shape), np.empty(counts.shape)
         out = np.zeros(streams.size)
-        for node, wt in zip(mehler, weights):
-            kept = thin_counts_with_uniforms(counts, node.t, u_thin)
-            node.inner_means(kept, rank, [mean_f, mean_g])
-            out += wt * (mean_f * mean_g) @ space.weights
+        for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
+            kept = thin_counts_with_uniforms(counts, t, u_thin)
+            mean_f, mean_g = mehler.read(node, kept)
+            mean_f *= mean_g
+            mean_f *= wt
+            out += mean_f @ space.weights
         return out
 
     return mc_estimate(plan, batch)

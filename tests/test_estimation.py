@@ -20,7 +20,8 @@ from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, Estimate, McPlan, 
 from poisson_chaos.functionals import ChaosVector, CountPolynomial, Exponential, Opaque
 from poisson_chaos.patterns import factorial_counts
 from poisson_chaos.space import Kernel, MeasureSpace
-from poisson_chaos.suites.common import mc_covariance
+from poisson_chaos.suites.common import (covariance_conditional_rhs,
+                                         covariance_semigroup_rhs, mc_covariance)
 
 
 @pytest.fixture
@@ -293,6 +294,8 @@ A = MeasureSpace(["a", "b"], [0.5, 1.0])
 B = MeasureSpace(["a", "b"], [2.0, 3.0])
 ON_A = Exponential(A, [0.3, 0.2])
 ON_B = Exponential(B, [0.3, 0.2])
+N_A = CountPolynomial.total_count(A)
+N_B = CountPolynomial.total_count(B)
 PLAN = McPlan(1_000, 3)
 OTHER_SPACE_CALLS = {
     "oracle_expectation": lambda: oracle_expectation(A, ON_B, OracleBudget.for_space(A, 1e-10)),
@@ -306,6 +309,13 @@ OTHER_SPACE_CALLS = {
     "chaos_max_abs_difference": lambda: ChaosVector(A, [1.0]).max_abs_difference(
         ChaosVector(B, [2.0])),
     "chaos_allclose": lambda: ChaosVector(A, [1.0]).allclose(ChaosVector(B, [1.0])),
+    "exponential_product": lambda: ON_A * ON_B,
+    "count_polynomial_sum": lambda: N_A + N_B,
+    "count_polynomial_product": lambda: N_A * N_B,
+    "polynomial_plus_exponential": lambda: N_A + ON_B,
+    "exponential_minus_polynomial": lambda: ON_A - N_B,
+    "covariance_semigroup_rhs": lambda: covariance_semigroup_rhs(A, ON_B, ON_B, PLAN, 4),
+    "covariance_conditional_rhs": lambda: covariance_conditional_rhs(A, ON_B, ON_B, PLAN, 4),
 }
 
 

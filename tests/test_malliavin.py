@@ -10,7 +10,7 @@ from poisson_chaos.estimation import McPlan, OracleBudget, PoissonEnumeration
 from poisson_chaos.functionals import (ChaosVector, CountPolynomial,
                                        Exponential, Opaque,
                                        chaos_of_exponential, difference)
-from poisson_chaos.malliavin import (ChaosField, FunctionalField,
+from poisson_chaos.malliavin import (ChaosField, FunctionalField, MehlerDifferences,
                                      chaos_field_from_vector,
                                      difference_field, gauss_legendre_unit,
                                      malliavin_chaos, ou_chaos,
@@ -20,6 +20,8 @@ from poisson_chaos.malliavin import (ChaosField, FunctionalField,
                                      skorohod_chaos, skorohod_pathwise)
 from poisson_chaos.patterns import PointPattern
 from poisson_chaos.space import Kernel, MeasureSpace, symmetrize
+from poisson_chaos.suites.common import (covariance_conditional_rhs,
+                                         covariance_semigroup_rhs)
 from poisson_chaos.wiener_ito import (chaos_reconstruct,
                                       chaos_reconstruct_counts, patterns_up_to)
 
@@ -296,6 +298,32 @@ class TestInverseQuadrature:
         for k in range(6):
             got = float(np.sum(weights * nodes**k))
             assert got == pytest.approx(1.0 / (k + 1), abs=1e-12)
+
+
+S1 = MeasureSpace(["a"], [1.0])
+E1 = Exponential(S1, [0.5])
+NODE_COUNT_CALLS = {
+    "gauss_legendre_unit": gauss_legendre_unit,
+    "ou_inverse_quadrature": lambda n: ou_inverse_quadrature(
+        CountPolynomial.total_count(S1), PointPattern(S1, [1]), n, McPlan(100, 1)),
+    "covariance_semigroup_rhs": lambda n: covariance_semigroup_rhs(
+        S1, E1, E1, McPlan(100, 1), n),
+    "covariance_conditional_rhs": lambda n: covariance_conditional_rhs(
+        S1, E1, E1, McPlan(100, 1), n),
+}
+
+
+@pytest.mark.parametrize("nodes", [0, -1, 2.5, True])
+@pytest.mark.parametrize("call", list(NODE_COUNT_CALLS.values()), ids=list(NODE_COUNT_CALLS))
+def test_node_count_must_be_a_positive_integer(call, nodes):
+    with pytest.raises(ContractViolationError, match="node count"):
+        call(nodes)
+
+
+@pytest.mark.parametrize("ts", [[], [-0.1], [0.5, 1.5]])
+def test_mehler_nodes_lie_in_the_unit_interval(ts):
+    with pytest.raises(ContractViolationError, match="Mehler nodes"):
+        MehlerDifferences(S1, ts, [E1])
 
 
 class TestDualityAndIsometryOracle:

@@ -13,7 +13,8 @@ from poisson_chaos.errors import ContractViolationError, UnsupportedArityError
 from poisson_chaos.functionals import (Exponential, chaos_of_exponential,
                                        difference_counts, difference_rows,
                                        iterated_difference_counts)
-from poisson_chaos.malliavin import gauss_legendre_unit, malliavin_chaos
+from poisson_chaos.malliavin import (MehlerDifferences, gauss_legendre_unit,
+                                     malliavin_chaos, smoothed_differences)
 from poisson_chaos.patterns import (CDF_BINS, THIN_COUNT_MAX, THIN_TABLE_MIN_ROWS,
                                     PointPattern, _binomial_cdf_rows, binomial_law,
                                     factorial_counts, poisson_counts_with_uniforms,
@@ -22,7 +23,6 @@ from poisson_chaos.patterns import (CDF_BINS, THIN_COUNT_MAX, THIN_TABLE_MIN_ROW
                                     thin_counts_with_uniforms)
 from poisson_chaos.rng import RngStream, stream_uniforms
 from poisson_chaos.space import Kernel, MeasureSpace, tensor_power
-from poisson_chaos.suites.common import CountTable, smoothed_differences
 
 import oracle
 from oracle import factorial_apply, factorial_tensor_power
@@ -238,11 +238,14 @@ class TestInversionRanks:
     WEIGHTS = [0.4, 1.0, 4.0]
 
     def box(self):
-        """A box with room for any count a weight-scale field can reach
-        (13, 19 and 34 of them), plus three."""
+        """The box of the operator at t = 1/2: the largest sampled count
+        plus the reach of a half-weight field, so it has room for any
+        count a weight-scale field can reach (13, 19 and 34 of them)."""
         space = MeasureSpace(["a", "b", "c"], self.WEIGHTS)
-        caps = np.array([len(poisson_law(w).pmf()) + 3 for w in self.WEIGHTS])
-        return space, CountTable(Exponential(space, [0.2, 0.5, 0.05]), caps)
+        F = Exponential(space, [0.2, 0.5, 0.05])
+        mehler = MehlerDifferences(space, [0.5], [F])
+        assert np.all(mehler.caps >= [len(poisson_law(w).pmf()) + 3 for w in self.WEIGHTS])
+        return space, F, mehler
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
     def test_one_atom_equals_scaled_inversion(self, t):
@@ -250,8 +253,9 @@ class TestInversionRanks:
         refresh pmf, whose running sums are the clamped CDF values that
         the inversion searches; and the table smoothed along that atom
         alone is the pmf-weighted sum of the rows ``k`` steps away."""
-        space, table = self.box()
-        cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
+        space, _, mehler = self.box()
+        (diffs,) = mehler.diffs
+        cells = (np.arange(len(diffs))[:, None] // mehler.radix) % (mehler.caps + 1)
         for j, w in enumerate(self.WEIGHTS):
             law = poisson_law(float(w * (1.0 - float(t))))
             pmf = law.pmf()
@@ -264,15 +268,15 @@ class TestInversionRanks:
             np.testing.assert_allclose(np.cumsum(pmf), edges, rtol=0, atol=1e-15)
             # the other atoms get a point mass at zero
             alone = [pmf if i == j else np.ones(1) for i in range(space.size)]
-            read = np.flatnonzero(cells[:, j] + len(pmf) <= table.caps[j])
+            read = np.flatnonzero(cells[:, j] + len(pmf) <= mehler.caps[j])
             want = np.zeros((read.size, space.size))
             for count, p in enumerate(pmf):
-                want += p * table.diffs[read + count * table.radix[j]]
-            assert np.array_equal(smoothed_differences(table, alone)[read], want)
+                want += p * diffs[read + count * mehler.radix[j]]
+            assert np.array_equal(smoothed_differences(diffs, mehler.caps, alone)[read], want)
 
     @pytest.mark.parametrize("t", list(gauss_legendre_unit(16)[0]))
     def test_atoms_sum_onto_the_base_rank(self, t):
-        space, table = self.box()
+        space, F, mehler = self.box()
         rng = np.random.default_rng(17)
         u = stream_uniforms(23, np.arange(20_000, dtype=np.uint64), len(self.WEIGHTS))
         # a share of every column sits at a CDF value, a split-bin probe
@@ -283,13 +287,13 @@ class TestInversionRanks:
         field = poisson_counts_with_uniforms(space, 1.0 - float(t), u)
         reach = np.array([len(law.pmf()) for law in laws])
         assert np.all(field < reach)
-        base = rng.integers(0, table.caps - reach + 1, size=u.shape)
-        rank = (base + field) @ table.radix
-        want = base @ table.radix + sum(law.invert(u[:, j]) * table.radix[j]
-                                        for j, law in enumerate(laws))
+        base = rng.integers(0, mehler.caps - reach + 1, size=u.shape)
+        rank = (base + field) @ mehler.radix
+        want = base @ mehler.radix + sum(law.invert(u[:, j]) * mehler.radix[j]
+                                         for j, law in enumerate(laws))
         assert np.array_equal(rank, want)
-        assert np.array_equal((rank[:, None] // table.radix) % (table.caps + 1), base + field)
-        np.testing.assert_allclose(table.diffs[rank], difference_rows(table.F, base + field),
+        assert np.array_equal((rank[:, None] // mehler.radix) % (mehler.caps + 1), base + field)
+        np.testing.assert_allclose(mehler.diffs[0][rank], difference_rows(F, base + field),
                                    rtol=1e-13, atol=1e-15)
 
 

@@ -16,7 +16,8 @@ from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
                                       OracleBudget, PoissonEnumeration)
 from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
                                        chaos_of_exponential, difference_rows)
-from poisson_chaos.malliavin import gauss_legendre_unit
+from poisson_chaos import malliavin
+from poisson_chaos.malliavin import MehlerDifferences, gauss_legendre_unit
 from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
 from poisson_chaos.space import MeasureSpace
@@ -503,13 +504,13 @@ class TestNestedEstimators:
     def spy_evaluated(monkeypatch) -> list:
         """Row counts of the kept matrices the fallback route evaluates."""
         calls = []
-        original = common.MehlerNode.evaluated
+        original = MehlerDifferences._evaluated
 
-        def recorded(self, F, kept):
+        def recorded(self, node, kept):
             calls.append(len(kept))
-            return original(self, F, kept)
+            return original(self, node, kept)
 
-        monkeypatch.setattr(common.MehlerNode, "evaluated", recorded)
+        monkeypatch.setattr(MehlerDifferences, "_evaluated", recorded)
         return calls
 
     @ESTIMATORS
@@ -520,9 +521,8 @@ class TestNestedEstimators:
         space, F, G = first_and_last(quick_config, "S2")
         plan = McPlan(2_000, 9)
         want = fast(space, F, G, plan, 4)
-        support = max(int(np.prod(common.MehlerNode(space, float(t), []).reach))
-                      for t in gauss_legendre_unit(4)[0])
-        monkeypatch.setattr(common, "COUNT_TABLE_CELL_CAP", support)
+        reach = MehlerDifferences(space, gauss_legendre_unit(4)[0], []).reach
+        monkeypatch.setattr(malliavin, "COUNT_TABLE_CELL_CAP", int(np.max(np.prod(reach, axis=1))))
         rows = self.spy_evaluated(monkeypatch)
         got = fast(space, F, G, plan, 4)
         assert rows and set(rows) == {2_000}
@@ -538,67 +538,69 @@ class TestNestedEstimators:
             estimator[0](space, F, F, McPlan(100, 1), 4)
 
 class TestCountTable:
-    """The count box of the nested estimators: F tabulated on it bit for
-    bit, one-point differences read by rank, and caps sized from the
-    Mehler nodes that read it."""
+    """The count box of :class:`MehlerDifferences`: each functional
+    tabulated on it bit for bit, one-point differences read at t = 1,
+    and caps sized from the nodes that read it."""
 
     SPACES = {"S1": [1.0], "S2": [0.5, 1.0], "S3": [0.3, 0.3, 0.4]}
-    CAPS = {"S1": [9], "S2": [6, 4], "S3": [4, 3, 5]}
 
     @classmethod
     def box(cls, name):
-        """A space, its box's caps and cells in rank order, and functionals
-        of every variant."""
+        """A space, the operator at t = 1 over functionals of every
+        variant, and its box's cells in rank order."""
         weights = cls.SPACES[name]
         space = MeasureSpace([f"x{j}" for j in range(len(weights))], weights)
-        caps = np.array(cls.CAPS[name])
-        cells = np.array([row[::-1] for row in itertools.product(
-            *(range(c + 1) for c in reversed(caps)))])
         rng = np.random.default_rng(space.size)
         d = space.size
         e1 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
         e2 = Exponential(space, rng.uniform(0.1, 0.9, size=d))
         n = CountPolynomial.total_count(space)
-        return space, caps, cells, [
+        mehler = MehlerDifferences(space, [1.0], [
             e1,
             LinearCombo(space, [(0.5, e1), (-1.5, e2)]),
             n * n + CountPolynomial.atom_count(space, d - 1) * 0.25,
             Opaque(space, counts_fn=lambda c: np.minimum(c.sum(axis=1), 2.0)),
             Opaque(space, fn=lambda p: math.sqrt(1.0 + p.total)),
-        ]
+        ])
+        cells = np.array([row[::-1] for row in itertools.product(
+            *(range(c + 1) for c in reversed(mehler.caps)))])
+        return space, mehler, cells
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_table_route_equals_evaluation(self, name):
-        space, caps, cells, pool = self.box(name)
+        space, mehler, cells = self.box(name)
+        caps = mehler.caps
         counts = np.random.default_rng(11).integers(0, caps + 1, size=(300, space.size))
         rank = counts @ np.cumprod([1, *(caps[:-1] + 1)])
-        for F in pool:
-            table = common.CountTable(F, caps)
-            assert np.array_equal(table.values, F.evaluate_counts(cells))
-            assert np.array_equal(table.values[rank], F.evaluate_counts(counts))
+        for F, values in zip(mehler.functionals, mehler.values):
+            assert np.array_equal(values, F.evaluate_counts(cells))
+            assert np.array_equal(values[rank], F.evaluate_counts(counts))
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_difference_table_gather(self, name):
-        space, caps, cells, pool = self.box(name)
+        """The t = 1 read is ``difference_rows`` bit for bit."""
+        space, mehler, cells = self.box(name)
+        caps = mehler.caps
         # every count below its cap, so each difference stays in the box
         counts = np.random.default_rng(13).integers(0, caps, size=(500, space.size))
-        for F in pool:
-            table = common.CountTable(F, caps)
-            assert table.diffs.shape == (len(cells), space.size)
-            for x, step in enumerate(table.radix):
+        reads = mehler.read(0, counts)
+        for F, values, diffs, read in zip(mehler.functionals, mehler.values,
+                                          mehler.diffs, reads):
+            assert diffs.shape == (len(cells), space.size)
+            for x, step in enumerate(mehler.radix):
                 # every cell with room for one more point at x
                 room = np.flatnonzero(cells[:, x] < caps[x])
-                assert np.array_equal(table.diffs[room, x],
-                                      table.values[room + step] - table.values[room])
-            assert np.array_equal(table.diffs.take(counts @ table.radix, axis=0),
-                                  difference_rows(F, counts))
+                assert np.array_equal(diffs[room, x], values[room + step] - values[room])
+            assert np.array_equal(read, difference_rows(F, counts))
 
-    def test_boxes_without_a_table(self):
-        F = self.box("S2")[3][0]
-        side = math.isqrt(common.COUNT_TABLE_CELL_CAP)
-        full = common.CountTable(F, np.array([side - 1, side - 1]))
-        assert full.values.shape == (common.COUNT_TABLE_CELL_CAP,)
-        assert common.CountTable(F, np.array([side, side - 1])).values is None
+    def test_boxes_without_a_table(self, monkeypatch):
+        space, mehler, cells = self.box("S2")
+        F = mehler.functionals[0]
+        monkeypatch.setattr(malliavin, "COUNT_TABLE_CELL_CAP", len(cells))
+        full = MehlerDifferences(space, [1.0], [F])
+        assert full.values[0].shape == (len(cells),)
+        monkeypatch.setattr(malliavin, "COUNT_TABLE_CELL_CAP", len(cells) - 1)
+        assert MehlerDifferences(space, [1.0], [F]).smoothed is None
 
     @pytest.mark.parametrize("seed", range(12))
     def test_caps_fit_the_nodes_that_read_them(self, seed):
@@ -612,8 +614,8 @@ class TestCountTable:
         space = MeasureSpace([f"x{j}" for j in range(d)], rng.uniform(0.05, 3.0, size=d))
         F = Exponential(space, rng.uniform(0.1, 0.9, size=d))
         ts = [float(t) for t in gauss_legendre_unit(T_NODES)[0]] + [1.0]
-        nodes = common.mehler_nodes(space, ts, [F])
-        caps = nodes[0].tables[0].caps
+        mehler = MehlerDifferences(space, ts, [F])
+        caps = mehler.caps
         # inversion is monotone, so the largest uniform draws the largest count
         top = np.full((1, d), np.nextafter(1.0, 0.0))
         largest = patterns.poisson_counts_with_uniforms(space, 1.0, top)[0]
@@ -622,26 +624,25 @@ class TestCountTable:
         assert np.array_equal(caps, largest + np.max(reach, axis=0))
         kept = np.vstack([rng.integers(0, largest + 1, size=(8, d)), largest,
                           np.where(np.eye(d, dtype=bool), largest, 0)])
-        for node, r in zip(nodes, reach):
-            assert np.array_equal(node.reach, r)
-            assert np.all(largest + node.reach <= caps)
-            out = np.empty(kept.shape)
-            node.inner_means(kept, np.empty(len(kept), dtype=np.int64), [out])
-            want = oracle.exact_inner_means(F, kept, oracle.field_law(space, 1.0 - node.t))
+        for node, (t, r) in enumerate(zip(mehler.ts, reach)):
+            assert np.array_equal(mehler.reach[node], r)
+            assert np.all(largest + mehler.reach[node] <= caps)
+            (out,) = mehler.read(node, kept)
+            want = oracle.exact_inner_means(F, kept, oracle.field_law(space, 1.0 - t))
             np.testing.assert_allclose(out, want, rtol=1e-14, atol=1e-14)
 
 
 class TestSmoothedTables:
-    """Each smoothed difference table is the Mehler inner expectation
-    ``E[D_x F(kept + field)]``, field ~ Poisson((1 - t) lambda), on every
-    row the estimators read."""
+    """Each read of :class:`MehlerDifferences` is the Mehler inner
+    expectation ``E[D_x F(kept + field)]``, field ~ Poisson((1 - t)
+    lambda), on every row the estimators read."""
 
     @staticmethod
-    def kept_rows(space, table, node, t):
+    def kept_rows(space, mehler, t):
         counts = sample_poisson_counts(space, 41, np.arange(4_000, dtype=np.uint64))
         kept = thin_counts(counts, t, 41, np.arange(4_000, dtype=np.uint64), sub1=1)
         # the far corner of the rows read from the table, and its faces
-        corner = table.caps - node.reach
+        corner = mehler.caps - mehler.reach[0]
         faces = np.where(np.eye(space.size, dtype=bool), corner, 0)
         return np.vstack([kept, corner, faces])
 
@@ -651,11 +652,10 @@ class TestSmoothedTables:
         for space_name in ("S1", "S2", "S3"):
             space = quick_config.spaces[space_name]
             pool = [f for f in quick_config.functionals.values() if f.space is space]
-            (node,) = common.mehler_nodes(space, [t], pool)
-            kept = self.kept_rows(space, node.tables[0], node, t)
+            mehler = MehlerDifferences(space, [t], pool)
+            kept = self.kept_rows(space, mehler, t)
             law = oracle.field_law(space, 1.0 - t)
-            for F, table, smoothed in zip(pool, node.tables, node.smoothed):
-                got = smoothed[kept @ table.radix]
+            for F, got in zip(pool, mehler.read(0, kept)):
                 want = oracle.exact_inner_means(F, kept, law)
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -673,11 +673,11 @@ class TestSmoothedTables:
 
         functionals = [CountPolynomial.total_count(space), linear([2.0, -3.0, 5.0]),
                        linear([0.7, -1.3, 2.5])]
-        (node,) = common.mehler_nodes(space, [t], functionals)
-        table = node.tables[0]
-        cells = (np.arange(len(table.values))[:, None] // table.radix) % (table.caps + 1)
-        read = np.all(cells + node.reach <= table.caps, axis=1)
-        total, integer, fractional = (smoothed[read] for smoothed in node.smoothed)
+        mehler = MehlerDifferences(space, [t], functionals)
+        cells = ((np.arange(len(mehler.values[0]))[:, None] // mehler.radix)
+                 % (mehler.caps + 1))
+        read = np.all(cells + mehler.reach[0] <= mehler.caps, axis=1)
+        total, integer, fractional = (smoothed[read] for smoothed in mehler.smoothed[0])
         # the refresh pmfs sum to exactly one, so a unit difference stays one
         assert np.all(total == 1.0)
         assert np.array_equal(integer, np.broadcast_to(integer[0], integer.shape))
