@@ -3,7 +3,9 @@
 The structured variants (exponential family, polynomials in the counts)
 carry closed forms for means, difference operators and chaos
 coefficients, so every sampled or enumerated estimate in the test
-suites can be held against an independent exact value.  Arbitrary
+suites can be held against an independent exact value.  In the
+exponential family a sum or scalar multiple is a :class:`LinearCombo`
+and a product of exponentials is an :class:`Exponential`.  Arbitrary
 callables are supported through :class:`Opaque` but only get the
 sampled treatment.
 
@@ -129,66 +131,10 @@ def _coerce(space: MeasureSpace, value) -> Functional:
     raise TypeError(f"cannot combine a functional with {type(value)!r}")
 
 
-class Exponential(Functional):
-    """exp(-chi(v)) for a nonnegative arity-1 kernel v."""
-
-    def __init__(self, space: MeasureSpace, v: Kernel | Sequence[float]):
-        super().__init__(space)
-        if not isinstance(v, Kernel):
-            v = Kernel(space, v)
-        if v.arity != 1:
-            raise ContractViolationError("exponent kernel must have arity 1")
-        if np.any(v.values < 0):
-            raise ContractViolationError("exponent kernel must be nonnegative")
-        self.v = v
-
-    def evaluate_counts(self, counts: np.ndarray) -> np.ndarray:
-        return np.exp(-(counts @ self.v.values))
-
-    def closed_form_mean(self) -> float:
-        w = self.space.weights
-        return float(np.exp(-np.sum(w * (1.0 - np.exp(-self.v.values)))))
-
-    def difference_factor(self) -> np.ndarray:
-        """Per-atom multiplier picked up by one added point: exp(-v) - 1."""
-        return np.exp(-self.v.values) - 1.0
-
-    def terms(self) -> tuple[tuple[float, "Exponential"], ...]:
-        return ((1.0, self),)
-
-    def __mul__(self, other):
-        if isinstance(other, Exponential) and other.space.same_as(self.space):
-            return Exponential(self.space, self.v + other.v)
-        if isinstance(other, LinearCombo):
-            return other * self
-        if isinstance(other, (int, float)):
-            return LinearCombo(self.space, [(float(other), self)])
-        return super().__mul__(other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, Exponential):
-            return LinearCombo(self.space, [(1.0, self), (1.0, other)])
-        if isinstance(other, LinearCombo):
-            return LinearCombo(self.space, [(1.0, self), *other.terms()])
-        if isinstance(other, (int, float)):
-            return LinearCombo(self.space, [(1.0, self),
-                                            (float(other), Exponential.one(self.space))])
-        return super().__add__(other)
-
-    __radd__ = __add__
-
-    @staticmethod
-    def one(space: MeasureSpace) -> "Exponential":
-        return Exponential(space, Kernel.constant(space, 1, 0.0))
-
-    def __repr__(self) -> str:
-        return f"Exponential(v={self.v.values.tolist()})"
-
-
 class LinearCombo(Functional):
-    """Finite linear combination of exponentials; closed under products."""
+    """Finite linear combination of exponentials, closed under sums,
+    scalar multiples and (termwise) products; each rule is written here
+    once, and :class:`Exponential` is the one-term member."""
 
     def __init__(self, space: MeasureSpace, terms: Sequence[tuple[float, Exponential]]):
         super().__init__(space)
@@ -214,30 +160,73 @@ class LinearCombo(Functional):
         return float(sum(coef * e.closed_form_mean() for coef, e in self._terms))
 
     def __add__(self, other):
-        if isinstance(other, (Exponential, LinearCombo)):
-            return LinearCombo(self.space, [*self._terms, *other.terms()])
+        if isinstance(other, LinearCombo):
+            return LinearCombo(self.space, [*self.terms(), *other.terms()])
         if isinstance(other, (int, float)):
             return LinearCombo(self.space,
-                               [*self._terms, (float(other), Exponential.one(self.space))])
+                               [*self.terms(), (float(other), Exponential.one(self.space))])
         return super().__add__(other)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return LinearCombo(self.space, [(c * float(other), e) for c, e in self._terms])
-        if isinstance(other, (Exponential, LinearCombo)):
-            prod = []
-            for c1, e1 in self._terms:
-                for c2, e2 in other.terms():
-                    prod.append((c1 * c2, e1 * e2))
-            return LinearCombo(self.space, prod)
+            return LinearCombo(self.space, [(c * float(other), e) for c, e in self.terms()])
+        # a product across spaces falls through to the space check
+        if isinstance(other, LinearCombo) and other.space.same_as(self.space):
+            return LinearCombo(self.space, [(c1 * c2, e1 * e2)
+                                            for c1, e1 in self.terms()
+                                            for c2, e2 in other.terms()])
         return super().__mul__(other)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"LinearCombo({len(self._terms)} terms)"
+
+
+class Exponential(LinearCombo):
+    """exp(-chi(v)) for a nonnegative arity-1 kernel v: the one-term
+    :class:`LinearCombo`, and a product of two on one space is one."""
+
+    def __init__(self, space: MeasureSpace, v: Kernel | Sequence[float]):
+        Functional.__init__(self, space)  # no term tuple: terms() names self
+        if not isinstance(v, Kernel):
+            v = Kernel(space, v)
+        space.check_same(v.space, "kernel defined on a different space")
+        if v.arity != 1:
+            raise ContractViolationError("exponent kernel must have arity 1")
+        if np.any(v.values < 0):
+            raise ContractViolationError("exponent kernel must be nonnegative")
+        self.v = v
+
+    def terms(self) -> tuple[tuple[float, Exponential], ...]:
+        return ((1.0, self),)
+
+    def evaluate_counts(self, counts: np.ndarray) -> np.ndarray:
+        return np.exp(-(counts @ self.v.values))
+
+    def closed_form_mean(self) -> float:
+        w = self.space.weights
+        return float(np.exp(-np.sum(w * (1.0 - np.exp(-self.v.values)))))
+
+    def difference_factor(self) -> np.ndarray:
+        """Per-atom multiplier picked up by one added point: exp(-v) - 1."""
+        return np.exp(-self.v.values) - 1.0
+
+    def __mul__(self, other):
+        if isinstance(other, Exponential) and other.space.same_as(self.space):
+            return Exponential(self.space, self.v + other.v)
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def one(space: MeasureSpace) -> "Exponential":
+        return Exponential(space, Kernel.constant(space, 1, 0.0))
+
+    def __repr__(self) -> str:
+        return f"Exponential(v={self.v.values.tolist()})"
 
 
 class CountPolynomial(Functional):
@@ -497,7 +486,7 @@ class ChaosVector:
         return worst
 
 
-def chaos_of_exponential(F: Exponential | LinearCombo, order: int) -> ChaosVector:
+def chaos_of_exponential(F: LinearCombo, order: int) -> ChaosVector:
     """Exact chaos coefficients of an exponential-family functional.
 
     Level n is mean * (exp(-v) - 1) tensored n times over n factorial;

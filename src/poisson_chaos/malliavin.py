@@ -100,17 +100,14 @@ class ChaosField:
 def difference_field(F: Functional) -> FunctionalField:
     """The one-point difference of F, atom by atom, as an integrand field."""
     space = F.space
-    entries = []
-    for x in range(space.size):
-        if isinstance(F, (Exponential, LinearCombo)):
-            terms = []
-            for coef, e in F.terms():
-                factor = float(np.exp(-e.v.values[x]) - 1.0)
-                terms.append((coef * factor, e))
-            entries.append(LinearCombo(space, terms))
-        else:
-            # count polynomials stay structured through their own shift
-            entries.append(F.shifted_by_point(x) + (-1.0) * F)
+    if isinstance(F, LinearCombo):
+        terms = [(coef, e, e.difference_factor()) for coef, e in F.terms()]
+        entries = [LinearCombo(space, [(coef * float(factor[x]), e)
+                                       for coef, e, factor in terms])
+                   for x in range(space.size)]
+    else:
+        # count polynomials stay structured through their own shift
+        entries = [F.shifted_by_point(x) + (-1.0) * F for x in range(space.size)]
     return FunctionalField(space, entries)
 
 
@@ -234,7 +231,7 @@ def semigroup_closed_form(F: Functional, s: float) -> Functional:
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("semigroup parameter must lie in [0, 1]")
     space = F.space
-    if isinstance(F, (Exponential, LinearCombo)):
+    if isinstance(F, LinearCombo):
         out = []
         for coef, e in F.terms():
             ev = np.exp(-e.v.values)
@@ -390,8 +387,7 @@ class MehlerDifferences:
     of its Poisson law's pmf; thinning only lowers it; node t's field
     adds at most ``reach_j(t) - 1``; the difference reads one cell
     further.  So caps of ``largest_j + max_t reach_j(t)`` hold every
-    read, no row needs a guard, and the cut cells past a cap are never
-    read.
+    read of a sampled row, and the cut cells past a cap are never read.
     """
 
     def __init__(self, space: MeasureSpace, ts, functionals: Sequence[Functional]):
@@ -428,10 +424,20 @@ class MehlerDifferences:
         ``(rows, atoms)`` array per functional.
 
         ``kept`` holds sampled counts or thinnings of them, which the box
-        invariant covers.
+        invariant covers; on the table route a count of atom j above
+        ``caps[j] - reach[node][j]`` raises :class:`BudgetError`.
         """
+        kept = _count_matrix(kept, len(self.caps))
         if self.smoothed is None:
             return self._evaluated(node, kept)
+        bound = self.caps - self.reach[node]
+        # one whole-matrix max first; the per-atom pass only when it fails
+        if kept.size and kept.max() > bound.min():
+            top = kept.max(axis=0)
+            j = int(np.argmax(top - bound))
+            if top[j] > bound[j]:
+                raise BudgetError(f"atom {j}: count {top[j]} lies outside the Mehler box, "
+                                  f"whose bound at t = {self.ts[node]} is {bound[j]}")
         rank = kept @ self.radix
         # every rank is in the box; "clip" skips the buffered range check
         return [smoothed.take(rank, axis=0, mode="clip") for smoothed in self.smoothed[node]]

@@ -161,7 +161,7 @@ class SuiteContext:
             if small:
                 if f.space.total_mass > 1.0 + 1e-12:
                     continue
-                if np.max(np.abs(np.exp(-f.v.values) - 1.0)) > 0.35:
+                if np.max(np.abs(f.difference_factor())) > 0.35:
                     continue
             out.append((name, f))
         return out

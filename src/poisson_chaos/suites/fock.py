@@ -26,7 +26,7 @@ def isometry_series(f: Exponential, g: Exponential) -> float:
     """
     space = f.space
     w = space.weights
-    t = float(np.sum(w * (np.exp(-f.v.values) - 1.0) * (np.exp(-g.v.values) - 1.0)))
+    t = float(np.sum(w * f.difference_factor() * g.difference_factor()))
     scale = f.closed_form_mean() * g.closed_form_mean()
     total = 0.0
     term = 1.0

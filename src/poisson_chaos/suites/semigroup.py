@@ -67,7 +67,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
         F = exps[0][1]
         for n in (1, 2):
             def run(_plan, space=space, F=F, n=n):
-                factor = np.exp(-F.v.values) - 1.0
+                factor = F.difference_factor()
                 counts = _count_vectors(space.size, 4)
                 residuals = []
                 for s in (0.25, 0.5, 0.75):

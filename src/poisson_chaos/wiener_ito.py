@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedArityError
-from .functionals import ChaosVector
+from .functionals import ChaosVector, Exponential
 from .patterns import (PointPattern, _count_matrix, _count_vectors, _factorial_sum,
                        _falling_factorial_table)
 from .space import Kernel, MeasureSpace, contraction
@@ -129,13 +129,8 @@ def chaos_finite_sum(space: MeasureSpace, v: Kernel, counts: np.ndarray) -> np.n
     no arity cap.  The sum equals, row by row, exp of minus the
     counting integral of v.
     """
-    space.check_same(v.space, "kernel defined on a different space")
-    if v.arity != 1:
-        raise ContractViolationError("exponent kernel must have arity 1")
-    if np.any(v.values < 0):
-        raise ContractViolationError("exponent kernel must be nonnegative")
+    base = Exponential(space, v).difference_factor()
     counts = _count_matrix(counts, space.size)
-    base = np.exp(-v.values) - 1.0
     top = int(counts.sum(axis=1).max(initial=0))
     terms = np.zeros((counts.shape[0], top + 1))
     terms[:, 0] = 1.0

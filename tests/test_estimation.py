@@ -310,6 +310,7 @@ OTHER_SPACE_CALLS = {
         ChaosVector(B, [2.0])),
     "chaos_allclose": lambda: ChaosVector(A, [1.0]).allclose(ChaosVector(B, [1.0])),
     "exponential_product": lambda: ON_A * ON_B,
+    "exponential_of_other_kernel": lambda: Exponential(A, ON_B.v),
     "count_polynomial_sum": lambda: N_A + N_B,
     "count_polynomial_product": lambda: N_A * N_B,
     "polynomial_plus_exponential": lambda: N_A + ON_B,

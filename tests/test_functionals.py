@@ -295,6 +295,56 @@ class TestFunctionalAlgebra:
         want = [1.0 + 0.0, math.exp(-(2 * 0.3 + 0.7)) + 6.0]
         assert np.allclose(got, want)
 
+    def test_exponential_family_algebra(self, s2):
+        """Class, terms and values of every sum, scalar and product rule
+        of the exponential family, bit for bit against the hand-expanded
+        sum of coefficient times exp(-counts @ v)."""
+        vf, vg, vh = np.array([0.3, 0.7]), np.array([0.2, 0.1]), np.array([0.5, 0.4])
+        f, g, h = (Exponential(s2, v) for v in (vf, vg, vh))
+        combo = LinearCombo(s2, [(2.0, g), (-1.5, h)])
+        other = LinearCombo(s2, [(0.5, f), (3.0, h)])
+        poly = CountPolynomial.total_count(s2) * 2.0
+        zero = np.zeros(2)
+        counts = np.random.default_rng(11).integers(0, 7, size=(64, 2))
+        exp_of = lambda v: np.exp(-(counts @ v))  # noqa: E731
+        table = [
+            (lambda: f * g, Exponential, [(1.0, vf + vg)]),
+            (lambda: f * combo, LinearCombo, [(2.0, vf + vg), (-1.5, vf + vh)]),
+            (lambda: combo * f, LinearCombo, [(2.0, vg + vf), (-1.5, vh + vf)]),
+            (lambda: combo * other, LinearCombo,
+             [(1.0, vg + vf), (6.0, vg + vh), (-0.75, vh + vf), (-4.5, vh + vh)]),
+            (lambda: f * 2, LinearCombo, [(2.0, vf)]),
+            (lambda: 2 * f, LinearCombo, [(2.0, vf)]),
+            (lambda: combo * 2, LinearCombo, [(4.0, vg), (-3.0, vh)]),
+            (lambda: f + g, LinearCombo, [(1.0, vf), (1.0, vg)]),
+            (lambda: f + combo, LinearCombo, [(1.0, vf), (2.0, vg), (-1.5, vh)]),
+            (lambda: combo + f, LinearCombo, [(2.0, vg), (-1.5, vh), (1.0, vf)]),
+            (lambda: f + 2, LinearCombo, [(1.0, vf), (2.0, zero)]),
+            (lambda: 2 + f, LinearCombo, [(1.0, vf), (2.0, zero)]),
+            (lambda: f - g, LinearCombo, [(1.0, vf), (-1.0, vg)]),
+            (lambda: -f, LinearCombo, [(-1.0, vf)]),
+        ]
+        for build, cls, terms in table:
+            got = build()
+            assert type(got) is cls
+            assert [c for c, _ in got.terms()] == [c for c, _ in terms]
+            for (_, e), (_, v) in zip(got.terms(), terms):
+                assert np.array_equal(e.v.values, v)
+            want = np.zeros(len(counts))
+            for c, v in terms:
+                want += c * exp_of(v)
+            assert np.array_equal(got.evaluate_counts(counts), want)
+        for got, want in ((f * poly, exp_of(vf) * poly.evaluate_counts(counts)),
+                          (f + poly, exp_of(vf) + poly.evaluate_counts(counts))):
+            assert type(got) is Opaque
+            assert np.array_equal(got.evaluate_counts(counts), want)
+        s3 = MeasureSpace(["a", "b"], [0.5, 2.0])
+        far = Exponential(s3, vf)
+        far_combo = LinearCombo(s3, [(1.0, far)])
+        for build in (lambda: f * far, lambda: combo * far_combo, lambda: f + far):
+            with pytest.raises(ContractViolationError):
+                build()
+
 
 class TestDifferenceRows:
     """Columns of ``difference_rows`` are ``difference_counts``, bit for bit."""

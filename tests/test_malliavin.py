@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from poisson_chaos.errors import ContractViolationError
+from poisson_chaos.errors import BudgetError, ContractViolationError
 from poisson_chaos.estimation import McPlan, OracleBudget, PoissonEnumeration
 from poisson_chaos.functionals import (ChaosVector, CountPolynomial,
                                        Exponential, Opaque,
-                                       chaos_of_exponential, difference)
+                                       chaos_of_exponential, difference,
+                                       difference_rows)
 from poisson_chaos.malliavin import (ChaosField, FunctionalField, MehlerDifferences,
                                      chaos_field_from_vector,
                                      difference_field, gauss_legendre_unit,
@@ -324,6 +325,19 @@ def test_node_count_must_be_a_positive_integer(call, nodes):
 def test_mehler_nodes_lie_in_the_unit_interval(ts):
     with pytest.raises(ContractViolationError, match="Mehler nodes"):
         MehlerDifferences(S1, ts, [E1])
+
+
+def test_mehler_read_rejects_counts_outside_its_box():
+    mehler = MehlerDifferences(S1, [1.0], [E1])
+    assert mehler.caps.tolist() == [19]
+    inside = np.array([[3], [18]])
+    (got,) = mehler.read(0, inside)
+    assert np.array_equal(got, difference_rows(E1, inside))
+    for count in (19, 25):
+        with pytest.raises(BudgetError, match=f"atom 0.*count {count}.*18"):
+            mehler.read(0, np.array([[3], [count]]))
+    with pytest.raises(ContractViolationError):
+        mehler.read(0, np.array([[-1]]))
 
 
 class TestDualityAndIsometryOracle:

@@ -160,6 +160,10 @@ class TestChaosFiniteSum:
         with pytest.raises(ContractViolationError):
             chaos_finite_sum(s1, Kernel(s1, [-0.2]), np.array([[0]]))
 
+    def test_exponent_kernel_of_arity_two_rejected(self, s1):
+        with pytest.raises(ContractViolationError, match="arity 1"):
+            chaos_finite_sum(s1, Kernel(s1, [[0.2]]), np.array([[0]]))
+
 
 class TestChaosReconstruction:
     def test_constant_vector(self, s2):
