@@ -21,9 +21,9 @@ from .estimation import Estimate, McPlan, mc_estimate
 from .functionals import (ChaosVector, CountPolynomial, Exponential, Functional,
                           LinearCombo, Opaque, difference_rows,
                           falling_factorial_coeffs, poisson_raw_moment, stirling2)
-from .patterns import (PointPattern, _count_matrix, poisson_counts_with_uniforms,
-                       poisson_law, sample_poisson_counts, thin_counts,
-                       thin_counts_with_uniforms)
+from .patterns import (PointPattern, Thinning, _count_matrix,
+                       poisson_counts_with_uniforms, poisson_law,
+                       sample_poisson_counts, thin_counts)
 from .rng import stream_uniforms
 from .space import Kernel, MeasureSpace, symmetrize
 from .wiener_ito import chaos_reconstruct_counts
@@ -319,13 +319,15 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         tiled = np.broadcast_to(base_counts, (streams.size, space.size))
-        u_thin = stream_uniforms(inner.seed, streams, space.size, sub1=1, sub2=2)
+        thinning = Thinning(tiled, stream_uniforms(inner.seed, streams, space.size,
+                                                   sub1=1, sub2=2))
         u_field = stream_uniforms(inner.seed, streams, space.size, sub1=2, sub2=2)
         out = np.zeros(streams.size)
+        kept = np.empty(tiled.shape, dtype=np.int64)
         for s, w in zip(s_nodes, s_weights):
-            kept = thin_counts_with_uniforms(tiled, float(s), u_thin)
-            field = poisson_counts_with_uniforms(space, 1.0 - float(s), u_field)
-            values = F.evaluate_counts(kept + field) - mean
+            thinning.at(float(s), kept)
+            kept += poisson_counts_with_uniforms(space, 1.0 - float(s), u_field)
+            values = F.evaluate_counts(kept) - mean
             out -= (w / s) * values
         return out
 
@@ -411,9 +413,11 @@ class MehlerDifferences:
             self.smoothed = [[smoothed_differences(diffs, self.caps, pmfs)
                               for diffs in self.diffs] for pmfs in self.pmfs]
 
-    def read(self, node: int, kept: np.ndarray) -> list[np.ndarray]:
+    def read(self, node: int, kept: np.ndarray,
+             out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
         """``E[D_x F(kept[row] + field_t)]`` at ``t = ts[node]``, one
-        ``(rows, atoms)`` array per functional.
+        ``(rows, atoms)`` array per functional, written into the arrays
+        of ``out`` when it is given.
 
         ``kept`` holds sampled counts or thinnings of them, which the box
         invariant covers; on the table route a count of atom j above
@@ -421,23 +425,26 @@ class MehlerDifferences:
         """
         kept = _count_matrix(kept, len(self.caps))
         if self.smoothed is None:
-            return self._evaluated(node, kept)
-        bound = self.caps - self.reach[node]
-        # one whole-matrix max first; the per-atom pass only when it fails
-        if kept.size and kept.max() > bound.min():
-            top = kept.max(axis=0)
-            j = int(np.argmax(top - bound))
-            if top[j] > bound[j]:
-                raise BudgetError(f"atom {j}: count {top[j]} lies outside the Mehler box, "
-                                  f"whose bound at t = {self.ts[node]} is {bound[j]}")
-        rank = kept @ self.radix
-        # every rank is in the box; "clip" skips the buffered range check
-        return [smoothed.take(rank, axis=0, mode="clip") for smoothed in self.smoothed[node]]
+            tables, rank = self._evaluated(node, kept)
+        else:
+            bound = self.caps - self.reach[node]
+            # one whole-matrix max first; the per-atom pass only when it fails
+            if kept.size and kept.max() > bound.min():
+                top = kept.max(axis=0)
+                j = int(np.argmax(top - bound))
+                if top[j] > bound[j]:
+                    raise BudgetError(f"atom {j}: count {top[j]} lies outside the Mehler box, "
+                                      f"whose bound at t = {self.ts[node]} is {bound[j]}")
+            tables, rank = self.smoothed[node], kept @ self.radix
+        # every rank is in its table; "clip" skips the buffered range check
+        return [table.take(rank, axis=0, mode="clip", out=o)
+                for table, o in zip(tables, out or [None] * len(tables))]
 
-    def _evaluated(self, node: int, kept: np.ndarray) -> list[np.ndarray]:
+    def _evaluated(self, node: int, kept: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """``sum_k prod_j pmfs[j][k_j] * difference_rows(F, kept + k)``,
         evaluated once per distinct row of ``kept``, in blocks of about
-        ``COUNT_TABLE_CELL_CAP`` shifted rows."""
+        ``COUNT_TABLE_CELL_CAP`` shifted rows: one table per functional,
+        and the table row of each row of ``kept``."""
         uniq, inverse = np.unique(kept, axis=0, return_inverse=True)
         points = np.indices(self.reach[node]).reshape(len(self.reach[node]), -1).T
         probs = functools.reduce(np.multiply.outer, self.pmfs[node]).ravel()
@@ -450,5 +457,5 @@ class MehlerDifferences:
                 diffs = difference_rows(F, shifted.reshape(-1, kept.shape[1]))
                 out += np.tensordot(diffs.reshape(shifted.shape), probs[lo:lo + step],
                                     ([1], [0]))
-            outs.append(out[inverse.reshape(-1)])
-        return outs
+            outs.append(out)
+        return outs, inverse.reshape(-1)

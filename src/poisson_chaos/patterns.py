@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, UnsupportedArityError
-from .rng import RngStream, stream_uniforms
+from .rng import RngStream, stream_keys, stream_uniforms
 from .space import Kernel, MeasureSpace
 
 FACTORIAL_ARITY_CAP = 4
@@ -221,26 +221,33 @@ class CountLaw(NamedTuple):
     cdf: np.ndarray
     bins: np.ndarray
 
-    def invert(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def invert(self, u: np.ndarray, rows: np.ndarray | None = None,
+               cells: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Count of each uniform under its row of ``rows`` (an integer
-        array of u's shape), or under row 0 when ``rows`` is None.
+        array of u's shape), or under row 0 when ``rows`` is None, as
+        int64, written into ``out`` when it is given.
 
-        With ``B = CDF_BINS`` a power of two, ``u * B`` and the bin edges
-        ``i / B`` are exact, so ``i = floor(u * B)`` is the bin with
-        ``i/B <= u < (i+1)/B``.  Uniforms in split bins (at most one bin
-        per CDF value, so a small share) count the entries of their row
-        at or below them, which on a sorted row is
+        ``cells`` is :func:`bin_cells` of ``(u, rows)``, which no law
+        enters, passed where several laws of one size invert the same
+        uniforms.  Uniforms in split bins (at most one bin per CDF
+        value, so a small share) count the entries of their row at or
+        below them, which on a sorted row is
         ``np.searchsorted(row, u, side="right")``.
         """
-        cell = (u * CDF_BINS).astype(np.intp)
-        if rows is not None:
-            cell += np.multiply(rows, CDF_BINS + 1, dtype=np.intp)
-        k = self.bins.ravel().take(cell).astype(np.int64)
-        split = np.nonzero(k < 0)
-        if split[0].size:
+        if cells is None:
+            cells = bin_cells(u, rows)
+        k = self.bins.ravel().take(cells)
+        if out is None:
+            out = k.astype(np.int64)
+        else:
+            out[...] = k
+        # flat positions first: a 2-d nonzero scan costs several times more
+        split = np.flatnonzero(out < 0)
+        if split.size:
+            split = np.unravel_index(split, out.shape)
             cdf = self.cdf[0] if rows is None else self.cdf[rows[split]]
-            k[split] = np.sum(cdf <= u[split][:, None], axis=-1)
-        return k
+            out[split] = np.sum(cdf <= u[split][:, None], axis=-1)
+        return out
 
     def pmf(self, row: int = 0) -> np.ndarray:
         """Law of the counts that :meth:`invert` returns for ``row``, from
@@ -249,6 +256,22 @@ class CountLaw(NamedTuple):
         cdf = self.cdf[row]
         top = int(np.searchsorted(cdf, 1.0))
         return np.diff(np.minimum(cdf[:top + 1], 1.0), prepend=0.0)
+
+
+def bin_cells(u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Flat index of each uniform's bin under its row of ``rows`` (row 0
+    when None) in a :class:`CountLaw`'s bins.
+
+    With ``B = CDF_BINS`` a power of two, ``u * B`` and the bin edges
+    ``i / B`` are exact, so ``i = floor(u * B)`` is the bin with
+    ``i/B <= u < (i+1)/B``, and row r's bins start at ``r * (B + 1)``.
+    """
+    # u * B truncated to an integer, as astype would, with no float temporary
+    cells = np.multiply(u, CDF_BINS, out=np.empty(u.shape, dtype=np.intp),
+                        casting="unsafe")
+    if rows is not None:
+        cells += np.multiply(rows, CDF_BINS + 1, dtype=np.intp)
+    return cells
 
 
 def _count_law(cdf: np.ndarray) -> CountLaw:
@@ -365,31 +388,77 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
     return counts
 
 
-def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
-    """Binomial(count, s) survivors per atom from given uniforms in [0, 1).
+class Thinning:
+    """Binomial(count, s) survivors per atom of one count matrix, for
+    any number of retention probabilities s, from one uniform per cell.
 
-    ``u`` has the shape of the ``(rows, atoms)`` count matrix, whose
-    entries are taken to be non-negative integers (:func:`thin_counts`
-    checks them).  Each count is its row of one :func:`binomial_law`.
+    ``counts`` is a ``(rows, atoms)`` matrix whose entries are taken to
+    be non-negative integers (:func:`thin_counts` checks them), and
+    ``u`` holds a uniform in [0, 1) for each of its cells.  Each count
+    is its row of one :func:`binomial_law`, whose size class depends on
+    the largest count alone, so the uniforms are checked and each cell's
+    :func:`bin_cells` index computed once: :meth:`at` costs one gather
+    from its law's bins, plus a search for the uniforms in split bins.
     """
-    if u.ndim != 2 or u.shape != counts.shape:
+
+    def __init__(self, counts: np.ndarray, u: np.ndarray):
+        if u.ndim != 2 or u.shape != counts.shape:
+            raise ContractViolationError(
+                f"thinning uniforms must have the counts' shape {counts.shape}, got {u.shape}")
+        # a uniform of 1 or more would keep points that do not exist; one
+        # pass each, and NaN fails both comparisons
+        if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+            raise ContractViolationError("thinning uniforms must lie in [0, 1)")
+        n_max = int(counts.max(initial=0))
+        if n_max > THIN_COUNT_MAX:
+            raise ContractViolationError(
+                f"cannot thin a count of {n_max}: its binomial coefficients "
+                "exceed the float range")
+        # one law per size class, so a new largest count rarely builds one
+        self._rows = min(max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length()),
+                         THIN_COUNT_MAX + 1)
+        self._counts, self._u = counts, u
+        self._cells = bin_cells(u, counts)
+
+    def at(self, s: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The survivors at retention probability ``s`` in [0, 1], in a
+        fresh array of the counts' dtype, or written into ``out``, an
+        int64 array of the counts' shape, and returned in it."""
+        if not 0.0 <= s <= 1.0:
+            raise ContractViolationError("retention probability must lie in [0, 1]")
+        if out is not None and (out.dtype != np.int64 or out.shape != self._counts.shape):
+            raise ContractViolationError(
+                f"out must be an int64 array of shape {self._counts.shape}, "
+                f"got {out.dtype} {out.shape}")
+        law = binomial_law(self._rows, float(s))
+        kept = law.invert(self._u, self._counts, self._cells, out)
+        return kept if out is not None else kept.astype(self._counts.dtype, copy=False)
+
+
+def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np.ndarray:
+    """Binomial(count, s) survivors per atom from given uniforms in [0, 1):
+    :class:`Thinning` at one s."""
+    return Thinning(counts, u).at(s)
+
+
+def thinning_uniforms(counts: np.ndarray, seed: int, streams: np.ndarray,
+                      sub1: int = 0, sub2: int = 0) -> np.ndarray:
+    """One uniform per cell of ``counts``, row i from stream ``streams[i]``.
+
+    A row without a point thins to 0 under any uniform, so it gets
+    zeros and its stream is never evaluated.
+    """
+    keys = stream_keys(streams)
+    if keys.size != counts.shape[0]:
         raise ContractViolationError(
-            f"thinning uniforms must have the counts' shape {counts.shape}, got {u.shape}")
-    if not 0.0 <= s <= 1.0:
-        raise ContractViolationError("retention probability must lie in [0, 1]")
-    # a uniform of 1 or more would keep points that do not exist; one pass
-    # each, and NaN fails both comparisons
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ContractViolationError("thinning uniforms must lie in [0, 1)")
-    n_max = int(counts.max(initial=0))
-    if n_max > THIN_COUNT_MAX:
-        raise ContractViolationError(
-            f"cannot thin a count of {n_max}: its binomial coefficients "
-            "exceed the float range")
-    # one law per size class, so a new largest count rarely builds one
-    rows = min(max(THIN_TABLE_MIN_ROWS, 1 << n_max.bit_length()), THIN_COUNT_MAX + 1)
-    kept = binomial_law(rows, float(s)).invert(u, counts)
-    return kept.astype(counts.dtype, copy=False)
+            f"streams must hold one stream per count row ({counts.shape[0]}), "
+            f"got {keys.size}")
+    live = np.flatnonzero(counts.any(axis=1))
+    if live.size == keys.size:
+        return stream_uniforms(seed, keys, counts.shape[1], sub1, sub2)
+    u = np.zeros(counts.shape)
+    u[live] = stream_uniforms(seed, keys[live], counts.shape[1], sub1, sub2)
+    return u
 
 
 def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,
@@ -405,12 +474,14 @@ def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,
 
 def thin_counts(counts: np.ndarray, s: float, seed: int, streams: np.ndarray,
                 sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """Binomial(count, s) survivors per atom; one uniform per atom.
+    """Binomial(count, s) survivors per atom; one uniform per atom, row i
+    from stream ``streams[i]`` (:func:`thinning_uniforms`).
 
-    ``counts`` must be a ``(rows, atoms)`` matrix of non-negative integers.
+    ``counts`` must be a ``(rows, atoms)`` matrix of non-negative
+    integers, and ``streams`` must hold one stream per row.
     """
     counts = _count_matrix(counts)
-    u = stream_uniforms(seed, streams, counts.shape[1], sub1, sub2)
+    u = thinning_uniforms(counts, seed, streams, sub1, sub2)
     return thin_counts_with_uniforms(counts, s, u)
 
 

@@ -13,8 +13,7 @@ import numpy as np
 from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
 from ..functionals import ChaosVector, Functional, difference_rows
 from ..malliavin import MehlerDifferences, gauss_legendre_unit
-from ..patterns import sample_poisson_counts, thin_counts_with_uniforms
-from ..rng import stream_uniforms
+from ..patterns import Thinning, sample_poisson_counts, thinning_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
 
@@ -78,18 +77,19 @@ def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
     space.check_same(F.space, "functional defined on a different space")
-    d = space.size
     mehler = MehlerDifferences(space, nodes, [G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
-        u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
+        thinning = Thinning(counts, thinning_uniforms(counts, plan.seed, streams, 1, 0))
         df = difference_rows(F, counts)
+        # one kept matrix and one inner mean per batch, rewritten at each
+        # node: fresh ones per node page-fault
+        kept, mean_g = np.empty_like(counts), np.empty(counts.shape)
         out = np.zeros(streams.size)
         for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
-            kept = thin_counts_with_uniforms(counts, t, u_thin)
-            (mean_g,) = mehler.read(node, kept)
-            # wt * (df * mean_g) in place: fresh temporaries page-fault
+            mehler.read(node, thinning.at(t, kept), [mean_g])
+            # wt * (df * mean_g) in place
             mean_g *= df
             mean_g *= wt
             out += mean_g @ space.weights
@@ -110,16 +110,16 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
     inner samples.
     """
     nodes, weights = gauss_legendre_unit(t_nodes)
-    d = space.size
     mehler = MehlerDifferences(space, nodes, [F, G])
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
-        u_thin = stream_uniforms(plan.seed, streams, d, sub1=1, sub2=0)
+        thinning = Thinning(counts, thinning_uniforms(counts, plan.seed, streams, 1, 0))
+        kept = np.empty_like(counts)
+        mean_f, mean_g = np.empty(counts.shape), np.empty(counts.shape)
         out = np.zeros(streams.size)
         for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
-            kept = thin_counts_with_uniforms(counts, t, u_thin)
-            mean_f, mean_g = mehler.read(node, kept)
+            mehler.read(node, thinning.at(t, kept), [mean_f, mean_g])
             mean_f *= mean_g
             mean_f *= wt
             out += mean_f @ space.weights

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from poisson_chaos import malliavin
 from poisson_chaos.errors import BudgetError, ContractViolationError
 from poisson_chaos.estimation import McPlan, OracleBudget, PoissonEnumeration
 from poisson_chaos.functionals import (ChaosVector, CountPolynomial,
@@ -368,6 +369,27 @@ def test_mehler_read_rejects_counts_outside_its_box():
             mehler.read(0, np.array([[3], [count]]))
     with pytest.raises(ContractViolationError):
         mehler.read(0, np.array([[-1]]))
+
+
+@pytest.mark.parametrize("route", ["table", "evaluated"])
+def test_mehler_read_into_given_arrays(route, monkeypatch):
+    """Both routes write into ``out`` the values they return fresh."""
+    space = MeasureSpace(["a", "b"], [0.4, 1.0])
+    functionals = [Exponential(space, [0.3, 0.2]), CountPolynomial.total_count(space)]
+    mehler = MehlerDifferences(space, [0.2, 0.9], functionals)
+    if route == "evaluated":
+        # room for the refresh field's support, none for a table
+        support = int(np.max(np.prod(mehler.reach, axis=1)))
+        monkeypatch.setattr(malliavin, "COUNT_TABLE_CELL_CAP", support)
+        mehler = MehlerDifferences(space, [0.2, 0.9], functionals)
+    assert (mehler.smoothed is None) == (route == "evaluated")
+    kept = np.random.default_rng(4).integers(0, 4, size=(300, 2))
+    for node in (0, 1):
+        want = mehler.read(node, kept)
+        out = [np.empty(kept.shape), np.empty(kept.shape)]
+        got = mehler.read(node, kept, out)
+        assert all(g is o for g, o in zip(got, out))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestDualityAndIsometryOracle:

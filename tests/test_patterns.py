@@ -17,7 +17,8 @@ from poisson_chaos.malliavin import (ChaosField, FunctionalField, MehlerDifferen
                                      gauss_legendre_unit, malliavin_chaos,
                                      smoothed_differences)
 from poisson_chaos.patterns import (CDF_BINS, THIN_COUNT_MAX, THIN_TABLE_MIN_ROWS,
-                                    PointPattern, _binomial_cdf_rows, binomial_law,
+                                    PointPattern, Thinning, _binomial_cdf_rows,
+                                    bin_cells, binomial_law,
                                     factorial_counts, poisson_counts_with_uniforms,
                                     poisson_law, sample_poisson, sample_poisson_counts,
                                     superpose, thin, thin_counts,
@@ -124,6 +125,18 @@ class TestSamplerContracts:
     def test_thin_counts_rejects_bad_counts(self, counts):
         with pytest.raises(ContractViolationError):
             thin_counts(counts, 0.5, 1, np.arange(len(counts), dtype=np.uint64))
+
+    @pytest.mark.parametrize("streams", [np.arange(2, dtype=np.uint64),
+                                         np.arange(4, dtype=np.uint64), []])
+    def test_thin_counts_needs_one_stream_per_row(self, streams):
+        # used to blame the thinning uniforms' shape
+        counts = np.array([[3, 4], [0, 0], [1, 0]])
+        with pytest.raises(ContractViolationError, match="streams"):
+            thin_counts(counts, 0.5, 1, streams)
+
+    def test_thin_counts_checks_the_streams_of_empty_rows(self):
+        with pytest.raises(ContractViolationError, match="streams"):
+            thin_counts(np.array([[3, 4], [0, 0]]), 0.5, 1, np.array([2, -1]))
 
     @pytest.mark.parametrize("u_shape", [(1, 1), (1, 3), (2, 2), (2,), (1, 2, 1)])
     def test_thinning_uniforms_must_match_the_counts(self, u_shape):
@@ -352,6 +365,72 @@ class TestThinning:
     def test_retention_out_of_range(self, s2):
         with pytest.raises(ContractViolationError):
             thin(PointPattern(s2, [1, 0]), 1.5, RngStream(0))
+
+
+class TestThinningBatch:
+    """One :class:`Thinning` per batch gives the survivors of
+    ``thin_counts_with_uniforms`` at every retention probability."""
+
+    NODES = [0.0, *gauss_legendre_unit(16)[0], 1.0]
+
+    @pytest.mark.parametrize("top", [15, 31])
+    def test_every_node_bit_for_bit(self, top):
+        # counts up to 15 take the 16-row law, up to 31 the 32-row one
+        rng = np.random.default_rng(top)
+        counts = rng.integers(0, top + 1, size=(4000, 3))
+        counts[0, 0] = top
+        u = rng.random(counts.shape)
+        # each node's CDF values and their float neighbours, which fall in
+        # split bins
+        probes = np.concatenate([
+            np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)])
+            for c in (_binomial_cdf_rows(top, float(t))[1:, :-1].ravel() for t in self.NODES)])
+        probes = probes[(probes >= 0.0) & (probes < 1.0)]
+        u.flat[:probes.size] = probes[:u.size]
+        thinning = Thinning(counts, u)
+        kept = np.empty(counts.shape, dtype=np.int64)
+        split = 0
+        for t in self.NODES:
+            want = oracle.thin_counts_with_uniforms(counts, t, u)
+            assert np.array_equal(thinning.at(t), want)
+            assert np.array_equal(thin_counts_with_uniforms(counts, t, u), want)
+            assert thinning.at(t, kept) is kept and np.array_equal(kept, want)
+            law = binomial_law(max(THIN_TABLE_MIN_ROWS, top + 1), t)
+            split += int(np.sum(law.bins.ravel()[bin_cells(u, counts)] < 0))
+        assert split > 100
+
+    def test_counts_keep_their_dtype(self):
+        counts = np.array([[3, 0], [1, 2]], dtype=np.int32)
+        got = Thinning(counts, np.full(counts.shape, 0.5)).at(0.4)
+        assert got.dtype == np.int32
+
+    @pytest.mark.parametrize("out", [np.empty((2, 2), dtype=np.int32),
+                                     np.empty((2, 3), dtype=np.int64),
+                                     np.empty((4,), dtype=np.int64)])
+    def test_out_must_be_int64_of_the_counts_shape(self, out):
+        counts = np.array([[3, 0], [1, 2]])
+        with pytest.raises(ContractViolationError, match="out"):
+            Thinning(counts, np.full(counts.shape, 0.5)).at(0.4, out)
+
+    def test_empty_rows_draw_no_stream(self, monkeypatch):
+        counts = np.array([[0, 0], [3, 1], [0, 0], [0, 2], [0, 0], [5, 0]])
+        streams = np.arange(100, 106, dtype=np.uint64)
+        want = {s: thin_counts_with_uniforms(counts, s, stream_uniforms(9, streams, 2, 4, 1))
+                for s in (0.0, 0.3, 0.8, 1.0)}
+        drawn = []
+
+        def spy(seed, keys, n, sub1=0, sub2=0):
+            drawn.append(keys.copy())
+            return stream_uniforms(seed, keys, n, sub1, sub2)
+
+        monkeypatch.setattr(patterns, "stream_uniforms", spy)
+        for s, kept in want.items():
+            assert np.array_equal(thin_counts(counts, s, 9, streams, 4, 1), kept)
+        assert all(np.array_equal(keys, [101, 103, 105]) for keys in drawn)
+        drawn.clear()
+        assert np.array_equal(thin_counts(np.zeros((3, 2), dtype=np.int64), 0.5, 9,
+                                          streams[:3], 4, 1), np.zeros((3, 2)))
+        assert [keys.size for keys in drawn] == [0]
 
 
 class TestThinningLargeCounts:

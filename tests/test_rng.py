@@ -1,6 +1,9 @@
 """Stream generator: reference agreement, independence, reproducibility."""
 
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +57,8 @@ class TestChunkedBlocks:
         for i in native_rows:
             assert np.array_equal(u[i], native_uniforms(seed, int(streams[i]), n, sub1, sub2))
 
-    @pytest.mark.parametrize("n", [3, 16, 49])
+    # 1 and 2 words skip the last rounds' products for words 2 and 3
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 49])
     @pytest.mark.parametrize("extra", [-1, 0, 1, "two chunks + 3"])
     def test_streams_around_a_chunk(self, n, extra):
         step = rng._chunk_rows(-(-n // 4))
@@ -83,6 +87,48 @@ class TestChunkedBlocks:
         self.check(TOP, streams, 11, sub1=TOP, sub2=TOP, native_rows=[0, 1, 2])
         self.check(TOP, streams, 11, sub1=TOP - 1, sub2=TOP, native_rows=[0])
 
+    def test_threads_at_once_get_the_serial_rows(self):
+        """Each concurrent call runs in a workspace of its own."""
+        calls = [(11, np.arange(3 * rng._CHUNK_WORDS // 2, dtype=np.uint64), 2, 0),
+                 (12, np.arange(5000, dtype=np.uint64) + np.uint64(7), 7, 3),
+                 (13, np.arange(4, dtype=np.uint64), 49, 0),
+                 (14, np.arange(rng._CHUNK_WORDS, dtype=np.uint64), 1, 5)]
+        want = [stream_uniforms(seed, streams, n, sub1) for seed, streams, n, sub1 in calls]
+        barrier = threading.Barrier(len(calls), timeout=30)
+        got = [[] for _ in calls]
+
+        def run(i):
+            seed, streams, n, sub1 = calls[i]
+            barrier.wait()
+            for _ in range(3):
+                got[i].append(stream_uniforms(seed, streams, n, sub1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rows, w in zip(got, want):
+            assert len(rows) == 3 and all(np.array_equal(g, w) for g in rows)
+
+    def test_warm_call_allocates_no_full_size_temporaries(self):
+        # the parent's rounds peaked 4.0 MiB above the 0.5 MiB result
+        streams = np.arange(rng._CHUNK_WORDS, dtype=np.uint64)
+        stream_uniforms(3, streams, 2)
+        tracemalloc.start()
+        try:
+            u = stream_uniforms(3, streams, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - u.nbytes <= 0.5 * 2**20
+
     def test_golden_digest(self):
         # integer arithmetic and an exact power-of-two scale: the same
         # bytes on every platform
@@ -99,6 +145,21 @@ class TestInputContract:
         # -3 used to return shape (3, 0), -5 a bare ValueError
         with pytest.raises(ContractViolationError):
             stream_uniforms(1, np.arange(3, dtype=np.uint64), n)
+
+    @pytest.mark.parametrize("n", [2.5, "2", None, True, np.float64(2.0), np.bool_(True)])
+    def test_word_count_not_an_integer(self, n):
+        # 2.5, "2" and None used to raise bare TypeErrors, True "an
+        # integer is required"
+        with pytest.raises(ContractViolationError, match="n must be an integer"):
+            stream_uniforms(1, np.arange(3, dtype=np.uint64), n)
+        with pytest.raises(ContractViolationError, match="n must be an integer"):
+            RngStream(1, 2).uniforms(n)
+
+    def test_numpy_integer_word_count(self):
+        want = stream_uniforms(1, np.arange(3, dtype=np.uint64), 5)
+        for n in (np.int64(5), np.uint8(5)):
+            assert np.array_equal(stream_uniforms(1, np.arange(3, dtype=np.uint64), n), want)
+        assert np.array_equal(RngStream(1, 2).uniforms(np.int32(5)), want[2])
 
     @pytest.mark.parametrize("streams", [
         np.array([3, -1]),                          # used to wrap to 2**64 - 1

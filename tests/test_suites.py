@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
                                       OracleBudget, PoissonEnumeration)
 from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
                                        chaos_of_exponential, difference_rows)
-from poisson_chaos import malliavin
+from poisson_chaos import malliavin, rng
 from poisson_chaos.malliavin import MehlerDifferences, gauss_legendre_unit
 from poisson_chaos.patterns import sample_poisson_counts, thin_counts
 from poisson_chaos.report import parse_report, render_csv, render_jsonl
@@ -486,15 +487,20 @@ class TestNestedEstimators:
     @ESTIMATORS
     def test_no_inner_stream_lanes(self, estimator, quick_config, monkeypatch):
         """Only the pattern (lane 0) and its thinning (lane 1) are drawn;
-        the sampled-inner estimators used lanes 2 to 4."""
+        the sampled-inner estimators used lanes 2 to 4.  The spy replaces
+        the generator in every package module that binds it."""
         lanes = []
-        for module in (common, patterns):
-            original = module.stream_uniforms
+        original = rng.stream_uniforms
 
-            def recorded(seed, streams, n, sub1=0, sub2=0, original=original):
-                lanes.append(sub1)
-                return original(seed, streams, n, sub1, sub2)
+        def recorded(seed, streams, n, sub1=0, sub2=0):
+            lanes.append(sub1)
+            return original(seed, streams, n, sub1, sub2)
 
+        bound = [module for name, module in list(sys.modules.items())
+                 if name.startswith("poisson_chaos")
+                 and getattr(module, "stream_uniforms", None) is original]
+        assert patterns in bound
+        for module in bound:
             monkeypatch.setattr(module, "stream_uniforms", recorded)
         space, F, G = first_and_last(quick_config, "S2")
         estimator[0](space, F, G, McPlan(self.REPLICATES, 13), 16)
