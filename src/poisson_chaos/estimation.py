@@ -190,7 +190,11 @@ def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan
 def poisson_tail(mass: float, cutoff: int,
                  growth: Callable[[int], float] | None = None) -> float:
     """Sum of growth(n) * P(N = n) over n > cutoff for N Poisson(mass)."""
-    pmf = math.exp(-mass) * mass**cutoff / math.factorial(cutoff)
+    # the pmf recurrence from P(N = 0) stays within [0, 1]: mass**cutoff
+    # and cutoff! would overflow a float long before the pmf does
+    pmf = math.exp(-mass)
+    for n in range(1, cutoff + 1):
+        pmf *= mass / n
     total = 0.0
     n = cutoff
     while True:
@@ -229,8 +233,9 @@ class OracleBudget:
             try:
                 tail = poisson_tail(mass, cutoff, growth)
             except OverflowError as exc:
-                raise BudgetError(f"the Poisson tail of total mass {mass!r} overflows "
-                                  f"at cutoff {cutoff}") from exc
+                # only the growth envelope can overflow: the pmf stays in [0, 1]
+                raise BudgetError(f"the growth envelope overflows a float on the tail of "
+                                  f"total mass {mass!r}") from exc
             if tail <= tol:
                 if math.comb(cutoff + space.size, space.size) > max_states:
                     raise BudgetError("enumeration would exceed the state budget")

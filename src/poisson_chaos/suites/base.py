@@ -148,9 +148,24 @@ class SuiteContext:
         count functionals of polynomial growth."""
         return PoissonEnumeration.get(space, self.budget(space, growth, tol))
 
+    def missing(self, what: str, space: MeasureSpace | None = None) -> ConfigError:
+        """The error for a pool entry this suite needs and the configuration
+        lacks, naming the suite and the space's configuration name."""
+        if space is not None:
+            what += " on space " + next((repr(name) for name, s in self.config.spaces.items()
+                                         if s.same_as(space)), repr(space))
+        return ConfigError(f"suite {self.suite!r} needs {what}")
+
     def exponentials(self, space: MeasureSpace | None = None,
                      small: bool = False) -> list[tuple[str, Exponential]]:
-        """Exponential pool entries, name-sorted; optionally the small-v ones."""
+        """Exponential pool entries (on ``space`` when given), name-sorted.
+
+        Builders take the first entry on a space, so a suite reads the
+        name-sorted first exponential there.  ``small`` keeps the entries
+        with total mass <= 1 and every |e^{-v} - 1| <= 0.35, whose chaos
+        series converge fast.  An empty selection is a :class:`ConfigError`
+        naming the suite and the space, never a dropped or swapped case.
+        """
         import numpy as np
 
         out = []
@@ -166,6 +181,10 @@ class SuiteContext:
                 if np.max(np.abs(f.difference_factor())) > 0.35:
                     continue
             out.append((name, f))
+        if not out:
+            raise self.missing("a small exponential functional (total mass <= 1, every "
+                               "|e^-v - 1| <= 0.35)" if small else "an exponential functional",
+                               space)
         return out
 
 

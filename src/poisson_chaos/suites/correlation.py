@@ -32,8 +32,7 @@ def _covariance_pairs(ctx: SuiteContext, space) -> list[tuple[str, Functional, F
     pairs = []
     if len(exps) >= 2:
         pairs.append((f"{exps[0][0]}__{exps[1][0]}", exps[0][1], exps[1][1]))
-    if exps:
-        pairs.append((f"{exps[0][0]}__self", exps[0][1], exps[0][1]))
+    pairs.append((f"{exps[0][0]}__self", exps[0][1], exps[0][1]))
     return pairs
 
 
@@ -139,9 +138,9 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
         ctx.add(f"variance_bound_{name}", "poincare-inequality", run_bound)
 
     # one sampled instance: the bound with statistical slack
-    def run_mc(plan, space=ctx.space("S2")):
-        exps = ctx.exponentials(space)
-        F = exps[0][1] if exps else CountPolynomial.total_count(space)
+    s2 = ctx.space("S2")
+
+    def run_mc(plan, space=s2, F=ctx.exponentials(s2)[0][1]):
         var = mc_covariance(space, F, F, plan)
         energy = _difference_energy(ctx.enumeration(space), F)
         return CasePayload(lhs=var, rhs=energy, one_sided=True)
@@ -167,36 +166,31 @@ def build_poincare(ctx: SuiteContext) -> list[Case]:
 
 
 def _monotone_battery(space, boundary: int) -> list[tuple[str, Functional]]:
-    """Functionals increasing on atoms below the boundary, decreasing above."""
+    """Functionals increasing on atoms below the boundary, decreasing above;
+    both sides hold an atom (0 < boundary < space.size)."""
     up = list(range(boundary))
     down = list(range(boundary, space.size))
 
     def counts_fn_min(c):
-        inside = c[:, up].sum(axis=1) if up else np.zeros(len(c))
-        outside = c[:, down].sum(axis=1) if down else np.zeros(len(c))
-        return np.minimum(inside, 2.0) - np.minimum(outside, 3.0)
+        return np.minimum(c[:, up].sum(axis=1), 2.0) - np.minimum(c[:, down].sum(axis=1), 3.0)
 
-    battery: list[tuple[str, Functional]] = []
     linear = [(1.0 if j in up else -1.0, tuple(int(j == i) for i in range(space.size)))
               for j in range(space.size)]
-    battery.append(("signed_count", CountPolynomial(space, linear)))
-    if up:
-        sq = CountPolynomial(space, [(1.0, tuple(2 * int(j == up[0]) for j in range(space.size))),
-                                     (1.0, tuple(int(j == up[0]) for j in range(space.size)))])
-        for x in down:
-            sq = sq + CountPolynomial(space, [(-2.0, tuple(int(j == x) for j in range(space.size)))])
-        battery.append(("square_up", sq))
-    if down:
-        v = np.zeros(space.size)
-        for x in down:
-            v[x] = 0.8
-        battery.append(("exp_down", Exponential(space, Kernel(space, v))))
-    battery.append(("capped", Opaque(space, counts_fn=counts_fn_min)))
-    if up:
-        battery.append(("threshold", Opaque(space, counts_fn=lambda c: (
-            3.0 * (c[:, up[0]] >= 1).astype(np.float64)
-            - (c[:, down].sum(axis=1) if down else np.zeros(len(c)))))))
-    return battery
+    sq = CountPolynomial(space, [(1.0, tuple(2 * int(j == up[0]) for j in range(space.size))),
+                                 (1.0, tuple(int(j == up[0]) for j in range(space.size)))])
+    for x in down:
+        sq = sq + CountPolynomial(space, [(-2.0, tuple(int(j == x) for j in range(space.size)))])
+    v = np.zeros(space.size)
+    for x in down:
+        v[x] = 0.8
+    return [
+        ("signed_count", CountPolynomial(space, linear)),
+        ("square_up", sq),
+        ("exp_down", Exponential(space, Kernel(space, v))),
+        ("capped", Opaque(space, counts_fn=counts_fn_min)),
+        ("threshold", Opaque(space, counts_fn=lambda c: (
+            3.0 * (c[:, up[0]] >= 1).astype(np.float64) - c[:, down].sum(axis=1)))),
+    ]
 
 
 def check_monotone(space, F: Functional, boundary: int, max_total: int = 5) -> bool:
@@ -210,12 +204,12 @@ def check_monotone(space, F: Functional, boundary: int, max_total: int = 5) -> b
 
 def build_fkg(ctx: SuiteContext) -> list[Case]:
     space = ctx.space("S2")
+    if space.size < 2:
+        raise ctx.missing("at least 2 atoms", space)
     boundary = 1
     battery = _monotone_battery(space, boundary)
     pair_indices = [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (0, 0)]
     for i, j in pair_indices:
-        if i >= len(battery) or j >= len(battery):
-            continue
         name_f, F = battery[i]
         name_g, G = battery[j]
 
@@ -229,8 +223,6 @@ def build_fkg(ctx: SuiteContext) -> list[Case]:
 
     # exact rows: enumerated covariance of monotone pairs is nonnegative
     for i, j in ((0, 3), (1, 2)):
-        if i >= len(battery) or j >= len(battery):
-            continue
         name_f, F = battery[i]
         name_g, G = battery[j]
 

@@ -27,28 +27,18 @@ def _reconstruction(space, cv: ChaosVector):
 
 def _field_battery(ctx: SuiteContext, space) -> list[tuple[str, object]]:
     """Structured integrand fields used by duality and the isometry."""
-    exps = ctx.exponentials(space)
-    base = exps[0][1] if exps else None
-    fields: list[tuple[str, object]] = []
-    if base is not None:
-        g = 0.5 + np.arange(space.size, dtype=np.float64)
-        fields.append(("exp_field", FunctionalField(
-            space, [base * float(g[x]) for x in range(space.size)])))
+    base = ctx.exponentials(space)[0][1]
+    g = 0.5 + np.arange(space.size, dtype=np.float64)
+    fields: list[tuple[str, object]] = [("exp_field", FunctionalField(
+        space, [base * float(g[x]) for x in range(space.size)]))]
     total = CountPolynomial.total_count(space)
     fields.append(("poly_field", FunctionalField(
         space, [total * (0.3 + 0.2 * x) + (-0.1 * x) for x in range(space.size)])))
     rng = np.random.default_rng(37)
     kernels = [Kernel(space, rng.normal(size=(space.size,))),
-               Kernel(space, _sym_trailing(rng.normal(size=(space.size,) * 2)))]
+               Kernel(space, rng.normal(size=(space.size,) * 2))]
     fields.append(("chaos_field", ChaosField(space, kernels)))
     return fields
-
-
-def _sym_trailing(values: np.ndarray) -> np.ndarray:
-    # symmetric in all but the first slot
-    if values.ndim <= 2:
-        return values
-    return 0.5 * (values + np.swapaxes(values, 1, 2))
 
 
 def _derivative_residual(space, cv: ChaosVector, pathwise) -> float:
@@ -107,10 +97,9 @@ def _tiny_exponential(space):
 def build_duality(ctx: SuiteContext) -> list[Case]:
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
-        exps = ctx.exponentials(space)
-        functionals = [("exp", exps[0][1])] if exps else []
-        functionals.append(("poly", CountPolynomial.total_count(space)
-                            * CountPolynomial.total_count(space) * 0.25))
+        functionals = (("exp", ctx.exponentials(space)[0][1]),
+                       ("poly", CountPolynomial.total_count(space)
+                        * CountPolynomial.total_count(space) * 0.25))
         for f_name, F in functionals:
             for h_name, H in _field_battery(ctx, space):
                 def run(_plan, space=space, F=F, H=H):
@@ -187,10 +176,9 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
 
         # pathwise: add/drop integral of the difference field plus the
         # birth-death generator vanishes for any functional
-        exps = ctx.exponentials(space)
-        battery = [("exp", exps[0][1])] if exps else []
-        battery.append(("poly", CountPolynomial.total_count(space)
-                        * CountPolynomial.total_count(space) * 0.5))
+        battery = (("exp", ctx.exponentials(space)[0][1]),
+                   ("poly", CountPolynomial.total_count(space)
+                    * CountPolynomial.total_count(space) * 0.5))
         for f_name, F in battery:
             def run_path(_plan, space=space, F=F):
                 counts = _count_vectors(space.size, 5)
@@ -214,18 +202,17 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
     ctx.add("pathwise_vs_chaos_S2_random", "ou-generator", run_match)
 
     s1 = ctx.space("S1")
-    small = ctx.exponentials(s1, small=True)
-    if small:
-        def run_ms(_plan, space=s1, f=small[0][1]):
-            cv = chaos_of_exponential(f, 4)
-            target = ou_chaos(cv)
-            enum = ctx.enumeration(space)
-            path = ou_generator_counts(f, enum.counts)
-            chaos = chaos_reconstruct_counts(space, target, enum.counts)
-            ms = enum.expectation_of_values((path - chaos) ** 2)
-            return CasePayload(lhs=ms, rhs=0.0, tolerance=1e-6, one_sided=True)
 
-        ctx.add("mean_square_S1_small_exp", "ou-generator", run_ms)
+    def run_ms(_plan, space=s1, f=ctx.exponentials(s1, small=True)[0][1]):
+        cv = chaos_of_exponential(f, 4)
+        target = ou_chaos(cv)
+        enum = ctx.enumeration(space)
+        path = ou_generator_counts(f, enum.counts)
+        chaos = chaos_reconstruct_counts(space, target, enum.counts)
+        ms = enum.expectation_of_values((path - chaos) ** 2)
+        return CasePayload(lhs=ms, rhs=0.0, tolerance=1e-6, one_sided=True)
+
+    ctx.add("mean_square_S1_small_exp", "ou-generator", run_ms)
 
     # linear case: generator of the centered total count flips its sign
     def run_linear(_plan, space=s1):
@@ -239,9 +226,9 @@ def build_ou_operators(ctx: SuiteContext) -> list[Case]:
 
     # sampled mean of the generator vanishes
     for space_name in ("S1", "S2"):
-        def run_mean(plan, space=ctx.space(space_name)):
-            exps = ctx.exponentials(space)
-            F = exps[0][1] if exps else CountPolynomial.total_count(space)
+        space = ctx.space(space_name)
+
+        def run_mean(plan, space=space, F=ctx.exponentials(space)[0][1]):
             G = Opaque(space, counts_fn=lambda c: ou_generator_counts(F, c))
             return CasePayload(lhs=mc_expectation(space, G, plan), rhs=0.0)
 

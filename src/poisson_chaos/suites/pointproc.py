@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..estimation import mc_expectation, mc_expectations
-from ..functionals import CountPolynomial, Exponential, Functional, Opaque
+from ..functionals import CountPolynomial, Functional, Opaque
 from ..patterns import factorial_counts
 from ..space import Kernel, integrate, tensor_power
 from .base import Case, CasePayload, SuiteContext
@@ -18,7 +18,7 @@ def _pool_kernel(ctx: SuiteContext, space) -> Kernel:
         k = ctx.config.kernels[name]
         if k.arity == 1 and k.space.same_as(space):
             return k
-    return Kernel(space, 0.5 + np.arange(space.size, dtype=np.float64) / space.size)
+    raise ctx.missing("an arity-1 kernel", space)
 
 
 def build_laplace(ctx: SuiteContext) -> list[Case]:
@@ -86,16 +86,12 @@ def _pair_field_rhs(space, fields) -> Functional:
     return Opaque(space, counts_fn=counts_fn)
 
 
-def _mecke_fields(ctx: SuiteContext, space) -> list[tuple[str, list[Functional]]]:
-    """Battery of integrands h(pattern, atom), one functional per atom."""
+def _mecke_fields(space, f) -> list[tuple[str, list[Functional]]]:
+    """Battery of integrands h(pattern, atom), one functional per atom;
+    ``f`` is the space's exponential."""
     total = CountPolynomial.total_count(space)
-    exps = ctx.exponentials(space)
-    batteries = []
-    if exps:
-        _, f = exps[0]
-        g = 1.0 + np.arange(space.size, dtype=np.float64)
-        batteries.append(("exp_weighted",
-                          [f * float(g[x]) for x in range(space.size)]))
+    g = 1.0 + np.arange(space.size, dtype=np.float64)
+    batteries = [("exp_weighted", [f * float(g[x]) for x in range(space.size)])]
     g2 = 2.0 - 0.5 * np.arange(space.size, dtype=np.float64)
     batteries.append(("count_weighted",
                       [total * float(g2[x]) for x in range(space.size)]))
@@ -106,7 +102,8 @@ def _mecke_fields(ctx: SuiteContext, space) -> list[tuple[str, list[Functional]]
 def build_mecke(ctx: SuiteContext) -> list[Case]:
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
-        for battery_name, fields in _mecke_fields(ctx, space):
+        f = ctx.exponentials(space)[0][1]
+        for battery_name, fields in _mecke_fields(space, f):
             def run(plan, space=space, fields=fields):
                 lhs, rhs = mc_expectations(
                     space, [_field_lhs(space, fields), _field_rhs(space, fields)], plan)
@@ -127,9 +124,7 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
             ctx.add(f"analytic_{space_name}_{side}", "mecke-equation", run)
 
         # order-2 version on a product field
-        def run(plan, space=space):
-            exps = ctx.exponentials(space)
-            f = exps[0][1] if exps else Exponential.one(space)
+        def run(plan, space=space, f=f):
             g = 1.0 + 0.5 * np.arange(space.size, dtype=np.float64)
             fields = [[f * float(g[x] * g[y]) for y in range(space.size)]
                       for x in range(space.size)]

@@ -31,11 +31,7 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
         "S2": [PointPattern(s2, [1, 1])],
     }
     for space_name, patterns in grid_patterns.items():
-        space = ctx.space(space_name)
-        exps = ctx.exponentials(space)
-        if not exps:
-            continue
-        F = exps[0][1]
+        F = ctx.exponentials(ctx.space(space_name))[0][1]
         for s in S_GRID:
             for pattern in patterns:
                 def run(plan, F=F, s=s, pattern=pattern):
@@ -46,9 +42,8 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
                         "mehler-formula", run)
 
     # chaos-level scaling is the geometric one, and composes
-    def run_scaling(_plan):
-        exps = ctx.exponentials(s2)
-        cv = chaos_of_exponential(exps[0][1], 4)
+    def run_scaling(_plan, F=ctx.exponentials(s2)[0][1]):
+        cv = chaos_of_exponential(F, 4)
         ab = semigroup_chaos(semigroup_chaos(cv, 0.5), 0.4)
         direct = semigroup_chaos(cv, 0.2)
         worst = ab.max_abs_difference(direct)
@@ -59,12 +54,9 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
     ctx.add("chaos_scaling_composition", "mehler-formula", run_scaling)
 
     # commutation with the difference operator, exponentials, closed forms
-    for space_name, order in (("S1", 2), ("S2", 2)):
+    for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
-        exps = ctx.exponentials(space)
-        if not exps:
-            continue
-        F = exps[0][1]
+        F = ctx.exponentials(space)[0][1]
         for n in (1, 2):
             def run(_plan, space=space, F=F, n=n):
                 factor = F.difference_factor()
@@ -104,9 +96,8 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
     # mean preservation and contractivity across the grid, enumerated
     for space_name in ("S1", "S2"):
         space = ctx.space(space_name)
-        exps = ctx.exponentials(space)
-        battery = [("exp", exps[0][1])] if exps else []
-        battery.append(("poly", CountPolynomial.total_count(space)))
+        battery = (("exp", ctx.exponentials(space)[0][1]),
+                   ("poly", CountPolynomial.total_count(space)))
         for f_name, F in battery:
             def run_mean(_plan, space=space, F=F):
                 enum = ctx.enumeration(space)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, reports, reproducibility."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,54 @@ class TestExitCodes:
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["laplace", "--config", str(path)]) == 1
+
+
+def packaged_config(tmp_path, edit):
+    """The packaged configuration after ``edit(document)``, as a file."""
+    document = json.loads((resources.files("poisson_chaos") / "data" / "default.json")
+                          .read_text(encoding="utf-8"))
+    edit(document)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+def drop_exponentials(document, space=None):
+    document["functionals"] = {
+        name: f for name, f in document["functionals"].items()
+        if f["kind"] not in ("exponential", "linear_combo")
+        or (space is not None and f["space"] != space)}
+
+
+class TestMissingPoolEntry:
+    """A suite whose pool lacks the entry it reads stops with exit 2 and
+    names itself and the space; it used to drop, swap or vacuously pass
+    the cases that read the entry."""
+
+    @pytest.mark.parametrize("suite", ["mehler", "mecke", "poincare", "ou_operators",
+                                       "duality", "covariance"])
+    def test_no_s2_exponential_names_suite_and_space(self, suite, tmp_path, capsys):
+        path = packaged_config(tmp_path, lambda d: drop_exponentials(d, "S2"))
+        assert main([suite, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: suite {suite!r} needs an exponential functional on space 'S2'" in err
+
+    @pytest.mark.parametrize("suite", ["laplace", "fock_isometry", "chaos_reconstruction"])
+    def test_no_exponential_is_usage_error(self, suite, tmp_path, capsys):
+        path = packaged_config(tmp_path, drop_exponentials)
+        assert main([suite, "--config", str(path)]) == 2
+        assert f"error: suite {suite!r} needs an exponential functional" in capsys.readouterr().err
+
+    def test_one_atom_s2_stops_fkg(self, tmp_path, capsys):
+        def one_atom(document):
+            document["space"]["S2"] = {"a": 0.5}
+            for pool in ("functionals", "kernels"):
+                document[pool] = {name: entry for name, entry in document[pool].items()
+                                  if entry["space"] != "S2"}
+
+        path = packaged_config(tmp_path, one_atom)
+        assert main(["fkg", "--config", str(path)]) == 2
+        assert "error: suite 'fkg' needs at least 2 atoms on space 'S2'" in capsys.readouterr().err
 
 
 class TestReports:

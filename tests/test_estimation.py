@@ -131,18 +131,39 @@ class TestOracle:
             OracleBudget.for_space(wide, 1e-10, max_states=10)
 
     def test_budget_error_on_large_mass(self):
-        # mass 200 overflowed mass**cutoff with an OverflowError; mass 800
+        # mass 500 needs a cutoff past the last one tried (399); mass 800
         # underflowed exp(-mass) and certified a cutoff of 1
-        for weights in ([100.0, 100.0], [100.0] * 8):
+        for weights in ([250.0, 250.0], [100.0] * 8):
             space = MeasureSpace([f"x{i}" for i in range(len(weights))], weights)
             with pytest.raises(BudgetError):
                 OracleBudget.for_space(space, 1e-10, max_states=10**15)
 
     def test_masses_below_the_overflow_keep_their_cutoff(self):
-        # at tol 1e-10 the tail arithmetic overflows from a mass of about 90.7
+        # the tail arithmetic overflowed from a mass of about 90.7 at tol
+        # 1e-10; starting it from a pmf recurrence kept every smaller cutoff
         for weight, cutoff in ((25.0, 101), (45.0, 157)):
             space = MeasureSpace(["a", "b"], [weight, weight])
             assert OracleBudget.for_space(space, 1e-10, max_states=10**15).max_total == cutoff
+
+    def test_large_mass_tail_does_not_overflow(self):
+        # the tail started from mass**cutoff / cutoff!, which overflowed a
+        # float from cutoff 155 at mass 100 and raised BudgetError there
+        for weights, cutoff in (([100.0], 170), ([100.0, 100.0], 296)):
+            space = MeasureSpace([f"x{i}" for i in range(len(weights))], weights)
+            mass = space.total_mass
+            budget = OracleBudget.for_space(space, 1e-10, max_states=10**15)
+            assert budget.max_total == cutoff
+            assert poisson_tail(mass, cutoff - 1) > 1e-10
+            want = math.fsum(math.exp(n * math.log(mass) - mass - math.lgamma(n + 1))
+                             for n in range(cutoff + 1, cutoff + 400))
+            assert poisson_tail(mass, cutoff) == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert want < budget.tail_bound < 1e-10
+
+    def test_overflowing_growth_envelope_is_budget_error(self):
+        # 4**n overflows a float at n = 512, before the tail of mass 100 is small
+        space = MeasureSpace(["a"], [100.0])
+        with pytest.raises(BudgetError, match="growth envelope overflows"):
+            OracleBudget.for_space(space, 1e-10, growth=lambda n: 4.0**n)
 
     def test_poisson_tail_matches_direct_sum(self):
         mass, cutoff = 1.5, 7

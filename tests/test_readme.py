@@ -1,6 +1,9 @@
-"""The README's code runs as written."""
+"""The README's code runs as written, and its suite list is the registry."""
 
+import re
 from pathlib import Path
+
+from poisson_chaos.suites import suite_names
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +15,9 @@ def test_library_tour_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert isinstance(namespace["value"], float)
     assert isinstance(namespace["approx"], float)
+
+
+def test_suite_list_is_the_registry():
+    # the README's "Suites:" paragraph names every registered suite, in order
+    paragraph = README.read_text(encoding="utf-8").split("\nSuites: ", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)`", paragraph) == suite_names()

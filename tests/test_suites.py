@@ -72,6 +72,13 @@ class TestRegistry:
         for row in rows:
             assert row.identity in SUITES["laplace"].identities
 
+    @pytest.mark.parametrize("name", suite_names())
+    def test_registered_identities_are_the_built_ones(self, name):
+        # the hand-kept identity tuple names exactly what the builder registers
+        spec = SUITES[name]
+        built = {case.identity for case in spec.build(SuiteContext(load_config(), name))}
+        assert sorted(spec.identities) == sorted(built)
+
     def test_unknown_suite_rejected(self, quick_config):
         with pytest.raises(ConfigError):
             run_suite("nosuch", quick_config)
