@@ -35,6 +35,9 @@ THREAD_ENV_VAR = "POISSON_CHAOS_THREADS"
 ENUMERATION_STATE_CAP = 2_000_000
 # enumerations kept by PoissonEnumeration.get, least recently used evicted
 ENUMERATION_CACHE_SIZE = 32
+# states per dot product of PoissonEnumeration.expectation_of_values: under
+# the 10,000 terms above which a BLAS dot may split across threads
+ENUMERATION_DOT_BLOCK = 8192
 
 
 def worker_count() -> int:
@@ -288,7 +291,23 @@ class PoissonEnumeration:
         return self.expectation_of_values(G.evaluate_counts(self.counts))
 
     def expectation_of_values(self, values: np.ndarray) -> float:
-        return float(np.dot(values, self.probs))
+        """``sum values * probs`` over the states, as dot products of fixed
+        blocks of ``ENUMERATION_DOT_BLOCK`` states added left to right.
+
+        A BLAS dot of more than about 10,000 terms is split across the
+        library's threads, and its rounding then depends on the thread
+        count; a block of fewer terms stays on one thread, so the sum is
+        the same on any machine.  An enumeration of one block gets
+        ``np.dot`` itself.
+        """
+        if np.shape(values) != self.probs.shape:
+            raise ContractViolationError(
+                f"expected one value per state {self.probs.shape}, got {np.shape(values)}")
+        block = ENUMERATION_DOT_BLOCK
+        total = float(np.dot(values[:block], self.probs[:block]))
+        for start in range(block, len(self.probs), block):
+            total += float(np.dot(values[start:start + block], self.probs[start:start + block]))
+        return total
 
 
 def oracle_expectation(space: MeasureSpace, G, budget: OracleBudget) -> float:

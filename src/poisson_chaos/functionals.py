@@ -622,16 +622,23 @@ def _enumerated_levels(enum, values: np.ndarray, succ: np.ndarray,
     One running sum per depth is live: ``sums[k]`` holds the order-k+1
     sum of the tuple last visited at that depth, and ``positions[k]`` the
     row positions of ``c + shift`` for each subset of its suffix, in
-    product order, ``None`` standing for the unshifted rows.  The
-    positions of the deepest level are composed into one buffer and never
-    kept.  A term with sign -1 is subtracted (``out -= v`` is
-    ``out += -1.0 * v`` bit for bit).
+    product order, ``None`` standing for the unshifted rows.  A term with
+    sign -1 is subtracted (``out -= v`` is ``out += -1.0 * v`` bit for
+    bit).
+
+    The deepest level composes no positions: it gathers the values once
+    at ``succ[x1]`` into one pre-shifted row, ``moved[i] = values[succ[x1,
+    i]]``, and reads each term from it, ``moved[:n_rows]`` for the
+    unshifted rows and ``moved.take(pos)`` for the others.  That is
+    ``2^(n-1)`` gathers per order-n tuple instead of ``2^n - 1``, with
+    the same values summed in the same order.  The row is one float per
+    map entry, reused by every deepest tuple.
     """
     n_rows = len(enum.counts)
     kernels = [np.zeros((succ.shape[0],) * n) for n in range(1, order + 1)]
     sums = [np.empty(n_rows) for _ in range(order)]
     term = np.empty(n_rows)
-    composed = np.empty(n_rows, dtype=succ.dtype)
+    moved = np.empty(succ.shape[1])
     positions: list = [[None]] + [None] * (order - 1)
     for tup in _suffix_preorder(succ.shape[0], order):
         k = len(tup) - 1
@@ -639,22 +646,21 @@ def _enumerated_levels(enum, values: np.ndarray, succ: np.ndarray,
         step = succ[tup[0]]
         deepest = k + 1 == order
         np.subtract(0.0, values[:n_rows] if k == 0 else sums[k - 1], out=out)
-        if not deepest:
+        if deepest:
+            np.take(values, step, out=moved, mode="clip")
+        else:
             # free the previous tuple's subset positions before taking new ones
             positions[k + 1] = None
         shifted = []
         for i, pos in enumerate(positions[k]):
-            if pos is None:
-                rows = step[:n_rows]
-            elif deepest:
-                rows = np.take(step, pos, out=composed, mode="clip")
+            if deepest:
+                v = moved[:n_rows] if pos is None else np.take(moved, pos, out=term, mode="clip")
             else:
-                rows = step.take(pos)
-            if not deepest:
+                rows = step[:n_rows] if pos is None else step.take(pos)
                 shifted.append(rows)
-            np.take(values, rows, out=term, mode="clip")
+                v = np.take(values, rows, out=term, mode="clip")
             minus = (k - bin(i).count("1")) % 2 == 1
-            (np.subtract if minus else np.add)(out, term, out=out)
+            (np.subtract if minus else np.add)(out, v, out=out)
         kernels[k][tup] = enum.expectation_of_values(out) / math.factorial(k + 1)
         if not deepest:
             positions[k + 1] = positions[k] + shifted

@@ -21,8 +21,7 @@ from .estimation import Estimate, McPlan, mc_estimate
 from .functionals import (ChaosVector, CountPolynomial, Exponential, Functional,
                           LinearCombo, Opaque, difference_rows,
                           falling_factorial_coeffs, poisson_raw_moment, stirling2)
-from .patterns import (PointPattern, Thinning, _count_matrix,
-                       poisson_counts_with_uniforms, poisson_law,
+from .patterns import (PointPattern, PoissonField, Thinning, _count_matrix, poisson_law,
                        sample_poisson_counts, thin_counts)
 from .rng import stream_uniforms
 from .space import Kernel, MeasureSpace, symmetrize
@@ -321,14 +320,18 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
         tiled = np.broadcast_to(base_counts, (streams.size, space.size))
         thinning = Thinning(tiled, stream_uniforms(inner.seed, streams, space.size,
                                                    sub1=1, sub2=2))
-        u_field = stream_uniforms(inner.seed, streams, space.size, sub1=2, sub2=2)
+        field = PoissonField(space, stream_uniforms(inner.seed, streams, space.size,
+                                                    sub1=2, sub2=2))
         out = np.zeros(streams.size)
         kept = np.empty(tiled.shape, dtype=np.int64)
+        refresh = np.empty(tiled.shape, dtype=np.int64)
+        values = np.empty(streams.size)
         for s, w in zip(s_nodes, s_weights):
             thinning.at(float(s), kept)
-            kept += poisson_counts_with_uniforms(space, 1.0 - float(s), u_field)
-            values = F.evaluate_counts(kept) - mean
-            out -= (w / s) * values
+            kept += field.at(1.0 - float(s), refresh)
+            np.subtract(F.evaluate_counts(kept), mean, out=values)
+            values *= w / s
+            out -= values
         return out
 
     return mc_estimate(inner, batch)
@@ -435,7 +438,11 @@ class MehlerDifferences:
                 if top[j] > bound[j]:
                     raise BudgetError(f"atom {j}: count {top[j]} lies outside the Mehler box, "
                                       f"whose bound at t = {self.ts[node]} is {bound[j]}")
-            tables, rank = self.smoothed[node], kept @ self.radix
+            # kept @ radix as column multiply-adds (radix[0] is 1): an
+            # integer matmul has no BLAS route and costs several times more
+            tables, rank = self.smoothed[node], kept[:, 0].astype(np.int64)
+            for j in range(1, kept.shape[1]):
+                rank += kept[:, j] * self.radix[j]
         # every rank is in its table; "clip" skips the buffered range check
         return [table.take(rank, axis=0, mode="clip", out=o)
                 for table, o in zip(tables, out or [None] * len(tables))]

@@ -374,18 +374,51 @@ def poisson_counts_with_uniforms(space: MeasureSpace, scale: float,
 
     Inversion is monotone in each uniform, which is what couples draws
     across nearby intensities when uniforms are reused.  ``u`` holds one
-    row per draw and one column per atom.
+    row per draw and one column per atom.  One atom's bin index is live
+    at a time; :class:`PoissonField` keeps them all, for many scales.
     """
+    _check_poisson_uniforms(space, u)
+    counts = np.empty(u.shape, dtype=np.int64)
+    for j in range(space.size):
+        poisson_law(float(space.weights[j] * scale)).invert(u[:, j], out=counts[:, j])
+    return counts
+
+
+def _check_poisson_uniforms(space: MeasureSpace, u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[1] != space.size:
         raise ContractViolationError(
             f"Poisson uniforms must have shape (rows, {space.size}), got {u.shape}")
     # one pass each; NaN fails both comparisons
     if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ContractViolationError("Poisson uniforms must lie in [0, 1)")
-    counts = np.empty(u.shape, dtype=np.int64)
-    for j in range(space.size):
-        counts[:, j] = poisson_law(float(space.weights[j] * scale)).invert(u[:, j])
-    return counts
+
+
+class PoissonField:
+    """Poisson(weight * scale) counts per atom, for any number of scales,
+    from one uniform per cell of ``u``, a ``(rows, atoms)`` matrix.
+
+    Every Poisson law has one row, so the uniforms are checked and each
+    atom's :func:`bin_cells` index computed once: :meth:`at` costs one
+    gather per atom from its law's bins, plus a search for the uniforms
+    in split bins.
+    """
+
+    def __init__(self, space: MeasureSpace, u: np.ndarray):
+        _check_poisson_uniforms(space, u)
+        self._weights, self._u = space.weights, u
+        self._cells = [bin_cells(u[:, j]) for j in range(space.size)]
+
+    def at(self, scale: float, out: np.ndarray) -> np.ndarray:
+        """The counts at ``scale``, written into ``out``, an int64 array of
+        the uniforms' shape, and returned in it."""
+        if out.dtype != np.int64 or out.shape != self._u.shape:
+            raise ContractViolationError(
+                f"out must be an int64 array of shape {self._u.shape}, "
+                f"got {out.dtype} {out.shape}")
+        for j, cells in enumerate(self._cells):
+            poisson_law(float(self._weights[j] * scale)).invert(self._u[:, j], None, cells,
+                                                                out[:, j])
+        return out
 
 
 class Thinning:

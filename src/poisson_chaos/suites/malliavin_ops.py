@@ -52,6 +52,9 @@ def _derivative_residual(space, cv: ChaosVector, pathwise) -> float:
 
 
 def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
+    s2 = ctx.space("S2")
+    if s2.size < 2:
+        raise ctx.missing("at least 2 atoms", s2)
     # the chaos-level difference of a finite chaos sum matches the
     # pathwise one-point difference exactly, pattern by pattern
     for space_name, order in (("S1", 4), ("S2", 3)):
@@ -65,7 +68,7 @@ def build_malliavin_derivative(ctx: SuiteContext) -> list[Case]:
 
     # a count polynomial has finite chaos order equal to its degree, so
     # the enumerated coefficients reproduce differences exactly
-    def run_poly(_plan, space=ctx.space("S2")):
+    def run_poly(_plan, space=s2):
         F = (CountPolynomial.atom_count(space, 0) * CountPolynomial.atom_count(space, 1)
              + CountPolynomial.total_count(space) * 0.5)
         cv = chaos_by_enumeration(F, 2, ctx.enumeration(space).budget)

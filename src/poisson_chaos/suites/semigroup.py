@@ -24,6 +24,8 @@ S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 def build_mehler(ctx: SuiteContext) -> list[Case]:
     s1, s2 = ctx.space("S1"), ctx.space("S2")
+    if s2.size < 2:
+        raise ctx.missing("at least 2 atoms", s2)
 
     # sampled semigroup against the closed-form representative
     grid_patterns = {

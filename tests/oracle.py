@@ -11,8 +11,9 @@ reduction per subset) that the shared tables must match bit for bit.
 For the nested Monte Carlo it keeps the direct primitives that the
 lookup tables replaced: thinning by comparing each uniform with every
 entry of its count's binomial CDF row, one-point differences by
-evaluating the functional on shifted count matrices, and two pairs of
-nested covariance estimators built on them.  The sampled-inner pair
+evaluating the functional on shifted count matrices, the quadrature of
+the inverse generator and two pairs of nested covariance estimators
+built on them.  The sampled-inner pair
 draws every inner refresh field as a count matrix (the estimators the
 library used before its inner expectations became exact, kept as the
 statistical reference); the exact-inner pair sums the evaluated
@@ -274,6 +275,28 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
     for j in range(counts.shape[1]):
         kept[:, j] = np.sum(rows[counts[:, j], :] <= u[:, j, None], axis=1)
     return kept
+
+
+def ou_inverse_quadrature(F, pattern: PointPattern, nodes: int, inner, mean: float
+                          ) -> Estimate:
+    """The pathwise inverse generator on the direct primitives: each node
+    thins by comparison, inverts its refresh field afresh and scales a
+    new array of centred values."""
+    space = F.space
+    s_nodes, s_weights = gauss_legendre_unit(nodes)
+
+    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
+        tiled = np.broadcast_to(pattern.counts, (streams.size, space.size))
+        u_thin = stream_uniforms(inner.seed, streams, space.size, sub1=1, sub2=2)
+        u_field = stream_uniforms(inner.seed, streams, space.size, sub1=2, sub2=2)
+        out = np.zeros(streams.size)
+        for s, w in zip(s_nodes, s_weights):
+            kept = (thin_counts_with_uniforms(tiled, float(s), u_thin)
+                    + poisson_counts_with_uniforms(space, 1.0 - float(s), u_field))
+            out -= (w / s) * (F.evaluate_counts(kept) - mean)
+        return out
+
+    return mc_estimate(inner, batch)
 
 
 def _inner_uniform_pool(seed: int, streams: np.ndarray, d: int, inner: int,

@@ -154,6 +154,14 @@ def drop_exponentials(document, space=None):
         or (space is not None and f["space"] != space)}
 
 
+def one_atom_s2(document):
+    """``S2`` cut to one atom, and its pool entries dropped."""
+    document["space"]["S2"] = {"a": 0.5}
+    for pool in ("functionals", "kernels"):
+        document[pool] = {name: entry for name, entry in document[pool].items()
+                          if entry["space"] != "S2"}
+
+
 class TestMissingPoolEntry:
     """A suite whose pool lacks the entry it reads stops with exit 2 and
     names itself and the space; it used to drop, swap or vacuously pass
@@ -174,15 +182,18 @@ class TestMissingPoolEntry:
         assert f"error: suite {suite!r} needs an exponential functional" in capsys.readouterr().err
 
     def test_one_atom_s2_stops_fkg(self, tmp_path, capsys):
-        def one_atom(document):
-            document["space"]["S2"] = {"a": 0.5}
-            for pool in ("functionals", "kernels"):
-                document[pool] = {name: entry for name, entry in document[pool].items()
-                                  if entry["space"] != "S2"}
-
-        path = packaged_config(tmp_path, one_atom)
+        path = packaged_config(tmp_path, one_atom_s2)
         assert main(["fkg", "--config", str(path)]) == 2
         assert "error: suite 'fkg' needs at least 2 atoms on space 'S2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["mehler", "malliavin_derivative"])
+    def test_one_atom_s2_stops_at_build(self, suite, tmp_path, capsys):
+        # mehler used to end in a traceback (exit 1) and malliavin_derivative
+        # in an ERROR row, both from reading a second atom of S2
+        path = packaged_config(tmp_path, one_atom_s2)
+        assert main([suite, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: suite {suite!r} needs at least 2 atoms on space 'S2'" in err
 
 
 class TestReports:

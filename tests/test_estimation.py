@@ -2,18 +2,22 @@
 Carlo, and the comparison policy."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poisson_chaos import estimation
 from poisson_chaos.errors import BudgetError, ContractViolationError, EvaluationError
-from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, Estimate, McPlan, OracleBudget,
-                                      PoissonEnumeration, TolerancePolicy,
-                                      compare, mc_estimate, mc_expectation,
+from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, ENUMERATION_DOT_BLOCK,
+                                      Estimate, McPlan, OracleBudget, PoissonEnumeration,
+                                      TolerancePolicy, compare, mc_estimate, mc_expectation,
                                       mc_expectations,
                                       oracle_expectation, poisson_tail,
                                       worker_count)
@@ -57,6 +61,36 @@ class TestOracle:
         # exact complement of the enumerated mass
         enum = PoissonEnumeration.get(s1, budget)
         assert 1.0 - enum.probs.sum() <= budget.tail_bound * (1 + 1e-9)
+
+    def test_one_block_expectation_is_the_dot(self, s2):
+        enum = PoissonEnumeration.get(s2, OracleBudget.for_space(s2, 1e-10))
+        assert len(enum.probs) <= ENUMERATION_DOT_BLOCK
+        values = np.random.default_rng(5).standard_normal(len(enum.probs))
+        got = enum.expectation_of_values(values)
+        assert got.hex() == float(np.dot(values, enum.probs)).hex()
+        with pytest.raises(ContractViolationError, match="one value per state"):
+            enum.expectation_of_values(values[1:])
+
+    def test_expectation_is_the_same_on_any_blas_thread_count(self):
+        """11,476 states, past the 10,000 terms above which a BLAS dot may
+        split across threads and round by their count."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from poisson_chaos.estimation import OracleBudget, PoissonEnumeration
+            from poisson_chaos.space import MeasureSpace
+            enum = PoissonEnumeration(MeasureSpace(["a", "b"], [40.0, 50.0]),
+                                      OracleBudget(150, 1.0))
+            assert len(enum.probs) == 11_476
+            values = np.random.default_rng(11).standard_normal(len(enum.probs))
+            print(enum.expectation_of_values(values).hex())
+        """)
+        src = str(Path(estimation.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        outs = {threads: subprocess.run(
+                    [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                    env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+                ).stdout for threads in ("1", "2")}
+        assert outs["1"] == outs["2"]
 
     @pytest.mark.parametrize("weight", [4 * 120 / 9000, 0.5, 1.0, 3.0])
     def test_probabilities_are_the_sampled_law(self, weight):

@@ -429,7 +429,7 @@ class TestChaosLattice:
         budget = OracleBudget.for_space(space, 1e-10)
         assert len(PoissonEnumeration.get(space, budget).counts) == 249_900
         F = Exponential(space, [0.12, 0.3, 0.21, 0.07])
-        # one running sum per depth and no table of shifted values
+        # one running sum per depth and one row of shifted values
         tracemalloc.start()
         try:
             chaos_by_enumeration(F, 3, budget)

@@ -319,6 +319,22 @@ class TestInverseQuadrature:
         want = chaos_reconstruct(pattern, ou_inverse_chaos(centered))
         assert abs(est.mean - want) <= 4 * est.se + 1e-4
 
+    @pytest.mark.parametrize("route", ["linear", "exp"])
+    def test_equals_the_direct_primitives(self, s2, route):
+        """A batch bins its field uniforms once and inverts them at every
+        node into one matrix, with the same bits as a fresh inversion and
+        a fresh array of scaled values per node."""
+        if route == "linear":
+            F, mean = CountPolynomial.total_count(s2) + (-s2.total_mass), 0.0
+        else:
+            F = Exponential(s2, [0.12, 0.12])
+            mean = F.closed_form_mean()
+        pattern = PointPattern(s2, [2, 1])
+        plan = McPlan(40_000, 34)
+        got = ou_inverse_quadrature(F, pattern, 16, plan, mean=mean)
+        want = oracle.ou_inverse_quadrature(F, pattern, 16, plan, mean)
+        assert (got.mean.hex(), got.se.hex()) == (want.mean.hex(), want.se.hex())
+
     def test_centering_required(self, s1):
         opaque = Opaque(s1, counts_fn=lambda c: c.sum(axis=1).astype(float))
         with pytest.raises(ContractViolationError):
@@ -369,6 +385,23 @@ def test_mehler_read_rejects_counts_outside_its_box():
             mehler.read(0, np.array([[3], [count]]))
     with pytest.raises(ContractViolationError):
         mehler.read(0, np.array([[-1]]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_mehler_read_ranks_are_the_radix_product(atoms, dtype):
+    """A table read gathers at ``kept @ radix``, formed by column
+    multiply-adds, for random counts inside the box."""
+    space = MeasureSpace(["a", "b", "c"][:atoms], [0.4, 1.0, 0.7][:atoms])
+    F = Exponential(space, [0.3, 0.2, 0.5][:atoms])
+    mehler = MehlerDifferences(space, [0.2, 0.9], [F])
+    assert mehler.smoothed is not None
+    rng = np.random.default_rng(atoms)
+    for node in (0, 1):
+        kept = rng.integers(0, mehler.caps - mehler.reach[node] + 1,
+                            size=(5000, atoms)).astype(dtype)
+        (got,) = mehler.read(node, kept)
+        assert np.array_equal(got, mehler.smoothed[node][0][kept @ mehler.radix])
 
 
 @pytest.mark.parametrize("route", ["table", "evaluated"])

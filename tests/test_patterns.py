@@ -17,7 +17,7 @@ from poisson_chaos.malliavin import (ChaosField, FunctionalField, MehlerDifferen
                                      gauss_legendre_unit, malliavin_chaos,
                                      smoothed_differences)
 from poisson_chaos.patterns import (CDF_BINS, THIN_COUNT_MAX, THIN_TABLE_MIN_ROWS,
-                                    PointPattern, Thinning, _binomial_cdf_rows,
+                                    PointPattern, PoissonField, Thinning, _binomial_cdf_rows,
                                     bin_cells, binomial_law,
                                     factorial_counts, poisson_counts_with_uniforms,
                                     poisson_law, sample_poisson, sample_poisson_counts,
@@ -319,6 +319,35 @@ class TestInversionRanks:
         assert np.array_equal((rank[:, None] // mehler.radix) % (mehler.caps + 1), base + field)
         np.testing.assert_allclose(mehler.diffs[0][rank], difference_rows(F, base + field),
                                    rtol=1e-13, atol=1e-15)
+
+
+class TestPoissonField:
+    """One :class:`PoissonField` per batch gives the counts of a fresh
+    inversion at every scale, and writes them into a given matrix."""
+
+    def test_every_scale_equals_a_fresh_inversion(self):
+        weights = [0.4, 1.0, 4.0]
+        space = MeasureSpace(["a", "b", "c"], weights)
+        u = stream_uniforms(29, np.arange(4000, dtype=np.uint64), len(weights))
+        rng = np.random.default_rng(3)
+        # a share of every column sits at a CDF value, a split-bin probe
+        for j, w in enumerate(weights):
+            cdf = poisson_law(0.5 * w).cdf[0]
+            u[:300, j] = rng.choice(cdf[cdf < 1.0], size=300)
+        field = PoissonField(space, u)
+        out = np.empty(u.shape, dtype=np.int64)
+        for scale in [0.0, *(1.0 - gauss_legendre_unit(16)[0]), 0.5, 1.0]:
+            want = np.stack([poisson_law(float(w * scale)).invert(u[:, j])
+                             for j, w in enumerate(space.weights)], axis=1)
+            assert field.at(scale, out) is out
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("out", [np.empty((5, 2), dtype=np.int32), np.empty((4, 2)),
+                                     np.empty((5, 3), dtype=np.int64)])
+    def test_out_must_be_an_int64_matrix_of_the_uniforms_shape(self, s2, out):
+        field = PoissonField(s2, np.full((5, 2), 0.5))
+        with pytest.raises(ContractViolationError, match="out must be"):
+            field.at(1.0, out)
 
 
 class TestThinning:
