@@ -169,21 +169,30 @@ def mc_expectation(space: MeasureSpace, G, plan: McPlan) -> Estimate:
     return mc_estimate(plan, batch)
 
 
-def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan
-                    ) -> list[Estimate]:
+def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan,
+                    difference: bool = False) -> list[Estimate]:
     """Monte Carlo means of several functionals on one sampled batch.
 
     Each estimate equals ``mc_expectation(space, G, plan)`` bit for bit,
-    but the patterns of a batch are drawn once for all of them.
+    but the patterns of a batch are drawn once for all of them.  With
+    ``difference``, two functionals get a third estimate: the mean of
+    their per-replicate difference, whose standard error is that of
+    ``lhs - rhs`` for two sides drawn on the same patterns, correlated
+    as they are.
     """
     for G in functionals:
         space.check_same(G.space, "functional defined on a different space")
+    if difference and len(functionals) != 2:
+        raise ContractViolationError("a difference needs exactly two functionals")
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
-        return np.stack([G.evaluate_counts(counts) for G in functionals])
+        rows = [G.evaluate_counts(counts) for G in functionals]
+        if difference:
+            rows.append(rows[0] - rows[1])
+        return np.stack(rows)
 
-    return mc_estimates(plan, batch, len(functionals))
+    return mc_estimates(plan, batch, len(functionals) + difference)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +357,24 @@ def _mean_se(x) -> tuple[float, float]:
 
 
 def compare(lhs, rhs, policy: TolerancePolicy = TolerancePolicy(),
-            tolerance: float | None = None, one_sided: bool = False) -> Verdict:
+            tolerance: float | None = None, one_sided: bool = False,
+            se: float | None = None) -> Verdict:
     """PASS iff the two values agree within the threshold.
 
-    Each side is either exact or an :class:`Estimate`.  The threshold is
-    ``tolerance`` when given, and otherwise the policy's: z combined
-    standard errors plus the absolute floor, which collapses to the
-    exact tolerance when both sides are exact and the comparison is
-    two-sided.  A two-sided comparison bounds ``|lhs - rhs|``; a
-    one-sided one bounds the signed excess ``lhs - rhs``, so any lhs
-    below rhs passes.
+    Each side is either exact or an :class:`Estimate`.  The combined
+    standard error is ``se`` when given (that of ``lhs - rhs`` for two
+    sides estimated on the same draws), and otherwise that of
+    independent sides.  The threshold is ``tolerance`` when given, and
+    otherwise the policy's: z combined standard errors plus the
+    absolute floor, which collapses to the exact tolerance when both
+    sides are exact and the comparison is two-sided.  A two-sided
+    comparison bounds ``|lhs - rhs|``; a one-sided one bounds the
+    signed excess ``lhs - rhs``, so any lhs below rhs passes.
     """
     lm, ls = _mean_se(lhs)
     rm, rs = _mean_se(rhs)
-    se = math.hypot(ls, rs)
+    if se is None:
+        se = math.hypot(ls, rs)
     if tolerance is None:
         floor = policy.abs_tol if (ls or rs or one_sided) else policy.exact_tol
         tolerance = policy.z * se + floor

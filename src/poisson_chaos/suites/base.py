@@ -51,13 +51,16 @@ class CasePayload:
     """What a case computed: two comparands plus how to judge them.
 
     ``tolerance`` and ``one_sided`` select the mode of
-    :func:`~poisson_chaos.estimation.compare` that judges the case.
+    :func:`~poisson_chaos.estimation.compare` that judges the case, and
+    ``se`` is the standard error of ``lhs - rhs`` when both sides were
+    estimated on the same draws (None takes them as independent).
     """
 
     lhs: float | Estimate
     rhs: float | Estimate
     tolerance: float | None = None
     one_sided: bool = False
+    se: float | None = None
 
 
 @dataclass
@@ -209,7 +212,8 @@ def run_cases(suite: SuiteSpec, config: RunConfig) -> list[CaseResult]:
         try:
             payload = case.run()
             verdict = compare(payload.lhs, payload.rhs, config.policy,
-                              tolerance=payload.tolerance, one_sided=payload.one_sided)
+                              tolerance=payload.tolerance, one_sided=payload.one_sided,
+                              se=payload.se)
             fields = dict(lhs=verdict.lhs, rhs=verdict.rhs,
                           se_combined=verdict.se_combined, abs_diff=verdict.diff,
                           tolerance=verdict.tolerance,

@@ -105,9 +105,10 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
         f = ctx.exponentials(space)[0][1]
         for battery_name, fields in _mecke_fields(space, f):
             def run(plan, space=space, fields=fields):
-                lhs, rhs = mc_expectations(
-                    space, [_field_lhs(space, fields), _field_rhs(space, fields)], plan)
-                return CasePayload(lhs=lhs, rhs=rhs)
+                lhs, rhs, diff = mc_expectations(
+                    space, [_field_lhs(space, fields), _field_rhs(space, fields)], plan,
+                    difference=True)
+                return CasePayload(lhs=lhs, rhs=rhs, se=diff.se)
 
             ctx.add(f"add_point_{space_name}_{battery_name}", "mecke-equation", run)
 
@@ -128,9 +129,10 @@ def build_mecke(ctx: SuiteContext) -> list[Case]:
             g = 1.0 + 0.5 * np.arange(space.size, dtype=np.float64)
             fields = [[f * float(g[x] * g[y]) for y in range(space.size)]
                       for x in range(space.size)]
-            lhs, rhs = mc_expectations(
-                space, [_pair_field_lhs(space, fields), _pair_field_rhs(space, fields)], plan)
-            return CasePayload(lhs=lhs, rhs=rhs)
+            lhs, rhs, diff = mc_expectations(
+                space, [_pair_field_lhs(space, fields), _pair_field_rhs(space, fields)], plan,
+                difference=True)
+            return CasePayload(lhs=lhs, rhs=rhs, se=diff.se)
 
         ctx.add(f"pair_{space_name}_exp", "multivariate-mecke", run)
 

@@ -265,6 +265,18 @@ class TestMonteCarlo:
         assert sorted(draws) == [17, 17 + estimation.BATCH_SIZE,
                                  17 + 2 * estimation.BATCH_SIZE]
 
+    def test_difference_row_follows_the_functionals(self, s2):
+        f, n = Exponential(s2, [0.3, 0.7]), CountPolynomial.total_count(s2)
+        plan = McPlan(2 * estimation.BATCH_SIZE + 123, 8, 17)
+        lhs, rhs = mc_expectations(s2, [f, n], plan)
+        got = mc_expectations(s2, [f, n], plan, difference=True)
+        assert got[:2] == [lhs, rhs]
+        want = mc_expectation(s2, Opaque(s2, counts_fn=lambda c: f.evaluate_counts(c)
+                                         - n.evaluate_counts(c)), plan)
+        assert got[2] == want
+        with pytest.raises(ContractViolationError, match="exactly two"):
+            mc_expectations(s2, [f, n, f], plan, difference=True)
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("POISSON_CHAOS_THREADS", "2")
         assert worker_count() == 2
@@ -346,6 +358,13 @@ class TestComparePolicy:
         assert v.passed == (v.diff <= v.tolerance)
         assert v.margin == v.tolerance - v.diff
         assert (v.lhs, v.rhs) == (getattr(lhs, "mean", lhs), getattr(rhs, "mean", rhs))
+
+    def test_given_se_replaces_the_independent_one(self):
+        # two sides estimated on the same draws carry the se of their difference
+        v = compare(Estimate(1.0, 0.003, 10), Estimate(1.01, 0.004, 10), se=0.001)
+        assert v.se_combined == 0.001
+        assert v.tolerance == pytest.approx(4 * 0.001 + 1e-6)
+        assert not v.passed
 
     def test_policy_overrides(self):
         policy = TolerancePolicy(z=2.0, abs_tol=0.0, exact_tol=1e-12)

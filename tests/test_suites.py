@@ -207,6 +207,32 @@ class TestMeckeSharedSample:
         assert all(r.verdict == "PASS" for r in rows)
 
 
+    def test_paired_row_is_judged_on_its_difference(self, quick_config):
+        # both sides of add_point_* read the same patterns, so the row's
+        # standard error is that of the per-replicate lhs - rhs
+        row = next(r for r in run_suite("mecke", quick_config)
+                   if r.case_id == "add_point_S1_exp_weighted")
+        space = quick_config.spaces["S1"]
+        f = quick_config.functionals["exp_s1_fifth"]  # the name-sorted first on S1
+        counts = sample_poisson_counts(space, row.seed,
+                                       np.arange(row.replicates, dtype=np.uint64))
+        lhs, rhs = np.zeros(row.replicates), np.zeros(row.replicates)
+        for x in range(space.size):
+            shifted = counts.copy()
+            shifted[:, x] += 1
+            lhs += counts[:, x] * (1.0 + x) * f.evaluate_counts(counts)
+            rhs += space.weights[x] * (1.0 + x) * f.evaluate_counts(shifted)
+        n = row.replicates
+        se = float(np.std(lhs - rhs, ddof=1)) / math.sqrt(n)
+        assert row.se_combined == pytest.approx(se, rel=1e-9)
+        assert row.tolerance == pytest.approx(4.0 * se + 1e-6, rel=1e-9)
+        # the sides are anticorrelated (about -0.99): taken as independent,
+        # they would get a standard error about 16% too small, which runs
+        # the row at z = 3.4 instead of 4
+        independent = math.hypot(np.std(lhs, ddof=1), np.std(rhs, ddof=1)) / math.sqrt(n)
+        assert row.se_combined > 1.1 * independent
+
+
 class TestTruncationCurve:
     """The five ``l2_*`` cases of a functional read one truncation curve."""
 
