@@ -158,13 +158,29 @@ def _estimate(batches: list[np.ndarray], n: int) -> Estimate:
     return Estimate(mean=mean, se=se, replicates=n)
 
 
-def mc_expectation(space: MeasureSpace, G, plan: McPlan) -> Estimate:
-    """Monte Carlo mean of a functional under the Poisson law."""
+def mc_expectation(space: MeasureSpace, G, plan: McPlan, tilt: float = 1.0) -> Estimate:
+    """Monte Carlo mean of a functional under the Poisson law.
+
+    With ``tilt`` other than 1 the estimate is importance sampled by
+    exponential tilting: the counts are drawn at ``tilt`` times the
+    intensity, and each value is weighted by the likelihood ratio
+    ``exp((tilt - 1) * mass) * tilt**-total``, which keeps the mean
+    unbiased.  A polynomial of high degree in the counts carries its
+    mass at counts far above their mean; a tilt above 1 draws them
+    often, which can cut the variance and kurtosis of the values by
+    orders of magnitude.
+    """
     space.check_same(G.space, "functional defined on a different space")
+    if not (math.isfinite(tilt) and tilt > 0.0):
+        raise ContractViolationError(f"tilt must be a positive finite number, got {tilt!r}")
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        counts = sample_poisson_counts(space, plan.seed, streams)
-        return G.evaluate_counts(counts)
+        counts = sample_poisson_counts(space, plan.seed, streams, tilt)
+        values = G.evaluate_counts(counts)
+        if tilt != 1.0:
+            values = values * np.exp((tilt - 1.0) * space.total_mass
+                                     - math.log(tilt) * counts.sum(axis=1))
+        return values
 
     return mc_estimate(plan, batch)
 

@@ -476,22 +476,13 @@ def thin_counts_with_uniforms(counts: np.ndarray, s: float, u: np.ndarray) -> np
 
 def thinning_uniforms(counts: np.ndarray, seed: int, streams: np.ndarray,
                       sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """One uniform per cell of ``counts``, row i from stream ``streams[i]``.
-
-    A row without a point thins to 0 under any uniform, so it gets
-    zeros and its stream is never evaluated.
-    """
+    """One uniform per cell of ``counts``, row i from stream ``streams[i]``."""
     keys = stream_keys(streams)
     if keys.size != counts.shape[0]:
         raise ContractViolationError(
             f"streams must hold one stream per count row ({counts.shape[0]}), "
             f"got {keys.size}")
-    live = np.flatnonzero(counts.any(axis=1))
-    if live.size == keys.size:
-        return stream_uniforms(seed, keys, counts.shape[1], sub1, sub2)
-    u = np.zeros(counts.shape)
-    u[live] = stream_uniforms(seed, keys[live], counts.shape[1], sub1, sub2)
-    return u
+    return stream_uniforms(seed, keys, counts.shape[1], sub1, sub2)
 
 
 def sample_poisson_counts(space: MeasureSpace, seed: int, streams: np.ndarray,

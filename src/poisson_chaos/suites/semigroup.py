@@ -27,10 +27,11 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
     if s2.size < 2:
         raise ctx.missing("at least 2 atoms", s2)
 
-    # sampled semigroup against the closed-form representative
+    # sampled semigroup against the closed-form representative; one point
+    # on every atom of S2
     grid_patterns = {
         "S1": [PointPattern(s1, [0]), PointPattern(s1, [2])],
-        "S2": [PointPattern(s2, [1, 1])],
+        "S2": [PointPattern(s2, [1] * s2.size)],
     }
     for space_name, patterns in grid_patterns.items():
         F = ctx.exponentials(ctx.space(space_name))[0][1]
@@ -129,14 +130,14 @@ def build_mehler(ctx: SuiteContext) -> list[Case]:
 
     def run_inv_linear(plan, space=s2):
         F = CountPolynomial.total_count(space) + (-space.total_mass)
-        pattern = PointPattern(space, [2, 1])
+        pattern = PointPattern(space, [2] + [1] * (space.size - 1))
         est = ou_inverse_quadrature(F, pattern, T_NODES, plan, mean=0.0)
         want = -(pattern.total - space.total_mass)
         return CasePayload(lhs=est, rhs=want, tolerance=4.0 * est.se + 1e-4)
 
     ctx.add("inverse_quadrature_linear_S2", "ou-inverse", run_inv_linear, capped)
 
-    for space_name, counts in (("S1", [2]), ("S2", [1, 1])):
+    for space_name, counts in (("S1", [2]), ("S2", [1] * s2.size)):
         space = ctx.space(space_name)
         # steep decay keeps the order-4 chaos route within the quadrature floor
         F = Exponential(space, Kernel(space, np.full(space.size, 0.12)))

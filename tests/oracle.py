@@ -450,19 +450,31 @@ def _as_u64(x) -> np.uint64:
 
 
 def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
-               sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """``(len(streams), 4 * n_blocks)`` Philox words, all streams in one pass."""
+               sub1: int = 0, sub2: int = 0, first_blocks=None) -> np.ndarray:
+    """``(len(streams), 4 * n_blocks)`` Philox words, all streams in one pass.
+
+    Row i is keyed by ``(seed, streams[i])`` and starts at block
+    ``first_blocks[i]`` (a Python int below 2**128; 0 by default) of its
+    counter sequence, whose 128-bit block index fills the first two
+    counter words.
+    """
     streams = np.asarray(streams, dtype=np.uint64)
-    # NumPy's Philox advances the counter before producing a block, so the
-    # first emitted block sits at counter word 1
-    blocks = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(blocks, (streams.size, n_blocks))
+    if first_blocks is None:
+        first_blocks = [0] * streams.size
+    # NumPy's Philox advances the counter before producing a block, so
+    # block b of a sequence sits at counter b + 1
+    starts = [b + 1 for b in first_blocks]
+    lo = np.array([b % 2**64 for b in starts], dtype=np.uint64)[:, None]
+    hi = np.array([b // 2**64 for b in starts], dtype=np.uint64)[:, None]
+    with np.errstate(over="ignore"):
+        c0 = lo + np.arange(n_blocks, dtype=np.uint64)
+    c1 = hi + (c0 < lo).astype(np.uint64)
     zero = np.zeros((streams.size, n_blocks), dtype=np.uint64)
     c2 = zero + _as_u64(sub1)
     c3 = zero + _as_u64(sub2)
     k0 = np.asarray(_as_u64(seed))
     k1 = streams[:, None]
-    v0, v1, v2, v3 = _philox4x64(c0, zero, c2, c3, k0, k1)
+    v0, v1, v2, v3 = _philox4x64(c0, c1, c2, c3, k0, k1)
     out = np.empty((streams.size, n_blocks, 4), dtype=np.uint64)
     out[..., 0] = v0
     out[..., 1] = v1
@@ -473,6 +485,12 @@ def raw_blocks(seed: int, streams: np.ndarray, n_blocks: int,
 
 def philox_uniforms(seed: int, streams: np.ndarray, n: int,
                     sub1: int = 0, sub2: int = 0) -> np.ndarray:
-    """``stream_uniforms`` from :func:`raw_blocks`: doubles from the top 53 bits of each of the first ``n`` words."""
-    words = raw_blocks(seed, streams, -(-n // 4), sub1, sub2)
-    return (words[:, :n] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """``stream_uniforms`` from :func:`raw_blocks`: stream s reads words
+    ``[s*n, (s+1)*n)`` of lane ``(sub1, sub2)``, the sequence keyed by
+    ``(seed, 0)``, as doubles from their top 53 bits."""
+    firsts = [s * n for s in np.asarray(streams, dtype=np.uint64).tolist()]
+    words = raw_blocks(seed, np.zeros(len(firsts), dtype=np.uint64), -(-(n + 3) // 4),
+                       sub1, sub2, [p // 4 for p in firsts])
+    cols = np.array([p % 4 for p in firsts], dtype=np.int64)[:, None] + np.arange(n)
+    words = np.take_along_axis(words, cols, axis=1)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -162,6 +162,37 @@ def one_atom_s2(document):
                           if entry["space"] != "S2"}
 
 
+def three_atom_s2(document):
+    """``S2`` with a third atom, and its pool entries extended to it."""
+    document["space"]["S2"]["c"] = 0.25
+    for entry in document["kernels"].values():
+        if entry["space"] == "S2":
+            values = entry["values"]
+            if isinstance(values[0], list):  # symmetric pair kernel
+                entry["values"] = [row + [0.1] for row in values] + [[0.1] * len(values) + [0.3]]
+            else:
+                entry["values"] = values + [values[-1] + 0.5]
+    for entry in document["functionals"].values():
+        if entry["space"] != "S2":
+            continue
+        if entry["kind"] == "exponential":
+            entry["v"] = entry["v"] + [0.4]
+        elif entry["kind"] == "linear_combo":
+            entry["terms"] = [[c, v + [0.1]] for c, v in entry["terms"]]
+        else:
+            entry["terms"] = [[c, powers + [0]] for c, powers in entry["terms"]]
+
+
+@pytest.mark.parametrize("suite", [
+    "laplace", "mecke", "factorial_moments", "fock_isometry", "wi_isometry",
+    "chaos_reconstruction", "product_formula", "malliavin_derivative", "duality",
+    "skorohod_isometry", "ou_operators", "mehler", "covariance", "poincare", "fkg"])
+def test_three_atom_s2_runs_or_stops_by_name(suite, tmp_path, capsys):
+    # mehler used to end in a traceback (exit 1): it read S2 as two atoms
+    path = packaged_config(tmp_path, three_atom_s2)
+    assert main([suite, "--config", str(path), "--replicates", "20000"]) in (0, 2)
+
+
 class TestMissingPoolEntry:
     """A suite whose pool lacks the entry it reads stops with exit 2 and
     names itself and the space; it used to drop, swap or vacuously pass

@@ -317,6 +317,25 @@ class TestMonteCarlo:
             est = mc_expectation(s2, f, McPlan(200_000, 50 + i))
             assert abs(exact - est.mean) <= 4 * est.se + budget.tail_bound + 1e-9
 
+    @pytest.mark.parametrize("tilt", [0.7, 2.0, 3.0])
+    def test_tilted_estimate_is_unbiased(self, s2, tilt):
+        # a degree-4 polynomial, whose exact mean the enumeration gives
+        f = CountPolynomial(s2, [(1.0, (2, 2)), (-0.5, (0, 3)), (2.0, (1, 0))])
+        exact = PoissonEnumeration.get(s2, OracleBudget(60, 0.0)).expectation_of(f)
+        est = mc_expectation(s2, f, McPlan(200_000, 9), tilt=tilt)
+        assert abs(exact - est.mean) <= 4 * est.se + 1e-9
+        assert est.se > 0
+
+    def test_tilt_of_one_is_the_plain_estimate(self, s2):
+        f = Exponential(s2, [0.3, 0.7])
+        plan = McPlan(5_000, 4)
+        assert mc_expectation(s2, f, plan, tilt=1.0) == mc_expectation(s2, f, plan)
+
+    @pytest.mark.parametrize("tilt", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tilt_rejected(self, s2, tilt):
+        with pytest.raises(ContractViolationError, match="tilt"):
+            mc_expectation(s2, Exponential(s2, [0.3, 0.7]), McPlan(10, 1), tilt=tilt)
+
 
 class TestComparePolicy:
     def test_exact_equality(self):

@@ -441,7 +441,10 @@ class TestThinningBatch:
         with pytest.raises(ContractViolationError, match="out"):
             Thinning(counts, np.full(counts.shape, 0.5)).at(0.4, out)
 
-    def test_empty_rows_draw_no_stream(self, monkeypatch):
+    def test_rows_draw_their_own_streams(self, monkeypatch):
+        # every row draws its stream, with a point or not, in one call:
+        # skipping the empty rows would split a batch into many runs of
+        # consecutive streams, one generator each
         counts = np.array([[0, 0], [3, 1], [0, 0], [0, 2], [0, 0], [5, 0]])
         streams = np.arange(100, 106, dtype=np.uint64)
         want = {s: thin_counts_with_uniforms(counts, s, stream_uniforms(9, streams, 2, 4, 1))
@@ -455,11 +458,12 @@ class TestThinningBatch:
         monkeypatch.setattr(patterns, "stream_uniforms", spy)
         for s, kept in want.items():
             assert np.array_equal(thin_counts(counts, s, 9, streams, 4, 1), kept)
-        assert all(np.array_equal(keys, [101, 103, 105]) for keys in drawn)
+            assert not kept[[0, 2, 4]].any()
+        assert len(drawn) == 4 and all(np.array_equal(keys, streams) for keys in drawn)
         drawn.clear()
         assert np.array_equal(thin_counts(np.zeros((3, 2), dtype=np.int64), 0.5, 9,
                                           streams[:3], 4, 1), np.zeros((3, 2)))
-        assert [keys.size for keys in drawn] == [0]
+        assert [keys.size for keys in drawn] == [3]
 
 
 class TestThinningLargeCounts:

@@ -33,7 +33,7 @@ from poisson_chaos.suites.base import POLY4, run_cases
 from poisson_chaos.suites.common import (covariance_conditional_rhs,
                                          covariance_semigroup_rhs, mc_covariance)
 from poisson_chaos.suites.correlation import T_NODES, check_monotone
-from poisson_chaos.wiener_ito import chaos_reconstruct_counts
+from poisson_chaos.wiener_ito import chaos_reconstruct_counts, wiener_ito_counts
 
 import oracle
 
@@ -196,9 +196,9 @@ class TestMeckeSharedSample:
         draws = []
         sampler = estimation.sample_poisson_counts
 
-        def counting(space, seed, streams):
+        def counting(space, seed, streams, *scale):
             draws.append(seed)
-            return sampler(space, seed, streams)
+            return sampler(space, seed, streams, *scale)
 
         monkeypatch.setattr(estimation, "sample_poisson_counts", counting)
         rows = run_suite("mecke", quick_config)
@@ -231,6 +231,32 @@ class TestMeckeSharedSample:
         # the row at z = 3.4 instead of 4
         independent = math.hypot(np.std(lhs, ddof=1), np.std(rhs, ddof=1)) / math.sqrt(n)
         assert row.se_combined > 1.1 * independent
+
+
+class TestTiltedIsometryRows:
+    def test_row_se_is_the_tilted_one(self, quick_config):
+        """``mc_S2_m3_n3`` samples its degree-6 product at the tilted
+        intensity: its standard error is that of the weighted values
+        under the tilted law (enumerated here), about 12 times below the
+        untilted one."""
+        row = next(r for r in run_suite("wi_isometry", quick_config)
+                   if r.case_id == "mc_S2_m3_n3")
+        space = quick_config.spaces["S2"]
+        g = wiener_suite._seeded_kernel(space, 3, 303)
+        h = wiener_suite._seeded_kernel(space, 3, 403)
+        enum = PoissonEnumeration(space, OracleBudget(60, 0.0))
+        values = (wiener_ito_counts(space, g, enum.counts)
+                  * wiener_ito_counts(space, h, enum.counts))
+        tilt = 1.0 + 6 / (2.0 * space.total_mass)
+        total = enum.counts.sum(axis=1)
+        weights = np.exp((tilt - 1.0) * space.total_mass - math.log(tilt) * total)
+        mean = float(values @ enum.probs)
+        tilted_sd = math.sqrt(float(((values * weights - mean) ** 2) @ (enum.probs / weights)))
+        plain_sd = math.sqrt(float(((values - mean) ** 2) @ enum.probs))
+        assert plain_sd > 10 * tilted_sd
+        n = row.replicates
+        assert 0.7 < row.se_combined / (tilted_sd / math.sqrt(n)) < 1.4
+        assert row.verdict == "PASS"
 
 
 class TestTruncationCurve:
@@ -766,10 +792,11 @@ class TestCovarianceEstimator:
         plan = McPlan(self.REPLICATES, 7)
         counts = sample_poisson_counts(space, plan.seed,
                                        np.arange(plan.replicates, dtype=np.uint64))
-        first = int(np.flatnonzero(counts[:, 1] >= 7)[0])
+        rare = lambda c: (c[:, 0] >= 3) & (c[:, 1] >= 5)  # noqa: E731
+        first = int(np.flatnonzero(rare(counts))[0])
         assert first >= 1 << 15  # past the first batch
         F = CountPolynomial.total_count(space)
-        G = Opaque(space, counts_fn=lambda c: np.where(c[:, 1] >= 7, np.nan, 1.0))
+        G = Opaque(space, counts_fn=lambda c: np.where(rare(c), np.nan, 1.0))
         with pytest.raises(EvaluationError, match=f"replicate {first}$"):
             mc_covariance(space, F, G, plan)
 
