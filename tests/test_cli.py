@@ -8,6 +8,7 @@ import pytest
 
 from poisson_chaos.cli import main
 from poisson_chaos.report import parse_report
+from poisson_chaos.suites import suite_names
 
 
 @pytest.fixture
@@ -183,10 +184,7 @@ def three_atom_s2(document):
             entry["terms"] = [[c, powers + [0]] for c, powers in entry["terms"]]
 
 
-@pytest.mark.parametrize("suite", [
-    "laplace", "mecke", "factorial_moments", "fock_isometry", "wi_isometry",
-    "chaos_reconstruction", "product_formula", "malliavin_derivative", "duality",
-    "skorohod_isometry", "ou_operators", "mehler", "covariance", "poincare", "fkg"])
+@pytest.mark.parametrize("suite", suite_names())
 def test_three_atom_s2_runs_or_stops_by_name(suite, tmp_path, capsys):
     # mehler used to end in a traceback (exit 1): it read S2 as two atoms
     path = packaged_config(tmp_path, three_atom_s2)
