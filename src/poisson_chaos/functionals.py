@@ -550,6 +550,12 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     order-n difference of F there, divided by n factorial.  Exact (up to
     the enumeration tail) for any functional the budget covers.
 
+    Difference operators commute, so each level is a symmetric kernel:
+    it is summed once per permutation orbit, at the orbit's
+    non-decreasing tuple ``x1 <= ... <= xn``, and that value is written
+    to every reordering, which makes each level exactly symmetric.  On
+    ``d`` atoms that is ``comb(d + n - 1, n)`` sums instead of ``d^n``.
+
     Every shifted row ``c + s`` of an order-n difference is itself a
     count vector of total at most ``max_total + n``, so F is evaluated
     only twice: once on the enumeration (which also gives level 0) and
@@ -571,13 +577,16 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     zero, as the direct sum is).  The second half adds the same subsets
     shifted by ``e_{x1}``, in the same order and with the signs they
     have at order n-1, as gathers at the successors of the suffix's
-    subset positions.  Each coefficient therefore equals the one
-    computed by :func:`iterated_difference_counts` bit for bit,
-    provided a row's value does not depend on which multi-row matrix
-    holds it.  A one-row matrix takes another floating-point route, so
-    a one-row enumeration, or a shell larger than the enumeration state
-    cap, goes through :func:`iterated_difference_counts` per atom tuple
-    instead.
+    subset positions.  The suffix of a non-decreasing tuple is one too,
+    so the walk visits only those.  Each coefficient therefore equals
+    :func:`iterated_difference_counts` at its non-decreasing tuple bit
+    for bit, provided a row's value does not depend on which multi-row
+    matrix holds it; at another reordering the direct sum adds the same
+    terms in another order, and may differ from it in the last bits.  A
+    one-row matrix takes another floating-point route, so a one-row
+    enumeration, or a shell larger than the enumeration state cap, goes
+    through :func:`iterated_difference_counts` at each non-decreasing
+    tuple instead, with the same orbit fill.
     """
     from .estimation import ENUMERATION_STATE_CAP, PoissonEnumeration
 
@@ -594,9 +603,9 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     if len(enum.counts) < 2 or shell_size(d, cap, order) > ENUMERATION_STATE_CAP:
         for n in range(1, order + 1):
             vals = np.zeros((d,) * n)
-            for tup in itertools.product(range(d), repeat=n):
+            for tup in itertools.combinations_with_replacement(range(d), n):
                 diff = iterated_difference_counts(F, tup, enum.counts)
-                vals[tup] = enum.expectation_of_values(diff) / math.factorial(n)
+                vals[_orbit(tup)] = enum.expectation_of_values(diff) / math.factorial(n)
             coeffs.append(Kernel(space, vals))
         return ChaosVector(space, coeffs)
     shell = lattice_shell(d, cap, order)
@@ -617,7 +626,9 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
 def _enumerated_levels(enum, values: np.ndarray, succ: np.ndarray,
                        order: int) -> list[np.ndarray]:
     """Levels 1 to ``order`` of :func:`chaos_by_enumeration` from lattice
-    values, by the suffix recursion its docstring describes.
+    values, by the suffix recursion its docstring describes, over the
+    non-decreasing tuples of :func:`_suffix_preorder`; each sum is
+    written to every entry of its tuple's orbit.
 
     One running sum per depth is live: ``sums[k]`` holds the order-k+1
     sum of the tuple last visited at that depth, and ``positions[k]`` the
@@ -661,18 +672,26 @@ def _enumerated_levels(enum, values: np.ndarray, succ: np.ndarray,
                 v = np.take(values, rows, out=term, mode="clip")
             minus = (k - bin(i).count("1")) % 2 == 1
             (np.subtract if minus else np.add)(out, v, out=out)
-        kernels[k][tup] = enum.expectation_of_values(out) / math.factorial(k + 1)
+        kernels[k][_orbit(tup)] = enum.expectation_of_values(out) / math.factorial(k + 1)
         if not deepest:
             positions[k + 1] = positions[k] + shifted
     return kernels
 
 
 def _suffix_preorder(d: int, order: int, suffix: tuple[int, ...] = ()):
-    """Every atom tuple of length at most ``order`` that ends in ``suffix``,
-    in pre-order: each comes after its tail ``tup[1:]``, with no other
-    tuple of the tail's length in between."""
-    for x in range(d):
+    """Every non-decreasing atom tuple of length at most ``order`` that
+    ends in ``suffix``, in pre-order: each comes after its tail
+    ``tup[1:]``, with no other tuple of the tail's length in between.
+    The tail of a non-decreasing tuple is one too, so the walk stays on
+    them by prepending only atoms ``x <= suffix[0]``."""
+    for x in range(suffix[0] + 1 if suffix else d):
         tup = (x,) + suffix
         yield tup
         if len(tup) < order:
             yield from _suffix_preorder(d, order, tup)
+
+
+def _orbit(tup: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index arrays of every reordering of ``tup``: the entries that a
+    symmetric kernel shares with it."""
+    return tuple(np.array(sorted(set(itertools.permutations(tup)))).T)

@@ -22,7 +22,7 @@ from poisson_chaos.functionals import (CHAOS_ORDER_CAP, ChaosVector, CountPolyno
                                        iterated_difference_counts,
                                        poisson_raw_moment, t_coefficient_mc)
 from poisson_chaos.patterns import PointPattern, lattice_shell, shell_size, successor_maps
-from poisson_chaos.space import Kernel, MeasureSpace
+from poisson_chaos.space import Kernel, MeasureSpace, symmetrize
 from poisson_chaos.suites.base import POLY4
 
 LN2 = math.log(2.0)
@@ -379,33 +379,97 @@ class TestDifferenceRows:
 
 
 class TestChaosLattice:
-    """``chaos_by_enumeration`` reads shifted rows through successor maps;
-    every coefficient must equal the per-tuple subset sums of
-    ``iterated_difference_counts`` bit for bit."""
+    """``chaos_by_enumeration`` reads shifted rows through successor maps
+    and computes one entry per permutation orbit, at its non-decreasing
+    (sorted) atom tuple; every entry must equal the subset sum of
+    ``iterated_difference_counts`` at its sorted tuple bit for bit."""
 
     @staticmethod
-    def _per_tuple(F, order, budget):
+    def _direct(F, enum, tup):
+        """The direct level-``len(tup)`` sum at one atom tuple."""
+        diff = iterated_difference_counts(F, tup, enum.counts)
+        return enum.expectation_of_values(diff) / math.factorial(len(tup))
+
+    def _per_tuple(self, F, order, budget):
+        """Levels 0 to ``order``, each entry the direct sum at its sorted
+        tuple: one sum per orbit."""
         enum = PoissonEnumeration.get(F.space, budget)
         d = F.space.size
         levels = [float(enum.expectation_of(F))]
         for n in range(1, order + 1):
+            sums = {tup: self._direct(F, enum, tup)
+                    for tup in itertools.combinations_with_replacement(range(d), n)}
             vals = np.zeros((d,) * n)
             for tup in itertools.product(range(d), repeat=n):
-                diff = iterated_difference_counts(F, tup, enum.counts)
-                vals[tup] = enum.expectation_of_values(diff) / math.factorial(n)
+                vals[tup] = sums[tuple(sorted(tup))]
             levels.append(vals)
         return levels
+
+    @staticmethod
+    def _bits(a):
+        # bit patterns, so a -0.0 against a +0.0 counts as a difference
+        return np.asarray(a, dtype=np.float64).view(np.uint64)
 
     def _assert_identical(self, F, order, budget):
         got = chaos_by_enumeration(F, order, budget)
         want = self._per_tuple(F, order, budget)
         assert got.order == order
-        # bit patterns, so a -0.0 against a +0.0 counts as a difference
-        bits = lambda a: np.asarray(a, dtype=np.float64).view(np.uint64)  # noqa: E731
-        assert bits(got.coefficients[0]) == bits(want[0])
+        assert self._bits(got.coefficients[0]) == self._bits(want[0])
         for n in range(1, order + 1):
-            assert np.array_equal(bits(got.coefficients[n].values), bits(want[n])), \
-                f"level {n}"
+            assert np.array_equal(self._bits(got.coefficients[n].values),
+                                  self._bits(want[n])), f"level {n}"
+
+    def _assert_symmetric(self, chaos):
+        for n in range(2, chaos.order + 1):
+            k = chaos.coefficients[n]
+            for perm in itertools.permutations(range(n)):
+                assert np.array_equal(self._bits(np.transpose(k.values, perm)),
+                                      self._bits(k.values)), f"level {n}, {perm}"
+            assert symmetrize(k) is k
+
+    @staticmethod
+    def _rounding_bound(F, enum, tup):
+        """How far two summation orders of one entry's terms may fall apart.
+
+        An entry and the direct sum at any reordering of its tuple round
+        the same exact value, ``T = E[sum_s +-F(c + s)] / n!`` over the
+        ``m = 2^n`` subset shifts s.  Each rounds ``m - 1`` times in a
+        row's sum, at most ``L + B - 1`` times in the blocked dot (``L``
+        states per block, ``B`` blocks added left to right) and once in
+        the division, so each lies within ``gamma_K * S`` of T, with
+        ``K = m + L + B - 1``, ``gamma_K = K u / (1 - K u)`` and
+        ``S = E[sum_s |F(c + s)|] / n!`` (Higham, *Accuracy and Stability
+        of Numerical Algorithms*, 2002, sections 3.1 and 3.5).  The
+        computed S has nonnegative terms and the same K, so the exact S is
+        at most ``S_hat / (1 - gamma_K)``; the two orders are at most
+        twice that apart.
+        """
+        n = len(tup)
+        abs_rows = sum(np.abs(F.evaluate_counts(enum.counts + np.bincount(
+            [x for x, bit in zip(tup, bits) if bit], minlength=F.space.size)))
+            for bits in itertools.product((0, 1), repeat=n))
+        s_hat = enum.expectation_of_values(abs_rows) / math.factorial(n)
+        states = len(enum.probs)
+        block = min(estimation.ENUMERATION_DOT_BLOCK, states)
+        k = 2**n + block + -(-states // block) - 1
+        u = np.finfo(np.float64).eps / 2
+        gamma = k * u / (1 - k * u)
+        return 2 * gamma * s_hat / (1 - gamma)
+
+    def _assert_near_each_permutation(self, F, order, budget):
+        """Every level is exactly symmetric, and each entry lies within the
+        rounding bound of the direct sum at its own tuple."""
+        got = chaos_by_enumeration(F, order, budget)
+        self._assert_symmetric(got)
+        enum = PoissonEnumeration.get(F.space, budget)
+        d = F.space.size
+        for n in range(1, order + 1):
+            values = got.coefficients[n].values
+            for key in itertools.combinations_with_replacement(range(d), n):
+                bound = self._rounding_bound(F, enum, key)
+                for tup in set(itertools.permutations(key)):
+                    gap = abs(values[tup] - self._direct(F, enum, tup))
+                    assert gap <= bound, (n, tup, gap, bound)
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_packaged_spaces(self, name):
@@ -439,22 +503,42 @@ class TestChaosLattice:
         assert peak <= 21 * 2**20
         self._assert_identical(F, 3, budget)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_spaces(self, seed):
+    @staticmethod
+    def _random_case(seed):
+        """A seeded space of 1 to 4 atoms, its budget and three functionals."""
         rng = np.random.default_rng([seed, 0xC4A05])
         d = int(rng.integers(1, 5))
         space = MeasureSpace([f"x{j}" for j in range(d)], rng.uniform(0.05, 0.6, d))
         budget = OracleBudget.for_space(space, 1e-5)
         w = rng.uniform(-1.0, 1.0, d)
-        functionals = [
+        return budget, [
             Exponential(space, rng.uniform(0.0, 1.0, d)),
             Opaque(space, counts_fn=lambda c: np.sin(c @ w) + np.sqrt(c[:, 0] + 0.5)),
             # flat along every atom but the first: many differences are exact zeros
             Opaque(space, counts_fn=lambda c: np.cos(0.9 * c[:, 0]) - 0.25),
         ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_spaces(self, seed):
+        budget, functionals = self._random_case(seed)
         for F in functionals:
             for order in range(CHAOS_ORDER_CAP + 1):
                 self._assert_identical(F, order, budget)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_packaged_levels_symmetric_within_rounding(self, name):
+        config = load_config()
+        space = config.spaces[name]
+        budget = OracleBudget.for_space(space, 1e-10)
+        for F in config.functionals.values():
+            if F.space.same_as(space):
+                self._assert_near_each_permutation(F, CHAOS_ORDER_CAP, budget)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_levels_symmetric_within_rounding(self, seed):
+        budget, functionals = self._random_case(seed)
+        for F in functionals:
+            self._assert_near_each_permutation(F, CHAOS_ORDER_CAP, budget)
 
     def test_opaque_functionals(self, s2):
         s3 = MeasureSpace(["a", "b", "c"], [0.3, 0.3, 0.4])
@@ -476,9 +560,37 @@ class TestChaosLattice:
         F = Exponential(s2, [0.3, 0.7])
         # a one-row enumeration
         self._assert_identical(F, 2, OracleBudget(0, 1.0))
-        # a shell over the state cap
+        # a shell over the state cap; the enumeration is built, and cached,
+        # before the cap falls below its size
+        budget = OracleBudget.for_space(s2, 1e-10)
+        PoissonEnumeration.get(s2, budget)
         monkeypatch.setattr(estimation, "ENUMERATION_STATE_CAP", 10)
-        self._assert_identical(F, 3, OracleBudget.for_space(s2, 1e-10))
+        self._assert_identical(F, 3, budget)
+
+    def test_fallback_route_matches_lattice_route(self, monkeypatch):
+        space = MeasureSpace(["a", "b", "c", "d"], [0.2, 0.3, 0.4, 0.5])
+        budget = OracleBudget(3, 1.0)
+        states = len(PoissonEnumeration.get(space, budget).counts)
+        assert states == 35 < shell_size(4, 3, 2)
+        w = np.array([0.4, -0.7, 1.1, 0.2])
+        Fs = [Exponential(space, [0.12, 0.3, 0.21, 0.07]),
+              Opaque(space, counts_fn=lambda c: np.cos(c @ w) * np.sqrt(1.0 + c[:, 0]))]
+        lattice = [chaos_by_enumeration(F, CHAOS_ORDER_CAP, budget) for F in Fs]
+        # the enumeration fits under the cap and no shell from order 2 up does
+        monkeypatch.setattr(estimation, "ENUMERATION_STATE_CAP", states)
+
+        def no_lattice(*args):
+            raise AssertionError("the lattice route ran")
+
+        monkeypatch.setattr("poisson_chaos.functionals._enumerated_levels", no_lattice)
+        for F, want in zip(Fs, lattice):
+            for order in range(2, CHAOS_ORDER_CAP + 1):
+                got = chaos_by_enumeration(F, order, budget)
+                self._assert_symmetric(got)
+                assert self._bits(got.coefficients[0]) == self._bits(want.coefficients[0])
+                for n in range(1, order + 1):
+                    assert np.array_equal(self._bits(got.coefficients[n].values),
+                                          self._bits(want.coefficients[n].values)), (order, n)
 
     @pytest.mark.parametrize("d,cap,order", [
         (1, 5, 1), (1, 3, 4), (2, 6, 3), (3, 0, 2), (3, 9, 4), (4, 47, 3), (30, 2, 2),

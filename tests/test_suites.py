@@ -13,7 +13,7 @@ from poisson_chaos.config import load_config, parse_config
 from poisson_chaos import patterns
 from poisson_chaos.errors import (BudgetError, ConfigError, ContractViolationError,
                                   EvaluationError)
-from poisson_chaos.estimation import (ENUMERATION_STATE_CAP, Estimate, McPlan,
+from poisson_chaos.estimation import (BATCH_SIZE, ENUMERATION_STATE_CAP, Estimate, McPlan,
                                       OracleBudget, PoissonEnumeration)
 from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
                                        chaos_of_exponential, difference_rows)
@@ -158,6 +158,65 @@ class TestCasePlans:
         exact = {r.seed for r in rows if r.replicates == 0}
         assert exact and not exact & {seed for seed, _ in recorded}
         assert {n for _, n in recorded} == {quick_config.replicates}
+
+
+class TestLaneOverlap:
+    """Stream s of a lane reads words ``[s*n, (s+1)*n)`` (see ``rng.py``),
+    so two draws of different ``n`` on one ``(seed, sub1, sub2)`` lane
+    would share words wherever those ranges meet."""
+
+    @staticmethod
+    def overlaps(draws):
+        """Pairs of word ranges, of different ``n`` on one lane, that meet."""
+        lanes = {}
+        for seed, streams, n, sub1, sub2 in draws:
+            keys = np.unique(rng.stream_keys(streams))
+            if n == 0 or keys.size == 0:
+                continue
+            bounds = rng._runs(keys).tolist()
+            lanes.setdefault((int(seed), int(sub1), int(sub2)), []).extend(
+                (int(keys[lo]) * n, (int(keys[hi - 1]) + 1) * n, n)
+                for lo, hi in zip(bounds[:-1], bounds[1:]))
+        found = []
+        for lane, ranges in lanes.items():
+            ranges.sort()
+            for i, (lo, hi, n) in enumerate(ranges):
+                for other in ranges[i + 1:]:
+                    if other[0] >= hi:
+                        break
+                    if other[2] != n:
+                        found.append((lane, (lo, hi, n), other))
+        return found
+
+    def test_checker_sees_an_overlap(self):
+        two = np.arange(2, dtype=np.uint64)
+        # words [0, 6) of n = 3 against [4, 8) of n = 4, then [8, 12) of n = 4
+        assert len(self.overlaps([(1, two, 3, 0, 0), (1, two[1:], 4, 0, 0)])) == 1
+        assert not self.overlaps([(1, two, 3, 0, 0), (1, two[1:] + 1, 4, 0, 0)])
+        assert not self.overlaps([(1, two, 3, 0, 0), (1, two[1:], 4, 1, 0)])
+        assert not self.overlaps([(1, two, 3, 0, 0), (1, two[1:], 3, 0, 0)])
+
+    def test_no_suite_draws_overlapping_words(self, quick_config, monkeypatch):
+        draws = []
+        original = rng.stream_uniforms
+
+        def recorded(seed, streams, n, sub1=0, sub2=0):
+            draws.append((seed, np.array(streams), n, sub1, sub2))
+            return original(seed, streams, n, sub1, sub2)
+
+        bound = [module for name, module in list(sys.modules.items())
+                 if name.startswith("poisson_chaos")
+                 and getattr(module, "stream_uniforms", None) is original]
+        assert {rng, patterns, malliavin} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "stream_uniforms", recorded)
+        # two batches per sampled case, so a lane is read more than once
+        config = dataclasses.replace(quick_config, replicates=BATCH_SIZE + 1_000)
+        for suite in suite_names():
+            assert all(r.verdict != "ERROR" for r in run_suite(suite, config)), suite
+        lanes = {(seed, sub1, sub2) for seed, _, _, sub1, sub2 in draws}
+        assert 1 < len(lanes) < len(draws)
+        assert self.overlaps(draws) == []
 
 
 class TestSuiteContext:
