@@ -25,7 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, ContractViolationError, EvaluationError
-from .patterns import _count_vectors, poisson_law, sample_poisson_counts
+from .functionals import difference_rows
+from .patterns import (COUNT_TABLE_CELL_CAP, CountBox, _count_vectors, largest_counts,
+                       poisson_law, sample_poisson_counts)
 from .space import MeasureSpace
 
 BATCH_SIZE = 1 << 15
@@ -158,6 +160,52 @@ def _estimate(batches: list[np.ndarray], n: int) -> Estimate:
     return Estimate(mean=mean, se=se, replicates=n)
 
 
+class CountTable:
+    """Functionals evaluated once per cell of a count box, and read at
+    the rows of a count matrix by a row gather.
+
+    On a finite space a functional is a function of the count vector
+    alone, and a row's value does not depend on the other rows of a
+    multi-row matrix (the contract of :meth:`Functional.evaluate_counts`),
+    so a gather from a table evaluated on the box equals evaluation on
+    the rows bit for bit.  A read holds counts of atom j up to
+    ``bound[j]``, such as :func:`~.patterns.largest_counts` of the law
+    the rows are drawn from, and a larger count raises
+    :class:`BudgetError` naming the atom.  With ``differences`` a read
+    returns each functional's :func:`difference_rows`, one column per
+    atom, from a box one count wider.
+
+    A box of fewer than two cells, more than ``COUNT_TABLE_CELL_CAP``
+    cells or more cells than ``replicates`` (which would evaluate more
+    rows than the replicates themselves) gets no table, and every read
+    evaluates, as does a read of one row: a one-row matrix takes
+    another floating-point route than the multi-row box.
+    """
+
+    def __init__(self, functionals: Sequence, bound: np.ndarray, replicates: int,
+                 differences: bool = False):
+        self.functionals = list(functionals)
+        self.bound = np.asarray(bound, dtype=np.int64)
+        self.differences = differences
+        box = CountBox(self.bound + int(differences))
+        self.box = box if 2 <= box.cells <= min(COUNT_TABLE_CELL_CAP, replicates) else None
+        if self.box is not None:
+            cells = box.counts()
+            self.tables = [F.evaluate_counts(cells) for F in self.functionals]
+            if differences:
+                self.tables = [box.differences(values) for values in self.tables]
+
+    def read(self, counts: np.ndarray) -> list[np.ndarray]:
+        """Each functional's values at the rows of ``counts``, or its
+        one-point differences with ``differences``."""
+        if self.box is None or len(counts) < 2:
+            if self.differences:
+                return [difference_rows(F, counts) for F in self.functionals]
+            return [F.evaluate_counts(counts) for F in self.functionals]
+        rank = self.box.rank(counts, self.bound)
+        return [table.take(rank, axis=0) for table in self.tables]
+
+
 def mc_expectation(space: MeasureSpace, G, plan: McPlan, tilt: float = 1.0) -> Estimate:
     """Monte Carlo mean of a functional under the Poisson law.
 
@@ -169,14 +217,18 @@ def mc_expectation(space: MeasureSpace, G, plan: McPlan, tilt: float = 1.0) -> E
     mass at counts far above their mean; a tilt above 1 draws them
     often, which can cut the variance and kurtosis of the values by
     orders of magnitude.
+
+    G is read from a :class:`CountTable` over the counts the tilted law
+    can draw, evaluated once per cell instead of once per replicate.
     """
     space.check_same(G.space, "functional defined on a different space")
     if not (math.isfinite(tilt) and tilt > 0.0):
         raise ContractViolationError(f"tilt must be a positive finite number, got {tilt!r}")
+    table = CountTable([G], largest_counts(space, tilt), plan.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams, tilt)
-        values = G.evaluate_counts(counts)
+        (values,) = table.read(counts)
         if tilt != 1.0:
             values = values * np.exp((tilt - 1.0) * space.total_mass
                                      - math.log(tilt) * counts.sum(axis=1))
@@ -194,16 +246,17 @@ def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan,
     ``difference``, two functionals get a third estimate: the mean of
     their per-replicate difference, whose standard error is that of
     ``lhs - rhs`` for two sides drawn on the same patterns, correlated
-    as they are.
+    as they are.  The functionals share one :class:`CountTable`.
     """
     for G in functionals:
         space.check_same(G.space, "functional defined on a different space")
     if difference and len(functionals) != 2:
         raise ContractViolationError("a difference needs exactly two functionals")
+    table = CountTable(functionals, largest_counts(space), plan.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
-        rows = [G.evaluate_counts(counts) for G in functionals]
+        rows = table.read(counts)
         if difference:
             rows.append(rows[0] - rows[1])
         return np.stack(rows)
@@ -223,6 +276,12 @@ def poisson_tail(mass: float, cutoff: int,
     pmf = math.exp(-mass)
     for n in range(1, cutoff + 1):
         pmf *= mass / n
+    return _tail_above(mass, cutoff, pmf, growth)
+
+
+def _tail_above(mass: float, cutoff: int, pmf: float,
+                growth: Callable[[int], float] | None) -> float:
+    """:func:`poisson_tail` given ``pmf``, P(N = cutoff) from the recurrence."""
     total = 0.0
     n = cutoff
     while True:
@@ -253,24 +312,41 @@ class OracleBudget:
     def for_space(space: MeasureSpace, tol: float = 1e-10,
                   growth: Callable[[int], float] | None = None,
                   max_states: int = ENUMERATION_STATE_CAP) -> "OracleBudget":
+        """The smallest cutoff whose :func:`poisson_tail` is at most ``tol``.
+
+        Cutoffs are scanned upward, each tail summed as
+        :func:`poisson_tail` sums it, from the one pmf recurrence; the
+        scan stops with :class:`BudgetError` at the first cutoff whose
+        enumeration would hold more than ``max_states`` states.
+        """
+        # a tail is never negative or NaN: such a tol would scan to the state budget
+        if not tol > 0.0:
+            raise ContractViolationError(f"tail tolerance must be positive, got {tol!r}")
         mass = space.total_mass
-        if math.exp(-mass) < sys.float_info.min:
+        pmf = math.exp(-mass)
+        if pmf < sys.float_info.min:
             # the tail arithmetic starts from exp(-mass), which is not a normal float
             raise BudgetError(f"total mass {mass!r} is too large to enumerate")
-        for cutoff in range(1, 400):
+        cutoff = 0
+        while True:
+            cutoff += 1
+            states = math.comb(cutoff + space.size, space.size)
+            if states > max_states:
+                raise BudgetError(f"enumeration would exceed the state budget: cutoff "
+                                  f"{cutoff} needs {states} states, over {max_states}")
+            pmf *= mass / cutoff
             try:
-                tail = poisson_tail(mass, cutoff, growth)
-            except OverflowError as exc:
+                tail = _tail_above(mass, cutoff, pmf, growth)
+            except OverflowError:
+                tail = math.inf
+            if not math.isfinite(tail):
                 # only the growth envelope can overflow: the pmf stays in [0, 1]
                 raise BudgetError(f"the growth envelope overflows a float on the tail of "
-                                  f"total mass {mass!r}") from exc
+                                  f"total mass {mass!r}")
             if tail <= tol:
-                if math.comb(cutoff + space.size, space.size) > max_states:
-                    raise BudgetError("enumeration would exceed the state budget")
                 # slack absorbs rounding differences between the two ways
                 # of accumulating the same tail mass
                 return OracleBudget(cutoff, tail * (1.0 + 1e-6) + 1e-15)
-        raise BudgetError("no truncation point reaches the requested tail bound")
 
 
 class PoissonEnumeration:

@@ -72,7 +72,16 @@ class Functional:
         self.space = space
 
     def evaluate_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a (replicates, atoms) count matrix."""
+        """Vectorized evaluation on a (replicates, atoms) count matrix.
+
+        Contract: a row's value does not depend on the other rows of a
+        multi-row matrix, bit for bit.  :func:`chaos_by_enumeration`
+        and the count tables of the Monte Carlo estimators
+        (:class:`~.estimation.CountTable`) gather values evaluated on
+        other matrices and rely on it.  A one-row matrix may round
+        differently (a matrix product takes another BLAS route there),
+        so neither reads a one-row evaluation in place of a multi-row one.
+        """
         raise NotImplementedError
 
     def evaluate(self, pattern: PointPattern) -> float:

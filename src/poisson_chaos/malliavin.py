@@ -17,19 +17,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, ContractViolationError, UnsupportedArityError
-from .estimation import Estimate, McPlan, mc_estimate
+from .estimation import CountTable, Estimate, McPlan, mc_estimate
 from .functionals import (ChaosVector, CountPolynomial, Exponential, Functional,
                           LinearCombo, Opaque, difference_rows,
                           falling_factorial_coeffs, poisson_raw_moment, stirling2)
-from .patterns import (PointPattern, PoissonField, Thinning, _count_matrix, poisson_law,
-                       sample_poisson_counts, thin_counts)
+from .patterns import (COUNT_TABLE_CELL_CAP, CountBox, PointPattern, PoissonField, Thinning,
+                       _count_matrix, largest_counts, poisson_law, sample_poisson_counts,
+                       thin_counts)
 from .rng import stream_uniforms
 from .space import Kernel, MeasureSpace, symmetrize
 from .wiener_ito import chaos_reconstruct_counts
 
 CHAOS_FIELD_ORDER_CAP = 3
-# largest count box a MehlerDifferences tabulates its functionals on
-COUNT_TABLE_CELL_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +269,23 @@ def ou_semigroup_mc(F: Functional, s: float, pattern: PointPattern,
     """Monte Carlo value of the thinning semigroup at one pattern.
 
     Each replicate thins the pattern with retention s and superposes an
-    independent Poisson field carrying the complementary intensity.
+    independent Poisson field carrying the complementary intensity.  F
+    is read from a :class:`~.estimation.CountTable` over the pattern
+    plus the field's largest counts.
     """
     if not 0.0 <= s <= 1.0:
         raise ContractViolationError("semigroup parameter must lie in [0, 1]")
     F.space.check_same(pattern.space, "pattern lives on a different space")
     space = F.space
     base_counts = pattern.counts
+    table = CountTable([F], base_counts + largest_counts(space, 1.0 - s), inner.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         tiled = np.broadcast_to(base_counts, (streams.size, space.size))
         kept = thin_counts(tiled, s, inner.seed, streams, sub1=1, sub2=1)
         field = sample_poisson_counts(space, inner.seed, streams, scale=1.0 - s,
                                       sub1=2, sub2=1)
-        return F.evaluate_counts(kept + field)
+        return table.read(kept + field)[0]
 
     return mc_estimate(inner, batch)
 
@@ -304,7 +306,9 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
     weighted by 1/s; centering uses the closed-form mean unless one is
     supplied.  All quadrature nodes share one set of uniforms per
     replicate (common random numbers), so the per-replicate quadrature
-    value is integrated first and averaged second.
+    value is integrated first and averaged second.  F is read from one
+    :class:`~.estimation.CountTable` over the pattern plus the largest
+    refresh counts over the nodes.
     """
     if mean is None:
         mean = F.closed_form_mean()
@@ -315,6 +319,8 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
     space = F.space
     base_counts = pattern.counts
     s_nodes, s_weights = gauss_legendre_unit(nodes)
+    refresh_top = np.max([largest_counts(space, 1.0 - float(s)) for s in s_nodes], axis=0)
+    table = CountTable([F], base_counts + refresh_top, inner.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         tiled = np.broadcast_to(base_counts, (streams.size, space.size))
@@ -329,7 +335,7 @@ def ou_inverse_quadrature(F: Functional, pattern: PointPattern, nodes: int,
         for s, w in zip(s_nodes, s_weights):
             thinning.at(float(s), kept)
             kept += field.at(1.0 - float(s), refresh)
-            np.subtract(F.evaluate_counts(kept), mean, out=values)
+            np.subtract(table.read(kept)[0], mean, out=values)
             values *= w / s
             out -= values
         return out
@@ -370,9 +376,8 @@ class MehlerDifferences:
     thinned pattern ``kept``, :meth:`read` returns
     ``E[D_x F(kept + field_t)]`` for each functional.
 
-    Each functional is evaluated once on the count box
-    ``prod_j [0, caps[j]]``, cell r holding the counts
-    ``(r // radix[j]) % (caps[j] + 1)``; its difference table
+    Each functional is evaluated once on the :class:`~.patterns.CountBox`
+    ``box`` of ``prod_j [0, caps[j]]``; its difference table
     ``diffs[r, x] = values[r + radix[x]] - values[r]`` is smoothed with
     each node's refresh pmfs (the laws inversion draws), and a read is a
     row gather at ``kept @ radix``.  A box of more than
@@ -401,18 +406,13 @@ class MehlerDifferences:
         if support > COUNT_TABLE_CELL_CAP:
             raise BudgetError(
                 f"refresh field support of {support} counts exceeds {COUNT_TABLE_CELL_CAP}")
-        largest = np.array([len(poisson_law(float(w)).pmf()) - 1 for w in space.weights])
-        self.caps = largest + np.max(self.reach, axis=0)
-        sizes = self.caps + 1
-        cells = math.prod(sizes.tolist())
+        self.box = CountBox(largest_counts(space) + np.max(self.reach, axis=0))
+        self.caps, self.radix = self.box.caps, self.box.radix
         self.smoothed = None
-        if cells <= COUNT_TABLE_CELL_CAP:
-            self.radix = np.cumprod([1, *sizes[:-1]], dtype=np.int64)
-            cell = np.arange(cells, dtype=np.int64)
-            box = (cell[:, None] // self.radix) % sizes
-            self.values = [F.evaluate_counts(box) for F in self.functionals]
-            self.diffs = [np.stack([np.take(values, cell + step, mode="clip") - values
-                                    for step in self.radix], axis=1) for values in self.values]
+        if self.box.cells <= COUNT_TABLE_CELL_CAP:
+            cells = self.box.counts()
+            self.values = [F.evaluate_counts(cells) for F in self.functionals]
+            self.diffs = [self.box.differences(values) for values in self.values]
             self.smoothed = [[smoothed_differences(diffs, self.caps, pmfs)
                               for diffs in self.diffs] for pmfs in self.pmfs]
 
@@ -430,19 +430,9 @@ class MehlerDifferences:
         if self.smoothed is None:
             tables, rank = self._evaluated(node, kept)
         else:
-            bound = self.caps - self.reach[node]
-            # one whole-matrix max first; the per-atom pass only when it fails
-            if kept.size and kept.max() > bound.min():
-                top = kept.max(axis=0)
-                j = int(np.argmax(top - bound))
-                if top[j] > bound[j]:
-                    raise BudgetError(f"atom {j}: count {top[j]} lies outside the Mehler box, "
-                                      f"whose bound at t = {self.ts[node]} is {bound[j]}")
-            # kept @ radix as column multiply-adds (radix[0] is 1): an
-            # integer matmul has no BLAS route and costs several times more
-            tables, rank = self.smoothed[node], kept[:, 0].astype(np.int64)
-            for j in range(1, kept.shape[1]):
-                rank += kept[:, j] * self.radix[j]
+            tables = self.smoothed[node]
+            rank = self.box.rank(kept, self.caps - self.reach[node],
+                                 f"Mehler box at t = {self.ts[node]}")
         # every rank is in its table; "clip" skips the buffered range check
         return [table.take(rank, axis=0, mode="clip", out=o)
                 for table, o in zip(tables, out or [None] * len(tables))]

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, UnsupportedArityError
+from .errors import BudgetError, ContractViolationError, UnsupportedArityError
 from .rng import RngStream, stream_keys, stream_uniforms
 from .space import Kernel, MeasureSpace
 
@@ -58,6 +58,8 @@ CDF_BINS = 4096
 THIN_TABLE_MIN_ROWS = 16
 # the largest count whose binomial coefficients all fit a float
 THIN_COUNT_MAX = 1029
+# largest count box a lookup table is built on (:class:`CountBox`)
+COUNT_TABLE_CELL_CAP = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +364,67 @@ def _binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:
 def binomial_law(rows: int, s: float) -> CountLaw:
     """The Binomial(n, s) laws for n < ``rows``, row n for count n."""
     return _count_law(_binomial_cdf_rows(rows - 1, s))
+
+
+# ---------------------------------------------------------------------------
+# count boxes
+
+
+def largest_counts(space: MeasureSpace, scale: float = 1.0) -> np.ndarray:
+    """The largest count inversion returns at each atom for the Poisson
+    law of mean ``weight * scale``: the last count of its pmf."""
+    return np.array([len(poisson_law(float(w * scale)).pmf()) - 1 for w in space.weights],
+                    dtype=np.int64)
+
+
+class CountBox:
+    """The count vectors of ``prod_j [0, caps[j]]`` as cells in mixed
+    radix: cell r holds the counts ``(r // radix[j]) % (caps[j] + 1)``,
+    with ``radix[0] = 1``, so a count vector's cell is ``counts @ radix``.
+
+    A function of the counts tabulated on :meth:`counts` is read at a
+    count matrix by a row gather at :meth:`rank`.
+    """
+
+    def __init__(self, caps):
+        self.caps = np.asarray(caps, dtype=np.int64)
+        sizes = self.caps + 1
+        self.cells = math.prod(sizes.tolist())
+        self.radix = np.cumprod([1, *sizes[:-1]], dtype=np.int64)
+
+    def counts(self) -> np.ndarray:
+        """Every cell's count vector, one row per cell in rank order."""
+        cell = np.arange(self.cells, dtype=np.int64)
+        return (cell[:, None] // self.radix) % (self.caps + 1)
+
+    def differences(self, values: np.ndarray) -> np.ndarray:
+        """``out[r, x] = values[r + radix[x]] - values[r]`` for a table of
+        one value per cell: its one-point differences, one column per
+        atom.  A cell at its cap along x holds a cut value there, which
+        a read of counts below the caps never meets."""
+        cell = np.arange(self.cells, dtype=np.int64)
+        return np.stack([np.take(values, cell + step, mode="clip") - values
+                         for step in self.radix], axis=1)
+
+    def rank(self, counts: np.ndarray, bound: np.ndarray,
+             name: str = "count box") -> np.ndarray:
+        """Each row's cell, ``counts @ radix``, for a count matrix whose
+        count of atom j is at most ``bound[j]``, itself at most
+        ``caps[j]``; a larger count raises :class:`BudgetError` naming
+        the atom, so no read is ever clipped into another cell."""
+        # one whole-matrix max first; the per-atom pass only when it fails
+        if counts.size and counts.max() > bound.min():
+            top = counts.max(axis=0)
+            j = int(np.argmax(top - bound))
+            if top[j] > bound[j]:
+                raise BudgetError(f"atom {j}: count {top[j]} lies outside the {name}, "
+                                  f"whose bound is {bound[j]}")
+        # counts @ radix as column multiply-adds (radix[0] is 1): an
+        # integer matmul has no BLAS route and costs several times more
+        rank = counts[:, 0].astype(np.int64)
+        for j in range(1, counts.shape[1]):
+            rank += counts[:, j] * self.radix[j]
+        return rank
 
 
 # ---------------------------------------------------------------------------

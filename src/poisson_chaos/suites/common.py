@@ -2,18 +2,18 @@
 
 The nested covariance estimators read their inner expectations from
 the library's exact Mehler operator, :class:`MehlerDifferences`, and
-the semigroup form reads its outer one-point differences from
-:func:`difference_rows`.
+the semigroup form reads its outer one-point differences from a
+:class:`CountTable` of :func:`~poisson_chaos.functionals.difference_rows`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import Estimate, McPlan, mc_batches, mc_estimate
-from ..functionals import ChaosVector, Functional, difference_rows
+from ..estimation import CountTable, Estimate, McPlan, mc_batches, mc_estimate
+from ..functionals import ChaosVector, Functional
 from ..malliavin import MehlerDifferences, gauss_legendre_unit
-from ..patterns import Thinning, sample_poisson_counts, thinning_uniforms
+from ..patterns import Thinning, largest_counts, sample_poisson_counts, thinning_uniforms
 from ..space import Kernel, MeasureSpace, symmetrize
 
 
@@ -25,14 +25,16 @@ def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
     products (the means' own uncertainty enters at second order and is
     covered by the policy floor).  It needs the means first, so the
     batches are reduced in three passes rather than by ``mc_estimate``.
+    F and G are read from one :class:`CountTable`.
     """
     space.check_same(F.space, "functional defined on a different space")
     space.check_same(G.space, "functional defined on a different space")
+    table = CountTable([F, G], largest_counts(space), plan.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         # C order keeps each function's values one contiguous row
-        return np.stack([F.evaluate_counts(counts), G.evaluate_counts(counts)])
+        return np.stack(table.read(counts))
 
     batches = mc_batches(plan, batch, shape=(2,))
     n = plan.replicates
@@ -66,8 +68,8 @@ def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
                              plan: McPlan, t_nodes: int) -> Estimate:
     """Nested estimate of ``E int_0^1 sum_x w_x D_xF(eta) P_t D_xG(eta) dt``.
 
-    Per replicate: sample a pattern, take the one-point differences of F
-    there with :func:`difference_rows`, and pair them at each
+    Per replicate: sample a pattern, read the one-point differences of F
+    there from a :class:`CountTable` of them, and pair them at each
     Gauss-Legendre node with the Mehler form of ``P_t D_xG``: the
     expectation of ``D_xG(kept + field)`` over a Poisson((1 - t) lambda)
     refresh field given the t-thinned pattern, read exactly by
@@ -78,11 +80,12 @@ def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
     nodes, weights = gauss_legendre_unit(t_nodes)
     space.check_same(F.space, "functional defined on a different space")
     mehler = MehlerDifferences(space, nodes, [G])
+    differences = CountTable([F], largest_counts(space), plan.replicates, differences=True)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         thinning = Thinning(counts, thinning_uniforms(counts, plan.seed, streams, 1, 0))
-        df = difference_rows(F, counts)
+        (df,) = differences.read(counts)
         # one kept matrix and one inner mean per batch, rewritten at each
         # node: fresh ones per node page-fault
         kept, mean_g = np.empty_like(counts), np.empty(counts.shape)

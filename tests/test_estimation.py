@@ -16,13 +16,13 @@ import pytest
 from poisson_chaos import estimation
 from poisson_chaos.errors import BudgetError, ContractViolationError, EvaluationError
 from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, ENUMERATION_DOT_BLOCK,
-                                      Estimate, McPlan, OracleBudget, PoissonEnumeration,
-                                      TolerancePolicy, compare, mc_estimate, mc_expectation,
-                                      mc_expectations,
-                                      oracle_expectation, poisson_tail,
-                                      worker_count)
-from poisson_chaos.functionals import ChaosVector, CountPolynomial, Exponential, Opaque
-from poisson_chaos.patterns import factorial_counts, poisson_law
+                                      CountTable, Estimate, McPlan, OracleBudget,
+                                      PoissonEnumeration, TolerancePolicy, compare,
+                                      mc_estimate, mc_expectation, mc_expectations,
+                                      oracle_expectation, poisson_tail, worker_count)
+from poisson_chaos.functionals import (ChaosVector, CountPolynomial, Exponential, Opaque,
+                                       difference_rows)
+from poisson_chaos.patterns import factorial_counts, largest_counts, poisson_law
 from poisson_chaos.space import Kernel, MeasureSpace
 from poisson_chaos.suites.common import (covariance_conditional_rhs,
                                          covariance_semigroup_rhs, mc_covariance)
@@ -165,12 +165,37 @@ class TestOracle:
             OracleBudget.for_space(wide, 1e-10, max_states=10)
 
     def test_budget_error_on_large_mass(self):
-        # mass 500 needs a cutoff past the last one tried (399); mass 800
-        # underflowed exp(-mass) and certified a cutoff of 1
-        for weights in ([250.0, 250.0], [100.0] * 8):
-            space = MeasureSpace([f"x{i}" for i in range(len(weights))], weights)
-            with pytest.raises(BudgetError):
-                OracleBudget.for_space(space, 1e-10, max_states=10**15)
+        # mass 800 underflowed exp(-mass) and certified a cutoff of 1
+        space = MeasureSpace([f"x{i}" for i in range(8)], [100.0] * 8)
+        with pytest.raises(BudgetError, match="too large to enumerate"):
+            OracleBudget.for_space(space, 1e-10, max_states=10**15)
+
+    @pytest.mark.parametrize("weights, cutoff", [([300.0], 417), ([250.0, 250.0], 649)])
+    def test_large_mass_scans_past_cutoff_399(self, weights, cutoff):
+        # the scan stopped at cutoff 399 and raised from a mass of about 285
+        space = MeasureSpace([f"x{i}" for i in range(len(weights))], weights)
+        budget = OracleBudget.for_space(space, 1e-10, max_states=10**15)
+        assert budget.max_total == cutoff
+        assert poisson_tail(space.total_mass, cutoff - 1) > 1e-10
+        assert poisson_tail(space.total_mass, cutoff) <= budget.tail_bound <= 1e-10
+
+    def test_scan_stops_at_the_state_budget(self):
+        # four atoms of total mass 300 pass 2,000,000 states at cutoff 81,
+        # long before the tail (cutoff 417) is small
+        space = MeasureSpace(list("abcd"), [75.0] * 4)
+        with pytest.raises(BudgetError, match="state budget: cutoff 81 needs 2024785"):
+            OracleBudget.for_space(space, 1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_tail_tolerance_must_be_positive(self, s1, tol):
+        with pytest.raises(ContractViolationError, match="tail tolerance"):
+            OracleBudget.for_space(s1, tol)
+
+    def test_infinite_growth_envelope_is_budget_error(self, s1):
+        # an envelope that returns inf rather than raising made a NaN tail
+        # past the pmf's underflow, which no tolerance accepts
+        with pytest.raises(BudgetError, match="growth envelope overflows"):
+            OracleBudget.for_space(s1, 1e-10, growth=lambda n: math.inf)
 
     def test_masses_below_the_overflow_keep_their_cutoff(self):
         # the tail arithmetic overflowed from a mass of about 90.7 at tol
@@ -335,6 +360,86 @@ class TestMonteCarlo:
     def test_bad_tilt_rejected(self, s2, tilt):
         with pytest.raises(ContractViolationError, match="tilt"):
             mc_expectation(s2, Exponential(s2, [0.3, 0.7]), McPlan(10, 1), tilt=tilt)
+
+
+class TestCountTable:
+    """A table read is evaluation bit for bit, on the counts its box holds."""
+
+    @staticmethod
+    def functionals(space):
+        e = Exponential(space, [0.3, 0.7])
+        return [e, CountPolynomial(space, [(1.0, (2, 1)), (-0.5, (0, 3))]),
+                Opaque(space, counts_fn=lambda c: np.sqrt(1.0 + c.sum(axis=1)))]
+
+    def test_reads_equal_evaluation(self, s2):
+        functionals = self.functionals(s2)
+        bound = largest_counts(s2)
+        table = CountTable(functionals, bound, 10_000)
+        assert table.box is not None and table.box.cells == np.prod(bound + 1)
+        counts = np.random.default_rng(3).integers(0, bound + 1, size=(5_000, 2))
+        for got, F in zip(table.read(counts), functionals):
+            assert np.array_equal(got, F.evaluate_counts(counts))
+        diffs = CountTable(functionals, bound, 10_000, differences=True)
+        assert np.array_equal(diffs.box.caps, bound + 1)
+        for got, F in zip(diffs.read(counts), functionals):
+            assert np.array_equal(got, difference_rows(F, counts))
+
+    def test_one_row_is_evaluated(self, s2, monkeypatch):
+        table = CountTable(self.functionals(s2), largest_counts(s2), 10_000)
+        monkeypatch.setattr(table.box, "rank", None)
+        row = np.array([[2, 3]])
+        for got, F in zip(table.read(row), table.functionals):
+            assert np.array_equal(got, F.evaluate_counts(row))
+
+    def test_box_over_the_cap_is_evaluated(self, s2, monkeypatch):
+        bound = largest_counts(s2)
+        cells = int(np.prod(bound + 1))
+        monkeypatch.setattr(estimation, "COUNT_TABLE_CELL_CAP", cells)
+        assert CountTable([Exponential(s2, [0.3, 0.7])], bound, 10_000).box is not None
+        monkeypatch.setattr(estimation, "COUNT_TABLE_CELL_CAP", cells - 1)
+        table = CountTable(self.functionals(s2), bound, 10_000)
+        assert table.box is None
+        # no table to read, so counts past the bound evaluate too
+        counts = np.array([[0, 0], [40, 50]])
+        for got, F in zip(table.read(counts), table.functionals):
+            assert np.array_equal(got, F.evaluate_counts(counts))
+
+    def test_box_over_the_replicates_is_evaluated(self, s2):
+        bound = largest_counts(s2)
+        cells = int(np.prod(bound + 1))
+        assert CountTable([Exponential(s2, [0.3, 0.7])], bound, cells).box is not None
+        assert CountTable([Exponential(s2, [0.3, 0.7])], bound, cells - 1).box is None
+
+    @pytest.mark.parametrize("differences", [False, True])
+    def test_count_outside_the_box_raises(self, s2, differences):
+        bound = largest_counts(s2)
+        table = CountTable(self.functionals(s2), bound, 10_000, differences=differences)
+        inside = np.array([[0, 0], bound])
+        table.read(inside)
+        for j in (0, 1):
+            outside = inside.copy()
+            outside[1, j] += 1
+            with pytest.raises(BudgetError,
+                               match=f"atom {j}: count {bound[j] + 1}.* {bound[j]}"):
+                table.read(outside)
+
+    def test_off_by_one_radix_breaks_the_equality(self, s2):
+        functionals = self.functionals(s2)
+        bound = largest_counts(s2)
+        table = CountTable(functionals, bound, 10_000)
+        table.box.radix = table.box.radix - [0, 1]
+        counts = np.random.default_rng(5).integers(0, bound + 1, size=(1_000, 2))
+        for got, F in zip(table.read(counts), functionals):
+            assert not np.array_equal(got, F.evaluate_counts(counts))
+
+    def test_estimators_match_the_evaluated_route(self, s2, monkeypatch):
+        functionals = self.functionals(s2)
+        plan = McPlan(20_000, 6)
+        tabled = [mc_expectation(s2, functionals[1], plan, tilt=2.0),
+                  *mc_expectations(s2, functionals[:2], plan, difference=True)]
+        monkeypatch.setattr(estimation, "COUNT_TABLE_CELL_CAP", 0)
+        assert tabled == [mc_expectation(s2, functionals[1], plan, tilt=2.0),
+                          *mc_expectations(s2, functionals[:2], plan, difference=True)]
 
 
 class TestComparePolicy:

@@ -13,8 +13,8 @@ from poisson_chaos.config import load_config, parse_config
 from poisson_chaos import patterns
 from poisson_chaos.errors import (BudgetError, ConfigError, ContractViolationError,
                                   EvaluationError)
-from poisson_chaos.estimation import (BATCH_SIZE, ENUMERATION_STATE_CAP, Estimate, McPlan,
-                                      OracleBudget, PoissonEnumeration)
+from poisson_chaos.estimation import (BATCH_SIZE, ENUMERATION_STATE_CAP, CountTable, Estimate,
+                                      McPlan, OracleBudget, PoissonEnumeration)
 from poisson_chaos.functionals import (CountPolynomial, Exponential, LinearCombo, Opaque,
                                        chaos_of_exponential, difference_rows)
 from poisson_chaos import malliavin, rng
@@ -808,6 +808,82 @@ class TestSmoothedTables:
         np.testing.assert_allclose(integer[0], [2.0, -3.0, 5.0][:space.size], rtol=1e-15)
         np.testing.assert_allclose(fractional, np.broadcast_to(
             [0.7, -1.3, 2.5][:space.size], fractional.shape), rtol=1e-13)
+
+
+class TestSampledCountTables:
+    """Every Monte Carlo estimator reads its functionals from a
+    :class:`~poisson_chaos.estimation.CountTable`; switching the tables
+    off (a cell cap of 0) changes no report byte."""
+
+    # the suites with sampled rows; the other five are exact
+    MONTE_CARLO_SUITES = ("laplace", "mecke", "factorial_moments", "fock_isometry",
+                          "wi_isometry", "ou_operators", "mehler", "covariance",
+                          "poincare", "fkg")
+
+    @staticmethod
+    def spy_reads(monkeypatch) -> list:
+        """Whether each multi-row read of a count table gathered."""
+        reads = []
+        original = CountTable.read
+
+        def recorded(self, counts):
+            if len(counts) > 1:
+                reads.append(self.box is not None)
+            return original(self, counts)
+
+        monkeypatch.setattr(CountTable, "read", recorded)
+        return reads
+
+    @staticmethod
+    def tables_off(monkeypatch):
+        from poisson_chaos import estimation
+        monkeypatch.setattr(estimation, "COUNT_TABLE_CELL_CAP", 0)
+
+    # BATCH_SIZE + 1 leaves a one-row last batch, which is evaluated
+    @pytest.mark.parametrize("replicates", [BATCH_SIZE + 1, 20_000])
+    def test_reports_equal_evaluation(self, replicates, monkeypatch):
+        assert set(self.MONTE_CARLO_SUITES) <= set(SUITES)
+        config = dataclasses.replace(load_config(), replicates=replicates)
+        reads = self.spy_reads(monkeypatch)
+        tabled = {}
+        for name in self.MONTE_CARLO_SUITES:
+            reads.clear()
+            tabled[name] = render_csv(run_suite(name, config))
+            assert any(reads), f"{name} gathered from no table"
+        self.tables_off(monkeypatch)
+        for name in self.MONTE_CARLO_SUITES:
+            reads.clear()
+            assert render_csv(run_suite(name, config)) == tabled[name], name
+            assert reads and not any(reads)
+
+    # a tilted law's box, and a thinned pattern plus its refresh field's
+    @pytest.mark.parametrize("suite, case_id", [("wi_isometry", "mc_S2_m3_n3"),
+                                                ("mehler", "thinning_mc_S2_s0.75_N2")])
+    def test_row_gathers_and_equals_evaluation(self, suite, case_id, quick_config,
+                                               monkeypatch):
+        reads = self.spy_reads(monkeypatch)
+        (tabled,) = run_matching(quick_config, suite, case_id)
+        assert reads and all(reads)
+        self.tables_off(monkeypatch)
+        (evaluated,) = run_matching(quick_config, suite, case_id)
+        assert render_csv([tabled]) == render_csv([evaluated])
+        assert tabled.verdict == "PASS"
+
+    def test_off_by_one_radix_changes_the_report(self, quick_config, monkeypatch):
+        """The equality has power: a table read through a radix one below
+        the box's, for every atom after the first, moves the rows of the
+        two-atom space."""
+        rows = run_matching(quick_config, "mecke", "add_point_S2")
+        original = CountTable.__init__
+
+        def mutant(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if self.box is not None:
+                self.box.radix = self.box.radix - (np.arange(len(self.box.radix)) > 0)
+
+        monkeypatch.setattr(CountTable, "__init__", mutant)
+        mutated = run_matching(quick_config, "mecke", "add_point_S2")
+        assert render_csv(mutated) != render_csv(rows)
 
 
 def moments_reference(space, F, G, plan):
