@@ -67,8 +67,17 @@ class McPlan:
     stream_base: int = 0
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ContractViolationError("replicates must be >= 1")
+        n, base = self.replicates, self.stream_base
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ContractViolationError(f"replicates must be an integer >= 1, got {n!r}")
+        # a stream past 2**64 - 1 would wrap onto another plan's
+        if (isinstance(base, (bool, np.bool_)) or not isinstance(base, (int, np.integer))
+                or not 0 <= int(base) <= (1 << 64) - int(n)):
+            raise ContractViolationError("stream_base must be an integer in "
+                                         f"[0, 2**64 - replicates], got {base!r}")
+        # Python ints: stream arithmetic on a NumPy integer wraps near its top
+        object.__setattr__(self, "replicates", int(n))
+        object.__setattr__(self, "stream_base", int(base))
 
 
 @dataclass(frozen=True)
@@ -206,62 +215,64 @@ class CountTable:
         return [table.take(rank, axis=0) for table in self.tables]
 
 
-def mc_expectation(space: MeasureSpace, G, plan: McPlan, tilt: float = 1.0) -> Estimate:
-    """Monte Carlo mean of a functional under the Poisson law.
-
-    With ``tilt`` other than 1 the estimate is importance sampled by
-    exponential tilting: the counts are drawn at ``tilt`` times the
-    intensity, and each value is weighted by the likelihood ratio
-    ``exp((tilt - 1) * mass) * tilt**-total``, which keeps the mean
-    unbiased.  A polynomial of high degree in the counts carries its
-    mass at counts far above their mean; a tilt above 1 draws them
-    often, which can cut the variance and kurtosis of the values by
-    orders of magnitude.
-
-    G is read from a :class:`CountTable` over the counts the tilted law
-    can draw, evaluated once per cell instead of once per replicate.
-    """
-    space.check_same(G.space, "functional defined on a different space")
-    if not (math.isfinite(tilt) and tilt > 0.0):
-        raise ContractViolationError(f"tilt must be a positive finite number, got {tilt!r}")
-    table = CountTable([G], largest_counts(space, tilt), plan.replicates)
-
-    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        counts = sample_poisson_counts(space, plan.seed, streams, tilt)
-        (values,) = table.read(counts)
-        if tilt != 1.0:
-            values = values * np.exp((tilt - 1.0) * space.total_mass
-                                     - math.log(tilt) * counts.sum(axis=1))
-        return values
-
-    return mc_estimate(plan, batch)
-
-
-def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan,
-                    difference: bool = False) -> list[Estimate]:
-    """Monte Carlo means of several functionals on one sampled batch.
-
-    Each estimate equals ``mc_expectation(space, G, plan)`` bit for bit,
-    but the patterns of a batch are drawn once for all of them.  With
-    ``difference``, two functionals get a third estimate: the mean of
-    their per-replicate difference, whose standard error is that of
-    ``lhs - rhs`` for two sides drawn on the same patterns, correlated
-    as they are.  The functionals share one :class:`CountTable`.
-    """
+def table_batch(space: MeasureSpace, functionals: Sequence, plan: McPlan,
+                tilt: float = 1.0, difference: bool = False
+                ) -> Callable[[np.ndarray, int], np.ndarray]:
+    """The batch callable of the count-functional estimators: it draws a
+    batch's counts, reads the functionals from one :class:`CountTable`
+    over the counts the law can draw, and returns one row per functional.
+    With ``tilt`` other than 1 the counts are drawn at ``tilt`` times the
+    intensity and each row is weighted by the likelihood ratio
+    ``exp((tilt - 1) * mass) * tilt**-total``, which keeps the means
+    unbiased.  With ``difference``, two functionals get a third row,
+    ``lhs - rhs``."""
+    if not functionals:
+        raise ContractViolationError("at least one functional is required")
     for G in functionals:
         space.check_same(G.space, "functional defined on a different space")
     if difference and len(functionals) != 2:
         raise ContractViolationError("a difference needs exactly two functionals")
-    table = CountTable(functionals, largest_counts(space), plan.replicates)
+    if not (math.isfinite(tilt) and tilt > 0.0):
+        raise ContractViolationError(f"tilt must be a positive finite number, got {tilt!r}")
+    table = CountTable(functionals, largest_counts(space, tilt), plan.replicates)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        counts = sample_poisson_counts(space, plan.seed, streams)
+        if tilt == 1.0:
+            counts = sample_poisson_counts(space, plan.seed, streams)
+        else:
+            counts = sample_poisson_counts(space, plan.seed, streams, tilt)
         rows = table.read(counts)
+        if tilt != 1.0:
+            weight = np.exp((tilt - 1.0) * space.total_mass - math.log(tilt) * counts.sum(axis=1))
+            rows = [values * weight for values in rows]
         if difference:
             rows.append(rows[0] - rows[1])
+        # C order keeps each functional's values one contiguous row
         return np.stack(rows)
 
-    return mc_estimates(plan, batch, len(functionals) + difference)
+    return batch
+
+
+def mc_expectation(space: MeasureSpace, G, plan: McPlan, tilt: float = 1.0) -> Estimate:
+    """Monte Carlo mean of a functional under the Poisson law, importance
+    sampled by exponential tilting for a ``tilt`` other than 1 (see
+    :func:`table_batch`).  A polynomial of high degree in the counts
+    carries its mass at counts far above their mean; a tilt above 1
+    draws them often, which can cut the variance and kurtosis of the
+    values by orders of magnitude."""
+    rows = table_batch(space, [G], plan, tilt)
+    return mc_estimate(plan, lambda streams, start: rows(streams, start)[0])
+
+
+def mc_expectations(space: MeasureSpace, functionals: Sequence, plan: McPlan,
+                    difference: bool = False) -> list[Estimate]:
+    """Monte Carlo means of several functionals on one sampled batch,
+    each equal to ``mc_expectation(space, G, plan)`` bit for bit.  With
+    ``difference``, two functionals get a third estimate: the mean of
+    their per-replicate difference, whose standard error is that of
+    ``lhs - rhs`` for two sides drawn on the same patterns."""
+    return mc_estimates(plan, table_batch(space, functionals, plan, difference=difference),
+                        len(functionals) + difference)
 
 
 # ---------------------------------------------------------------------------

@@ -497,14 +497,21 @@ class ChaosVector:
         return worst
 
 
+def _check_order(n, what: str) -> None:
+    """Reject an order that is not an integer in [0, CHAOS_ORDER_CAP]."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ContractViolationError(f"{what} must be an integer >= 0, got {n!r}")
+    if n > CHAOS_ORDER_CAP:
+        raise UnsupportedArityError(f"{what} capped at {CHAOS_ORDER_CAP}")
+
+
 def chaos_of_exponential(F: LinearCombo, order: int) -> ChaosVector:
     """Exact chaos coefficients of an exponential-family functional.
 
     Level n is mean * (exp(-v) - 1) tensored n times over n factorial;
     linear combinations add coefficientwise.
     """
-    if order > CHAOS_ORDER_CAP:
-        raise UnsupportedArityError(f"chaos order capped at {CHAOS_ORDER_CAP}")
+    _check_order(order, "chaos order")
     space = F.space
     total = [0.0] + [Kernel.constant(space, n, 0.0) for n in range(1, order + 1)]
     for coef, e in F.terms():
@@ -529,24 +536,18 @@ def t_coefficient_mc(F: Functional, n: int, plan) -> KernelEstimate:
     """Monte Carlo estimate of the order-n difference-moment kernel.
 
     Entry (x1..xn) is the replicate average of the order-n difference
-    of F at those atoms; the patterns of a batch are drawn once and
-    serve all entries (common random numbers).  Order zero estimates
-    the mean.
+    of F at those atoms, by :func:`~.estimation.mc_expectations`: one
+    drawn batch serves all entries (common random numbers).  Order zero
+    estimates the mean.
     """
-    from .estimation import mc_estimates, sample_poisson_counts
+    from .estimation import mc_expectations
 
-    if n > CHAOS_ORDER_CAP:
-        raise UnsupportedArityError(f"difference-moment order capped at {CHAOS_ORDER_CAP}")
+    _check_order(n, "difference-moment order")
     space = F.space
-    d = space.size
-    tuples = list(itertools.product(range(d), repeat=n))
-
-    def batch(streams, _start):
-        counts = sample_poisson_counts(space, plan.seed, streams)
-        return np.stack([iterated_difference_counts(F, tup, counts) for tup in tuples])
-
-    estimates = mc_estimates(plan, batch, len(tuples))
-    shape = (d,) * n
+    estimates = mc_expectations(space, [
+        Opaque(space, counts_fn=lambda counts, tup=tup: iterated_difference_counts(F, tup, counts))
+        for tup in itertools.product(range(space.size), repeat=n)], plan)
+    shape = (space.size,) * n
     means = np.array([est.mean for est in estimates]).reshape(shape)
     ses = np.array([est.se for est in estimates]).reshape(shape)
     return KernelEstimate(Kernel(space, means), Kernel(space, ses), plan.replicates)
@@ -599,8 +600,7 @@ def chaos_by_enumeration(F: Functional, order: int, budget) -> ChaosVector:
     """
     from .estimation import ENUMERATION_STATE_CAP, PoissonEnumeration
 
-    if order > CHAOS_ORDER_CAP:
-        raise UnsupportedArityError(f"chaos order capped at {CHAOS_ORDER_CAP}")
+    _check_order(order, "chaos order")
     space = F.space
     d = space.size
     cap = budget.max_total

@@ -142,14 +142,6 @@ def _count_vectors(d: int, cap: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _level_vectors(d: int, total: int) -> np.ndarray:
-    """All count vectors in d atoms with exactly this total, in lexicographic order."""
-    if d == 1:
-        return np.array([[total]], dtype=np.int64)
-    head = _count_vectors(d - 1, total)
-    return np.column_stack([head, total - head.sum(axis=1)])
-
-
 def shell_size(d: int, cap: int, order: int) -> int:
     """Number of count vectors in d atoms with total in (cap, cap + order]."""
     return math.comb(cap + order + d, d) - math.comb(cap + d, d)
@@ -157,8 +149,14 @@ def shell_size(d: int, cap: int, order: int) -> int:
 
 def lattice_shell(d: int, cap: int, order: int) -> np.ndarray:
     """The count vectors with totals cap+1 .. cap+order, one total after
-    another, each in lexicographic order."""
-    return np.vstack([_level_vectors(d, cap + k) for k in range(1, order + 1)])
+    another, each in lexicographic order: the first d - 1 counts of each
+    level are filtered by total from one ``_count_vectors(d - 1, cap + order)``."""
+    totals = np.arange(cap + 1, cap + order + 1, dtype=np.int64)
+    if d == 1:
+        return totals[:, None]
+    head = _count_vectors(d - 1, cap + order)
+    sums = head.sum(axis=1)
+    return np.vstack([np.column_stack([head[sums <= n], n - sums[sums <= n]]) for n in totals])
 
 
 def successor_maps(counts: np.ndarray, shell: np.ndarray, cap: int,

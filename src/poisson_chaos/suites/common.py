@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimation import CountTable, Estimate, McPlan, mc_batches, mc_estimate
+from ..estimation import CountTable, Estimate, McPlan, mc_batches, mc_estimate, table_batch
 from ..functionals import ChaosVector, Functional
 from ..malliavin import MehlerDifferences, gauss_legendre_unit
 from ..patterns import Thinning, largest_counts, sample_poisson_counts, thinning_uniforms
@@ -25,18 +25,9 @@ def mc_covariance(space: MeasureSpace, F: Functional, G: Functional,
     products (the means' own uncertainty enters at second order and is
     covered by the policy floor).  It needs the means first, so the
     batches are reduced in three passes rather than by ``mc_estimate``.
-    F and G are read from one :class:`CountTable`.
+    F and G are read from one :class:`CountTable` (:func:`table_batch`).
     """
-    space.check_same(F.space, "functional defined on a different space")
-    space.check_same(G.space, "functional defined on a different space")
-    table = CountTable([F, G], largest_counts(space), plan.replicates)
-
-    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        counts = sample_poisson_counts(space, plan.seed, streams)
-        # C order keeps each function's values one contiguous row
-        return np.stack(table.read(counts))
-
-    batches = mc_batches(plan, batch, shape=(2,))
+    batches = mc_batches(plan, table_batch(space, [F, G], plan), shape=(2,))
     n = plan.replicates
     mean_f = sum(float(np.sum(b[0])) for b in batches) / n
     mean_g = sum(float(np.sum(b[1])) for b in batches) / n
@@ -77,28 +68,9 @@ def covariance_semigroup_rhs(space: MeasureSpace, F: Functional, G: Functional,
     sampled, with one thinning stream shared by every node (common
     random numbers across the grid).
     """
-    nodes, weights = gauss_legendre_unit(t_nodes)
     space.check_same(F.space, "functional defined on a different space")
-    mehler = MehlerDifferences(space, nodes, [G])
     differences = CountTable([F], largest_counts(space), plan.replicates, differences=True)
-
-    def batch(streams: np.ndarray, _start: int) -> np.ndarray:
-        counts = sample_poisson_counts(space, plan.seed, streams)
-        thinning = Thinning(counts, thinning_uniforms(counts, plan.seed, streams, 1, 0))
-        (df,) = differences.read(counts)
-        # one kept matrix and one inner mean per batch, rewritten at each
-        # node: fresh ones per node page-fault
-        kept, mean_g = np.empty_like(counts), np.empty(counts.shape)
-        out = np.zeros(streams.size)
-        for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
-            mehler.read(node, thinning.at(t, kept), [mean_g])
-            # wt * (df * mean_g) in place
-            mean_g *= df
-            mean_g *= wt
-            out += mean_g @ space.weights
-        return out
-
-    return mc_estimate(plan, batch)
+    return _nested_covariance(space, plan, t_nodes, [G], differences)
 
 
 def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional,
@@ -112,20 +84,37 @@ def covariance_conditional_rhs(space: MeasureSpace, F: Functional, G: Functional
     :class:`MehlerDifferences`, so their product needs no independent
     inner samples.
     """
+    return _nested_covariance(space, plan, t_nodes, [F, G], None)
+
+
+def _nested_covariance(space: MeasureSpace, plan: McPlan, t_nodes: int, functionals: list,
+                       differences: CountTable | None) -> Estimate:
+    """The replicate loop of both nested covariance forms: per replicate,
+    ``sum_t wt sum_x w_x outer * inner`` over the Gauss-Legendre nodes,
+    ``inner`` being the Mehler read of the last of ``functionals`` at
+    the t-thinned pattern.  ``outer`` is the read of ``differences`` at
+    the pattern, or without them the Mehler read of the first."""
     nodes, weights = gauss_legendre_unit(t_nodes)
-    mehler = MehlerDifferences(space, nodes, [F, G])
+    mehler = MehlerDifferences(space, nodes, functionals)
 
     def batch(streams: np.ndarray, _start: int) -> np.ndarray:
         counts = sample_poisson_counts(space, plan.seed, streams)
         thinning = Thinning(counts, thinning_uniforms(counts, plan.seed, streams, 1, 0))
-        kept = np.empty_like(counts)
-        mean_f, mean_g = np.empty(counts.shape), np.empty(counts.shape)
+        # one kept matrix and one matrix per read per batch, rewritten at
+        # each node: fresh ones per node page-fault
+        kept, inner = np.empty_like(counts), np.empty(counts.shape)
+        if differences is None:
+            outer = np.empty(counts.shape)
+            reads = [outer, inner]
+        else:
+            (outer,), reads = differences.read(counts), [inner]
         out = np.zeros(streams.size)
         for node, (t, wt) in enumerate(zip(mehler.ts, weights)):
-            mehler.read(node, thinning.at(t, kept), [mean_f, mean_g])
-            mean_f *= mean_g
-            mean_f *= wt
-            out += mean_f @ space.weights
+            mehler.read(node, thinning.at(t, kept), reads)
+            # wt * (outer * inner) in place
+            inner *= outer
+            inner *= wt
+            out += inner @ space.weights
         return out
 
     return mc_estimate(plan, batch)

@@ -19,6 +19,9 @@ library used before its inner expectations became exact, kept as the
 statistical reference); the exact-inner pair sums the evaluated
 differences over an enumeration of the refresh field's law.
 
+For the enumerated chaos it keeps the lattice shell built level by
+level, each level from its own count vectors.
+
 For the stream generator it keeps the whole-batch Philox block
 function: every counter word a full-size array, every round over all
 streams at once, and the 128-bit products from a textbook limb sum.
@@ -36,8 +39,8 @@ from poisson_chaos.estimation import Estimate, mc_estimate
 from poisson_chaos.functionals import difference_rows
 from poisson_chaos.malliavin import gauss_legendre_unit
 from poisson_chaos.patterns import (FACTORIAL_ARITY_CAP, PointPattern, _binomial_cdf_rows,
-                                    poisson_counts_with_uniforms, poisson_law,
-                                    sample_poisson_counts)
+                                    _count_vectors, poisson_counts_with_uniforms,
+                                    poisson_law, sample_poisson_counts)
 from poisson_chaos.rng import stream_uniforms
 from poisson_chaos.space import Kernel, contraction
 
@@ -250,6 +253,20 @@ def product_formula_rhs_counts(f: Kernel, g: Kernel, counts: np.ndarray) -> np.n
             term = contraction(f, g, r, l)
             out += outer * math.comb(r, l) * wiener_ito_counts(f.space, term, counts)
     return out
+
+
+def level_vectors(d: int, total: int) -> np.ndarray:
+    """All count vectors in d atoms with exactly this total, in
+    lexicographic order, each level built from its own count vectors."""
+    if d == 1:
+        return np.array([[total]], dtype=np.int64)
+    head = _count_vectors(d - 1, total)
+    return np.column_stack([head, total - head.sum(axis=1)])
+
+
+def lattice_shell(d: int, cap: int, order: int) -> np.ndarray:
+    """The shell of totals cap+1 .. cap+order, one level after another."""
+    return np.vstack([level_vectors(d, cap + k) for k in range(1, order + 1)])
 
 
 def binomial_cdf_rows(n_max: int, s: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from poisson_chaos.errors import BudgetError, ContractViolationError, Evaluation
 from poisson_chaos.estimation import (ENUMERATION_CACHE_SIZE, ENUMERATION_DOT_BLOCK,
                                       CountTable, Estimate, McPlan, OracleBudget,
                                       PoissonEnumeration, TolerancePolicy, compare,
-                                      mc_estimate, mc_expectation, mc_expectations,
+                                      mc_batches, mc_estimate, mc_expectation, mc_expectations,
                                       oracle_expectation, poisson_tail, worker_count)
 from poisson_chaos.functionals import (ChaosVector, CountPolynomial, Exponential, Opaque,
                                        difference_rows)
@@ -321,6 +321,29 @@ class TestMonteCarlo:
     def test_replicates_validated(self):
         with pytest.raises(ContractViolationError):
             McPlan(0, 1)
+
+    @pytest.mark.parametrize("replicates, stream_base, field", [
+        (True, 0, "replicates"), (2.5, 0, "replicates"), (np.float64(3.0), 0, "replicates"),
+        (-2, 0, "replicates"), (10, -5, "stream_base"), (10, 2.5, "stream_base"),
+        (10, np.bool_(True), "stream_base"), (20, (1 << 64) - 10, "stream_base"),
+        (1, 1 << 64, "stream_base")])
+    def test_plan_rejects_what_it_cannot_run(self, replicates, stream_base, field):
+        # each would run other replicates or streams than it names (a base
+        # near 2**64 onto streams 0, 1, ... of another plan), or fail with
+        # an error type not the package's
+        with pytest.raises(ContractViolationError, match=f"^{field} must be an integer"):
+            McPlan(replicates, 1, stream_base)
+
+    def test_plan_takes_numpy_integers_up_to_the_last_stream(self):
+        plan = McPlan(np.int64(10), 1, np.uint64((1 << 64) - 10))
+        (low_bits,) = mc_batches(plan, lambda streams, start: (streams % 16).astype(float))
+        # the streams 2**64 - 10 .. 2**64 - 1, none wrapped
+        assert low_bits.tolist() == list(range(6, 16))
+        assert McPlan(1, 1, (1 << 64) - 1).stream_base == (1 << 64) - 1
+
+    def test_no_functionals_is_a_contract_violation(self, s2):
+        with pytest.raises(ContractViolationError, match="at least one functional"):
+            mc_expectations(s2, [], McPlan(10, 1))
 
     def test_se_halves_when_replicates_quadruple(self, s2):
         f = Exponential(s2, [0.3, 0.7])

@@ -25,6 +25,8 @@ from poisson_chaos.patterns import PointPattern, lattice_shell, shell_size, succ
 from poisson_chaos.space import Kernel, MeasureSpace, symmetrize
 from poisson_chaos.suites.base import POLY4
 
+import oracle
+
 LN2 = math.log(2.0)
 
 
@@ -155,6 +157,23 @@ class TestDifferenceOperators:
             iterated_difference(f, (0,) * 7, PointPattern(s1, [0]))
 
 
+@pytest.mark.parametrize("order", [-1, 1.0, 1.5, True, "2", None])
+def test_chaos_order_must_be_a_non_negative_integer(s2, order):
+    F = Exponential(s2, [0.3, 0.7])
+    calls = [lambda: chaos_of_exponential(F, order),
+             lambda: chaos_by_enumeration(F, order, OracleBudget.for_space(s2, 1e-6)),
+             lambda: t_coefficient_mc(F, order, McPlan(100, 1))]
+    for call in calls:
+        with pytest.raises(ContractViolationError, match="order must be an integer >= 0"):
+            call()
+
+
+def test_chaos_order_accepts_numpy_integers(s2):
+    F = Exponential(s2, [0.3, 0.7])
+    assert chaos_of_exponential(F, np.int64(2)).allclose(chaos_of_exponential(F, 2))
+    assert t_coefficient_mc(F, np.uint8(1), McPlan(100, 1)).values.arity == 1
+
+
 class TestChaosOfExponential:
     def test_zero_exponent_gives_constant_vector(self, s1):
         cv = chaos_of_exponential(Exponential(s1, [0.0]), 3)
@@ -256,6 +275,21 @@ class TestDifferenceMomentEstimates:
             got = (float(est.values.values[tup]), float(est.se.values[tup]))
             assert np.array(got).view(np.uint64).tolist() == \
                 np.array([want.mean, want.se]).view(np.uint64).tolist()
+
+    def test_entries_gather_from_one_count_table(self, monkeypatch):
+        # every tuple's difference is read from the one table of its batch
+        s3 = MeasureSpace(["a", "b", "c"], [0.4, 1.0, 1.7])
+        F = Exponential(s3, [0.3, LN2, 0.1])
+        reads = []
+        original = estimation.CountTable.read
+
+        def recorded(self, counts):
+            reads.append((len(self.functionals), self.box is not None))
+            return original(self, counts)
+
+        monkeypatch.setattr(estimation.CountTable, "read", recorded)
+        t_coefficient_mc(F, 2, McPlan(20_000, 3))
+        assert reads == [(9, True)]
 
     def test_non_finite_difference_raises(self, s1):
         blows_up = Opaque(s1, counts_fn=lambda c: np.where(c[:, 0] > 1, np.nan, 0.0))
@@ -591,6 +625,14 @@ class TestChaosLattice:
                 for n in range(1, order + 1):
                     assert np.array_equal(self._bits(got.coefficients[n].values),
                                           self._bits(want.coefficients[n].values)), (order, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_shell_equals_the_per_level_construction(self, d):
+        for cap in range(7):
+            for order in range(1, 4):
+                got = lattice_shell(d, cap, order)
+                want = oracle.lattice_shell(d, cap, order)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (cap, order)
 
     @pytest.mark.parametrize("d,cap,order", [
         (1, 5, 1), (1, 3, 4), (2, 6, 3), (3, 0, 2), (3, 9, 4), (4, 47, 3), (30, 2, 2),
